@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AlgebraMismatch, DegreeOutOfRange, InternalInconsistency
-from .exact import _row_reduce
+from .exact import _exact, _row_reduce
 from .poly import GradedPoly, Monomial, S, log_component, poly_parse
 
 
@@ -84,7 +84,7 @@ class AlgebraElement:
         if isinstance(other, AlgebraElement):
             self._require_same(other)
             return self.algebra.normal_form(self.poly * other.poly)
-        return AlgebraElement(self.algebra, self.poly * Fraction(other))
+        return AlgebraElement(self.algebra, self.poly * _exact(other))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -153,10 +153,9 @@ class UnitaryAlgebra:
             if shift < 0:
                 continue
             for a in range(shift // 2 + 1):
-                multiple = GradedPoly.monomial(a, shift - 2 * a) * g
                 row = [Fraction(0)] * len(cols)
-                for mono, c in multiple.terms.items():
-                    row[index[mono]] = c
+                for (p, q), c in g.terms.items():
+                    row[index[(p + a, q + shift - 2 * a)]] = c
                 rows.append(row)
         pivots = _row_reduce(rows, len(cols))
         if pivots != list(range(len(nonbasis))):

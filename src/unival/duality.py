@@ -53,23 +53,24 @@ def pairing_matrix(n: int, k: int) -> ExactMatrix:
     def top_of(p: int, q: int) -> Fraction:
         return top_coefficient(alg.normal_form(GradedPoly.monomial(p, q)))
 
+    def normal_forms(degree: int) -> list:
+        return [alg.normal_form(GradedPoly.monomial(i, degree - 2 * i)) for i in range(k + 1)]
+
     h = [top_of(m, 2 * n - 2 * m) for m in range(2 * k + 1)]
     entries = [[h[i + j] for j in range(k + 1)] for i in range(k + 1)]
+    a, b = normal_forms(2 * k), normal_forms(2 * n - 2 * k)
+    if 2 * k + 1 <= n:
+        ta, tb = normal_forms(2 * k + 1), normal_forms(2 * n - 2 * k - 1)
     for i in range(k + 1):
         for j in range(k + 1):
-            a = alg.normal_form(GradedPoly.monomial(i, 2 * k - 2 * i))
-            b = alg.normal_form(GradedPoly.monomial(j, 2 * n - 2 * k - 2 * j))
-            if top_coefficient(a * b) != entries[i][j]:
+            if top_coefficient(a[i] * b[j]) != entries[i][j]:
                 raise InternalInconsistency(
                     f"pairing route <a,b> disagrees with direct reduction at n={n}, k={k}, ({i},{j})"
                 )
-            if 2 * k + 1 <= n:
-                ta = alg.normal_form(GradedPoly.monomial(i, 2 * k - 2 * i + 1))
-                tb = alg.normal_form(GradedPoly.monomial(j, 2 * n - 2 * k - 2 * j - 1))
-                if top_coefficient(ta * tb) != entries[i][j]:
-                    raise InternalInconsistency(
-                        f"pairing route <<a,b>> disagrees with direct reduction at n={n}, k={k}, ({i},{j})"
-                    )
+            if 2 * k + 1 <= n and top_coefficient(ta[i] * tb[j]) != entries[i][j]:
+                raise InternalInconsistency(
+                    f"pairing route <<a,b>> disagrees with direct reduction at n={n}, k={k}, ({i},{j})"
+                )
     return ExactMatrix(entries)
 
 

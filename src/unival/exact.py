@@ -1,16 +1,17 @@
 """Exact dense linear algebra over the rationals.
 
-Scalars are ``fractions.Fraction`` throughout: arbitrary precision, always in
-lowest terms with positive denominator.  Matrices here are tiny (nothing in
-the package exceeds ~20x20), so plain rational Gauss-Jordan with full
-normalization after each pivot is used everywhere.  Pivots are always the
-first nonzero entry in column order, which keeps every reduction
-deterministic.
+Scalars are ``fractions.Fraction`` at every interface: arbitrary precision,
+always in lowest terms with positive denominator.  Inside, elimination is
+fraction-free: one integer Gauss-Jordan kernel (``_row_reduce``) serves slice
+elimination, inversion and span solving, and the positive-definiteness test
+is one Bareiss pass over integers.  Pivots are always the first nonzero entry
+in column order, which keeps every reduction deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import NotInSpan, NotSymmetric, SingularMatrix
@@ -40,26 +41,54 @@ def _row_reduce(rows: list[list[Fraction]], pivot_cols: int) -> list[int]:
     Each pivot is normalized to 1 and its column cleared above and below.
     Entries beyond ``pivot_cols`` ride along in every row operation.
     Returns the pivot column indices in order.
+
+    The work is fraction-free.  Each row is scaled once to a primitive
+    integer row; clearing a column replaces a row by ``p * row - a * lead``
+    divided by the gcd of its entries; the rows go back to ``Fraction`` only
+    at the end, each pivot row divided by its pivot.  Every integer row is a
+    nonzero multiple of the row that rational elimination holds at the same
+    step, so the zero tests, the pivots and the final rows are the same.
+    ``scale`` tracks that multiple, which gives back the exact values of the
+    rows past the rank (nonzero only beyond ``pivot_cols``).
     """
+    ints: list[list[int]] = []
+    scale: list[Fraction] = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        irow = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*irow) or 1
+        ints.append([x // g for x in irow] if g != 1 else irow)
+        scale.append(Fraction(den, g))
     pivots: list[int] = []
     target = 0
     for col in range(pivot_cols):
-        hit = next((r for r in range(target, len(rows)) if rows[r][col] != 0), None)
+        hit = next((r for r in range(target, len(ints)) if ints[r][col]), None)
         if hit is None:
             continue
-        rows[target], rows[hit] = rows[hit], rows[target]
-        pivot = rows[target][col]
-        if pivot != 1:
-            rows[target] = [x / pivot for x in rows[target]]
-        lead = rows[target]
-        for r in range(len(rows)):
-            if r != target and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], lead)]
+        ints[target], ints[hit] = ints[hit], ints[target]
+        scale[target], scale[hit] = scale[hit], scale[target]
+        lead = ints[target]
+        p = lead[col]
+        for r in range(len(ints)):
+            a = ints[r][col]
+            if r != target and a:
+                new = [p * x - a * y for x, y in zip(ints[r], lead)]
+                g = gcd(*new) or 1
+                ints[r] = [x // g for x in new] if g != 1 else new
+                if r > target:  # rows above are settled pivot rows
+                    scale[r] *= Fraction(p, g)
         pivots.append(col)
         target += 1
-        if target == len(rows):
+        if target == len(ints):
             break
+    zero = Fraction(0)
+    for r, irow in enumerate(ints):
+        if r < len(pivots):
+            p = irow[pivots[r]]
+            rows[r] = [Fraction(x, p) if x else zero for x in irow]
+        else:
+            num, den = scale[r].numerator, scale[r].denominator
+            rows[r] = [Fraction(x * den, num) if x else zero for x in irow]
     return pivots
 
 
@@ -217,12 +246,30 @@ def solve_in_span(generators: Sequence[Sequence], target: Sequence) -> tuple[Fra
 
 
 def is_positive_definite(m: ExactMatrix) -> bool:
-    """Sylvester test: every leading principal minor is strictly positive."""
+    """Sylvester test: every leading principal minor is strictly positive.
+
+    One fraction-free Bareiss pass without pivoting over the matrix scaled to
+    integers (a positive scale keeps the sign of every minor): after k steps
+    the diagonal entry ``a[k][k]`` is the (k+1)-th leading principal minor,
+    so the pass stops at the first one that is not positive.  Cubic in the
+    size, where a determinant per minor would be quartic.
+    """
     if not m.is_square():
         raise NotSymmetric("matrix is not square")
     if not m.is_symmetric():
         raise NotSymmetric("matrix is not symmetric")
-    for k in range(1, m.rows + 1):
-        if m.block(0, k, 0, k).det() <= 0:
+    den = lcm(*(x.denominator for row in m._data for x in row))
+    a = [[x.numerator * (den // x.denominator) for x in row] for row in m._data]
+    size = m.rows
+    previous = 1
+    for k in range(size):
+        pivot = a[k][k]
+        if pivot <= 0:
             return False
+        lead = a[k]
+        for i in range(k + 1, size):
+            row, factor = a[i], a[i][k]
+            for j in range(k + 1, size):
+                row[j] = (pivot * row[j] - factor * lead[j]) // previous
+        previous = pivot
     return True

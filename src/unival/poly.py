@@ -26,6 +26,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .errors import ParseError
+from .exact import _exact
 
 Monomial = tuple[int, int]  # (power of s, power of t); grade = 2*s_power + t_power
 
@@ -39,13 +40,15 @@ class GradedPoly:
         clean: dict[Monomial, Fraction] = {}
         for mono, value in (terms or {}).items():
             p, q = mono
+            if not (isinstance(p, int) and isinstance(q, int)):
+                raise TypeError(f"exponents must be integers: {mono}")
             if p < 0 or q < 0:
                 raise ValueError(f"negative exponents are not allowed: {mono}")
             if isinstance(value, float):
                 raise TypeError("floating-point coefficients are not allowed")
             coeff = Fraction(value)
             if coeff:
-                clean[(int(p), int(q))] = coeff
+                clean[mono] = coeff
         self._terms = clean
 
     @classmethod
@@ -102,7 +105,8 @@ class GradedPoly:
                     mono = (p1 + p2, q1 + q2)
                     out[mono] = out.get(mono, Fraction(0)) + c1 * c2
             return GradedPoly(out)
-        return GradedPoly({mono: c * Fraction(other) for mono, c in self._terms.items()})
+        scalar = _exact(other)
+        return GradedPoly({mono: c * scalar for mono, c in self._terms.items()})
 
     def __rmul__(self, other) -> "GradedPoly":
         return self.__mul__(other)
@@ -364,7 +368,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterator | list | tuple = ()):  # coeffs[i] multiplies z^i
-        cleaned = [Fraction(c) for c in coeffs]
+        cleaned = [_exact(c) for c in coeffs]
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         self.coeffs = tuple(cleaned)
@@ -408,7 +412,8 @@ class UniPoly:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
             return UniPoly(out)
-        return UniPoly([Fraction(other) * c for c in self.coeffs])
+        scalar = _exact(other)
+        return UniPoly([scalar * c for c in self.coeffs])
 
     def __rmul__(self, other) -> "UniPoly":
         return self.__mul__(other)

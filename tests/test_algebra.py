@@ -103,6 +103,15 @@ def test_scalar_multiplication_and_addition():
     assert not (t - t)
 
 
+def test_scalar_multiplication_rejects_floats():
+    one = build_algebra(2).one()
+    with pytest.raises(TypeError):
+        one * 0.1
+    with pytest.raises(TypeError):
+        0.1 * one
+    assert (one * Fraction(1, 10)).poly == poly_parse("1/10")
+
+
 def test_restriction_examples():
     a3 = build_algebra(3)
     f4 = a3.normal_form(log_component(4))

@@ -16,7 +16,8 @@ from unival import (
     is_positive_definite,
     solve_in_span,
 )
-from unival.exact import rational_from_str, rational_to_str
+from unival import algebra
+from unival.exact import _row_reduce, rational_from_str, rational_to_str
 
 F = Fraction
 
@@ -39,6 +40,63 @@ def symmetric_matrices(draw, max_size=8):
     return ExactMatrix(
         [[upper[(min(i, j), max(i, j))] for j in range(n)] for i in range(n)]
     )
+
+
+@st.composite
+def rational_rows(draw, max_rows=6, max_width=7):
+    # Rows with zeros, rank deficiency (combinations of earlier rows, zero
+    # rows when both multipliers are 0) and pivot_cols anywhere up to width.
+    width = draw(st.integers(1, max_width))
+    entries = st.one_of(st.just(F(0)), small_fractions)
+    rows = [[draw(entries) for _ in range(width)] for _ in range(draw(st.integers(1, max_rows)))]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        ci, cj = draw(small_fractions), draw(small_fractions)
+        rows.append([ci * a + cj * b for a, b in zip(rows[i], rows[j])])
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], draw(st.integers(0, width))
+
+
+@st.composite
+def shifted_gram_matrices(draw, max_size=6):
+    # B^T B + c*I for c in {-1, 0, 1}: definite, semidefinite and indefinite
+    # matrices whose first non-positive leading minor can sit at any step.
+    n = draw(st.integers(1, max_size))
+    b = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(draw(st.integers(1, n + 1)))]
+    shift = draw(st.integers(-1, 1))
+    return ExactMatrix(
+        [[sum(r[i] * r[j] for r in b) + shift * (i == j) for j in range(n)] for i in range(n)]
+    )
+
+
+def _fraction_row_reduce(rows: list[list[Fraction]], pivot_cols: int) -> list[int]:
+    # Slow oracle: plain rational Gauss-Jordan, each pivot normalized to 1
+    # and its column cleared above and below, one Fraction operation at a time.
+    pivots: list[int] = []
+    target = 0
+    for col in range(pivot_cols):
+        hit = next((r for r in range(target, len(rows)) if rows[r][col] != 0), None)
+        if hit is None:
+            continue
+        rows[target], rows[hit] = rows[hit], rows[target]
+        pivot = rows[target][col]
+        if pivot != 1:
+            rows[target] = [x / pivot for x in rows[target]]
+        lead = rows[target]
+        for r in range(len(rows)):
+            if r != target and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], lead)]
+        pivots.append(col)
+        target += 1
+        if target == len(rows):
+            break
+    return pivots
+
+
+def _sylvester_positive_definite(m: ExactMatrix) -> bool:
+    # Slow oracle: every leading principal minor, each its own determinant.
+    return all(m.block(0, k, 0, k).det() > 0 for k in range(1, m.rows + 1))
 
 
 def _ldlt_positive_definite(m: ExactMatrix) -> bool:
@@ -128,6 +186,12 @@ def test_positive_definite_examples():
     assert is_positive_definite(ExactMatrix.identity(2))
     assert is_positive_definite(ExactMatrix([[3, -6], [-6, 18]]))
     assert not is_positive_definite(ExactMatrix([[0, 1], [1, 0]]))
+    # A leading minor of zero mid-pass, in semidefinite and indefinite matrices.
+    for rows in ([[1, 1], [1, 1]], [[1, 1, 0], [1, 1, 1], [0, 1, 1]], [[1, 0], [0, 0]]):
+        m = ExactMatrix(rows)
+        assert not is_positive_definite(m)
+        assert not _sylvester_positive_definite(m)
+        assert not _ldlt_positive_definite(m)
     with pytest.raises(NotSymmetric):
         is_positive_definite(ExactMatrix([[1, 2], [3, 4]]))
     with pytest.raises(NotSymmetric):
@@ -138,3 +202,26 @@ def test_positive_definite_examples():
 @settings(max_examples=40)
 def test_positive_definite_matches_ldlt_oracle(m):
     assert is_positive_definite(m) == _ldlt_positive_definite(m)
+
+
+@given(shifted_gram_matrices())
+@settings(max_examples=60)
+def test_positive_definite_matches_sylvester_oracle(m):
+    assert is_positive_definite(m) == _sylvester_positive_definite(m) == _ldlt_positive_definite(m)
+
+
+@given(rational_rows())
+@settings(max_examples=100)
+def test_row_reduce_matches_fraction_oracle(case):
+    rows, pivot_cols = case
+    expected = [list(row) for row in rows]
+    assert _row_reduce(rows, pivot_cols) == _fraction_row_reduce(expected, pivot_cols)
+    assert rows == expected
+    assert all(type(x) is Fraction for row in rows for x in row)
+
+
+def test_reduction_tables_match_fraction_oracle(monkeypatch):
+    fast = {n: algebra.UnitaryAlgebra(n)._reduction for n in range(1, 21)}
+    monkeypatch.setattr(algebra, "_row_reduce", _fraction_row_reduce)
+    for n, table in fast.items():
+        assert algebra.UnitaryAlgebra(n)._reduction == table

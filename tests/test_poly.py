@@ -74,6 +74,28 @@ def test_rejects_negative_exponents_and_floats():
         GradedPoly({(0, 0): 0.5})
 
 
+def test_rejects_non_integral_exponents():
+    for mono in ((1.5, 0), (0, 2.0), (Fraction(1, 2), 0)):
+        with pytest.raises(TypeError):
+            GradedPoly({mono: 1})
+
+
+def test_scalar_multiplication_rejects_floats():
+    with pytest.raises(TypeError):
+        GradedPoly.one() * 0.5
+    with pytest.raises(TypeError):
+        0.5 * GradedPoly.one()
+    assert GradedPoly.one() * Fraction(1, 2) == GradedPoly.constant(Fraction(1, 2))
+
+
+def test_unipoly_rejects_floats():
+    with pytest.raises(TypeError):
+        UniPoly([0.1])
+    with pytest.raises(TypeError):
+        UniPoly.variable() * 0.5
+    assert UniPoly.variable() * Fraction(1, 2) == UniPoly((0, Fraction(1, 2)))
+
+
 def test_homogeneous_components():
     p = poly_parse("s + t + 2*t^2")
     assert p.homogeneous_component(2) == poly_parse("s + 2*t^2")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from unival import run_suite
+from unival import algebra, exact, run_suite
 from unival.algebra import UnitaryAlgebra, _BUILD_CACHE
 from unival.cli import run
 from unival.duality import kinematic_matrix, pairing_matrix
@@ -55,3 +55,20 @@ def test_suite_catches_corrupted_reduction_table(monkeypatch, fresh_matrix_cache
     assert any("n=2" in entry.counterexample for entry in failing)
     assert run(["check", "--n-max", "2"]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_suite_catches_corrupted_elimination(monkeypatch, fresh_matrix_caches):
+    real_row_reduce = exact._row_reduce
+
+    def perturbed(rows, pivot_cols):
+        pivots = real_row_reduce(rows, pivot_cols)
+        if rows:
+            rows[0][-1] += 1
+        return pivots
+
+    monkeypatch.setattr(exact, "_row_reduce", perturbed)
+    monkeypatch.setattr(algebra, "_row_reduce", perturbed)
+    monkeypatch.setattr(algebra, "_BUILD_CACHE", {})
+    report = run_suite(3)
+    assert not report.ok
+    assert all(entry.counterexample for entry in report.entries if not entry.passed)
