@@ -201,7 +201,7 @@ class UnitaryAlgebra:
             else:
                 for m2, c2 in self._reduction[mono].terms.items():
                     acc[m2] = acc.get(m2, Fraction(0)) + c * c2
-        return AlgebraElement(self, GradedPoly(acc))
+        return AlgebraElement(self, GradedPoly._trusted(acc))
 
     def one(self) -> AlgebraElement:
         return AlgebraElement(self, GradedPoly.one())

@@ -5,7 +5,16 @@ t^(2n), and the duality pairing of two elements is the t^(2n)-coefficient of
 their product.  All matrices below are taken over the ordered monomial basis
 t^(2k), s*t^(2k-2), ..., s^k of degree 2k.
 
-  * pairing_matrix(n, k)            the (k+1)x(k+1) pairing Gram matrix
+The top-class functional has the closed form
+
+    h(n, m) = top(s^m t^(2n-2m)) = C(2n-2m, n-m) / C(2n, n),
+
+computed by pairing_value; it is the one source of every pairing entry and
+of the first row of step_down_matrix.  The identity suite checks it against
+the reduction engine (entry "pairing-structure").
+
+  * pairing_value(n, m)             the closed form h(n, m)
+  * pairing_matrix(n, k)            the (k+1)x(k+1) Hankel matrix of h
   * kinematic_matrix(n, k)          its inverse: one coefficient block of the
                                     kinematic tensor
   * annihilator_change_of_basis     rewrites monomial coordinates in the
@@ -37,41 +46,26 @@ def top_coefficient(element) -> Fraction:
     return element.poly.coefficient(0, element.algebra.top_degree)
 
 
+def pairing_value(n: int, m: int) -> Fraction:
+    """Top coefficient of s^m t^(2n-2m) in the unitary model: C(2n-2m, n-m) / C(2n, n)."""
+    if not 0 <= m <= n:
+        raise IndexOutOfRange(f"pairing value requires 0 <= m <= n, got n={n}, m={m}")
+    return Fraction(comb(2 * n - 2 * m, n - m), comb(2 * n, n))
+
+
 @lru_cache(maxsize=None)
 def pairing_matrix(n: int, k: int) -> ExactMatrix:
     """Gram matrix of the degree-2k duality pairing <a, b> = top(a * t^(2n-4k) * b).
 
-    Entry (i, j) is the top coefficient of s^(i+j) t^(2n-2i-2j), so the
-    matrix is Hankel, hence symmetric.  Construction cross-checks the direct
-    reduction against both product pairings <a,b> = top(a * (t^(2n-4k) b))
-    and <<a,b>> = top((t a) * (t^(2n-4k-1) b)), which must coincide.
+    Entry (i, j) is the top coefficient of s^(i+j) t^(2n-2i-2j), that is
+    h(n, i+j) = pairing_value(n, i+j), so the matrix is Hankel, hence
+    symmetric.  No algebra is built; the identity suite checks the entries
+    against direct reduction and both product pairings.
     """
     if not 0 <= 2 * k <= n:
         raise IndexOutOfRange(f"pairing matrix requires 0 <= 2k <= n, got n={n}, k={k}")
-    alg = build_algebra(n)
-
-    def top_of(p: int, q: int) -> Fraction:
-        return top_coefficient(alg.normal_form(GradedPoly.monomial(p, q)))
-
-    def normal_forms(degree: int) -> list:
-        return [alg.normal_form(GradedPoly.monomial(i, degree - 2 * i)) for i in range(k + 1)]
-
-    h = [top_of(m, 2 * n - 2 * m) for m in range(2 * k + 1)]
-    entries = [[h[i + j] for j in range(k + 1)] for i in range(k + 1)]
-    a, b = normal_forms(2 * k), normal_forms(2 * n - 2 * k)
-    if 2 * k + 1 <= n:
-        ta, tb = normal_forms(2 * k + 1), normal_forms(2 * n - 2 * k - 1)
-    for i in range(k + 1):
-        for j in range(k + 1):
-            if top_coefficient(a[i] * b[j]) != entries[i][j]:
-                raise InternalInconsistency(
-                    f"pairing route <a,b> disagrees with direct reduction at n={n}, k={k}, ({i},{j})"
-                )
-            if 2 * k + 1 <= n and top_coefficient(ta[i] * tb[j]) != entries[i][j]:
-                raise InternalInconsistency(
-                    f"pairing route <<a,b>> disagrees with direct reduction at n={n}, k={k}, ({i},{j})"
-                )
-    return ExactMatrix(entries)
+    h = [pairing_value(n, m) for m in range(2 * k + 1)]
+    return ExactMatrix([[h[i + j] for j in range(k + 1)] for i in range(k + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -243,7 +237,8 @@ def binomial_reduction_identity(n: int, i: int) -> bool:
 def step_down_matrix(n: int, k: int) -> ExactMatrix:
     """Matrix reducing the (n, k) kinematic matrix to the (n-1, k-1) one.
 
-    Row 0 is C(2n-2j-1, n-j) / C(2n-1, n) for j = 0..k; row i >= 1 carries
+    Row 0 is C(2n-2j-1, n-j) / C(2n-1, n) = h(n, j) = pairing_value(n, j)
+    for j = 0..k (since C(2m-1, m) = C(2m, m) / 2 for m >= 1); row i >= 1 carries
     n/(2(2n-1)) in column i-1 and minus that multiple of the (n-1, k-1)
     companion coefficient a_{i-1} in the last column.
     """
@@ -252,8 +247,7 @@ def step_down_matrix(n: int, k: int) -> ExactMatrix:
     size = k + 1
     lead = Fraction(n, 2 * (2 * n - 1))
     rows = [[Fraction(0)] * size for _ in range(size)]
-    for j in range(size):
-        rows[0][j] = Fraction(comb(2 * n - 2 * j - 1, n - j), comb(2 * n - 1, n))
+    rows[0] = [pairing_value(n, j) for j in range(size)]
     for i in range(1, size):
         rows[i][i - 1] = lead
         rows[i][k] -= lead * companion_coefficient(n - 1, k - 1, i - 1)
@@ -305,12 +299,15 @@ def coefficient_recurrences_hold(n: int, k: int) -> bool:
 def positivity_scan(n_max: int) -> list[tuple[int, int, bool]]:
     """Positive definiteness of every kinematic matrix with 2k <= n <= n_max.
 
-    Reports only; draws no conclusion beyond the scanned range.
+    Q(n, k) is the inverse of the pairing matrix P(n, k), and the inverse of
+    a nonsingular symmetric matrix is positive definite exactly when the
+    matrix is, so P is tested and nothing is inverted.  Reports only; draws no conclusion
+    beyond the scanned range.
     """
     if n_max < 1:
         raise IndexOutOfRange("n_max must be >= 1")
     return [
-        (n, k, is_positive_definite(kinematic_matrix(n, k)))
+        (n, k, is_positive_definite(pairing_matrix(n, k)))
         for n in range(1, n_max + 1)
         for k in range(n // 2 + 1)
     ]

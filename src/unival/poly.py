@@ -52,6 +52,13 @@ class GradedPoly:
         self._terms = clean
 
     @classmethod
+    def _trusted(cls, terms: dict[Monomial, Fraction]) -> "GradedPoly":
+        """Wrap a package-built dict of Fraction coefficients: drops zeros, skips the checks."""
+        poly = cls.__new__(cls)
+        poly._terms = {mono: c for mono, c in terms.items() if c}
+        return poly
+
+    @classmethod
     def zero(cls) -> "GradedPoly":
         return cls()
 
@@ -86,13 +93,13 @@ class GradedPoly:
         out = dict(self._terms)
         for mono, c in other._terms.items():
             out[mono] = out.get(mono, Fraction(0)) + c
-        return GradedPoly(out)
+        return GradedPoly._trusted(out)
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         out = dict(self._terms)
         for mono, c in other._terms.items():
             out[mono] = out.get(mono, Fraction(0)) - c
-        return GradedPoly(out)
+        return GradedPoly._trusted(out)
 
     def __neg__(self) -> "GradedPoly":
         return GradedPoly({mono: -c for mono, c in self._terms.items()})
@@ -104,7 +111,7 @@ class GradedPoly:
                 for (p2, q2), c2 in other._terms.items():
                     mono = (p1 + p2, q1 + q2)
                     out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-            return GradedPoly(out)
+            return GradedPoly._trusted(out)
         scalar = _exact(other)
         return GradedPoly({mono: c * scalar for mono, c in self._terms.items()})
 

@@ -30,7 +30,9 @@ from .duality import (
     kinematic_annihilator_block,
     kinematic_matrix,
     pairing_matrix,
+    pairing_value,
     step_down_identity_holds,
+    top_coefficient,
 )
 from .exact import ExactMatrix, is_positive_definite, solve_in_span
 from .kinematics import (
@@ -278,6 +280,17 @@ def _check_pairing_reference_values(n_max: int) -> Optional[str]:
 
 def _check_pairing_structure(n_max: int) -> Optional[str]:
     for n in range(1, n_max + 1):
+        alg = build_algebra(n)
+
+        def normal_forms(degree: int, count: int) -> list:
+            return [alg.normal_form(GradedPoly.monomial(i, degree - 2 * i)) for i in range(count)]
+
+        for m, direct in enumerate(normal_forms(2 * n, n + 1)):
+            if top_coefficient(direct) != pairing_value(n, m):
+                return (
+                    f"n={n}, m={m}: s^{m} t^{2 * n - 2 * m} reduces to top coefficient "
+                    f"{top_coefficient(direct)}, closed form h(n, m) = {pairing_value(n, m)}"
+                )
         for k in range(n // 2 + 1):
             p = pairing_matrix(n, k)
             if not p.is_symmetric():
@@ -289,6 +302,20 @@ def _check_pairing_structure(n_max: int) -> Optional[str]:
                 return f"n={n}, k={k}: kinematic * pairing != identity"
             if not q.is_symmetric():
                 return f"n={n}, k={k}: kinematic matrix is not symmetric"
+            routes = [("<a,b>", normal_forms(2 * k, k + 1), normal_forms(2 * n - 2 * k, k + 1))]
+            if 2 * k + 1 <= n:
+                routes.append(
+                    ("<<a,b>>", normal_forms(2 * k + 1, k + 1), normal_forms(2 * n - 2 * k - 1, k + 1))
+                )
+            for label, a, b in routes:
+                for i in range(k + 1):
+                    for j in range(k + 1):
+                        value = top_coefficient(a[i] * b[j])
+                        if value != p[i, j]:
+                            return (
+                                f"n={n}, k={k}, ({i},{j}): product pairing {label} = {value}, "
+                                f"pairing matrix entry = {p[i, j]}"
+                            )
     return None
 
 

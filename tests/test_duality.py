@@ -7,8 +7,10 @@ from math import comb
 
 import pytest
 
+from unival import algebra
 from unival import (
     ExactMatrix,
+    GradedPoly,
     IndexOutOfRange,
     annihilator_change_of_basis,
     binomial_reduction_identity,
@@ -25,6 +27,7 @@ from unival import (
     kinematic_matrix,
     log_component,
     pairing_matrix,
+    pairing_value,
     poly_parse,
     positivity_scan,
     step_down_identity_holds,
@@ -48,6 +51,14 @@ def test_pairing_matrix_reference_values():
     assert pairing_matrix(3, 1) == ExactMatrix([[1, F(3, 10)], [F(3, 10), F(1, 10)]])
 
 
+def test_pairing_value_matches_direct_reduction():
+    for n in range(1, 31):
+        alg = build_algebra(n)
+        for m in range(n + 1):
+            direct = top_coefficient(alg.normal_form(GradedPoly.monomial(m, 2 * n - 2 * m)))
+            assert pairing_value(n, m) == direct, (n, m)
+
+
 def test_kinematic_matrix_reference_values():
     assert kinematic_matrix(5, 0) == ExactMatrix([[1]])
     assert kinematic_matrix(2, 1) == ExactMatrix([[3, -6], [-6, 18]])
@@ -58,6 +69,10 @@ def test_kinematic_matrix_reference_values():
 def test_pairing_matrix_index_range():
     with pytest.raises(IndexOutOfRange):
         pairing_matrix(2, 2)
+    with pytest.raises(IndexOutOfRange):
+        pairing_value(2, 3)
+    with pytest.raises(IndexOutOfRange):
+        pairing_value(2, -1)
     with pytest.raises(IndexOutOfRange):
         kinematic_matrix(3, -1)
 
@@ -153,6 +168,10 @@ def test_step_down_matrix_values():
     r31 = step_down_matrix(3, 1)
     assert r31 == ExactMatrix([[1, F(3, 10)], [F(3, 10), F(1, 10)]])
     assert r31 @ kinematic_matrix(3, 1) == ExactMatrix.identity(2)
+    for n in range(3, 31):
+        for k in range(1, (n - 1) // 2 + 1):
+            row = [F(comb(2 * n - 2 * j - 1, n - j), comb(2 * n - 1, n)) for j in range(k + 1)]
+            assert list(step_down_matrix(n, k).row(0)) == row, (n, k)
     with pytest.raises(IndexOutOfRange):
         step_down_matrix(2, 1)
     with pytest.raises(IndexOutOfRange):
@@ -198,3 +217,27 @@ def test_positivity_scan_examples():
     assert q31[0, 0] == 10 and q31.det() == 100
     with pytest.raises(IndexOutOfRange):
         positivity_scan(0)
+
+
+def test_positivity_of_pairing_and_kinematic_matrices_agree():
+    for n in range(1, 13):
+        for k in range(n // 2 + 1):
+            assert is_positive_definite(pairing_matrix(n, k)) == is_positive_definite(
+                kinematic_matrix(n, k)
+            ), (n, k)
+
+
+def test_positivity_scan_builds_no_algebra_and_inverts_nothing(monkeypatch, fresh_matrix_caches):
+    monkeypatch.setattr(algebra, "_BUILD_CACHE", {})
+    inversions = []
+    real_inverse = ExactMatrix.inverse
+
+    def counting_inverse(self):
+        inversions.append(self)
+        return real_inverse(self)
+
+    monkeypatch.setattr(ExactMatrix, "inverse", counting_inverse)
+    rows = positivity_scan(20)
+    assert len(rows) == sum(n // 2 + 1 for n in range(1, 21))
+    assert algebra._BUILD_CACHE == {}
+    assert inversions == []

@@ -6,20 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from unival import algebra, exact, run_suite
+from unival import algebra, duality, exact, run_suite
 from unival.algebra import UnitaryAlgebra, _BUILD_CACHE
 from unival.cli import run
-from unival.duality import kinematic_matrix, pairing_matrix
 from unival.poly import GradedPoly
-
-
-@pytest.fixture
-def fresh_matrix_caches():
-    pairing_matrix.cache_clear()
-    kinematic_matrix.cache_clear()
-    yield
-    pairing_matrix.cache_clear()
-    kinematic_matrix.cache_clear()
 
 
 def test_suite_passes_at_small_bound():
@@ -53,6 +43,7 @@ def test_suite_catches_corrupted_reduction_table(monkeypatch, fresh_matrix_cache
     assert failing
     assert all(entry.counterexample for entry in failing)
     assert any("n=2" in entry.counterexample for entry in failing)
+    assert "pairing-structure" in {entry.name for entry in failing}
     assert run(["check", "--n-max", "2"]) == 2
     assert "FAIL" in capsys.readouterr().out
 
@@ -72,3 +63,18 @@ def test_suite_catches_corrupted_elimination(monkeypatch, fresh_matrix_caches):
     report = run_suite(3)
     assert not report.ok
     assert all(entry.counterexample for entry in report.entries if not entry.passed)
+
+
+def test_suite_catches_corrupted_closed_form(monkeypatch, fresh_matrix_caches):
+    real_pairing_value = duality.pairing_value
+
+    def corrupted(n, m):
+        value = real_pairing_value(n, m)
+        return value + 1 if (n, m) == (3, 1) else value
+
+    monkeypatch.setattr(duality, "pairing_value", corrupted)
+    report = run_suite(3)
+    assert not report.ok
+    failing = {entry.name: entry.counterexample for entry in report.entries if not entry.passed}
+    assert "pairing-structure" in failing
+    assert "n=3" in failing["pairing-structure"]
