@@ -50,7 +50,7 @@ from .errors import (
     StructureViolation,
     UnivalError,
 )
-from .exact import ExactMatrix, Rational, is_positive_definite, solve_in_span
+from .exact import ExactMatrix, is_positive_definite, solve_in_span
 from .kinematics import (
     TensorElement,
     annihilator_congruence_holds,
@@ -89,7 +89,6 @@ __all__ = [
     "NotInSpan",
     "NotSymmetric",
     "ParseError",
-    "Rational",
     "SOAlgebra",
     "SingularMatrix",
     "StructureViolation",

@@ -268,13 +268,16 @@ _BUILD_CACHE: dict[int, UnitaryAlgebra] = {}
 
 
 def build_algebra(n: int) -> UnitaryAlgebra:
-    """Shared construction of the unitary model; instances are immutable."""
+    """Shared construction of the unitary model; instances are immutable.
+
+    Threads racing on a missing n may each construct it, but ``setdefault``
+    keeps the first instance stored and every caller gets that one.
+    """
     if n < 1:
         raise DegreeOutOfRange("complex dimension n must be >= 1")
     alg = _BUILD_CACHE.get(n)
     if alg is None:
-        alg = UnitaryAlgebra(n)
-        _BUILD_CACHE[n] = alg
+        alg = _BUILD_CACHE.setdefault(n, UnitaryAlgebra(n))
     return alg
 
 

@@ -16,23 +16,17 @@ from typing import Iterable, Sequence
 
 from .errors import NotInSpan, NotSymmetric, SingularMatrix
 
-Rational = Fraction
-
-
-def rational_from_str(text: str) -> Fraction:
-    """Parse "p/q" (or "p") into an exact rational."""
-    return Fraction(text.strip())
-
-
-def rational_to_str(x: Fraction) -> str:
-    """Serialize as "p/q", or "p" when the denominator is 1."""
-    return str(x)
-
-
 def _exact(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floating-point values are not allowed in exact arithmetic")
     return Fraction(value)
+
+
+def _integer_rows(rows: Iterable[Iterable[Fraction]]) -> tuple[list[list[int]], int]:
+    """Rows of Fractions as integer rows over the lcm of their denominators."""
+    rows = [list(row) for row in rows]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
 def _row_reduce(rows: list[list[Fraction]], pivot_cols: int) -> list[int]:
@@ -107,6 +101,15 @@ class ExactMatrix:
         self.rows = len(data)
         self.cols = width
         self._data = data
+
+    @classmethod
+    def _trusted(cls, rows: Iterable[Iterable[Fraction]]) -> "ExactMatrix":
+        """Wrap non-empty rectangular rows of Fractions the package built itself; skips the checks."""
+        matrix = cls.__new__(cls)
+        matrix._data = tuple(map(tuple, rows))
+        matrix.rows = len(matrix._data)
+        matrix.cols = len(matrix._data[0])
+        return matrix
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -258,8 +261,7 @@ def is_positive_definite(m: ExactMatrix) -> bool:
         raise NotSymmetric("matrix is not square")
     if not m.is_symmetric():
         raise NotSymmetric("matrix is not symmetric")
-    den = lcm(*(x.denominator for row in m._data for x in row))
-    a = [[x.numerator * (den // x.denominator) for x in row] for row in m._data]
+    a, _ = _integer_rows(m._data)
     size = m.rows
     previous = 1
     for k in range(size):

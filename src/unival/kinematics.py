@@ -10,6 +10,9 @@ a factor, or stepping a factor up are all linear block operations.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from math import lcm
+from operator import mul
 
 from .algebra import (
     AlgebraElement,
@@ -19,8 +22,10 @@ from .algebra import (
 )
 from .duality import kinematic_matrix
 from .errors import AlgebraMismatch, DegreeOutOfRange, InternalInconsistency, NotInSpan
-from .exact import ExactMatrix, solve_in_span
+from .exact import ExactMatrix, _integer_rows, solve_in_span
 from .poly import GradedPoly, S
+
+_ZERO = Fraction(0)
 
 
 class TensorElement:
@@ -83,63 +88,95 @@ class TensorElement:
 
     def map_left(self, fn, new_left) -> "TensorElement":
         """Apply a linear map (given on basis monomials) to the left factors."""
-        acc: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
-        for (dl, dr), matrix in self.blocks.items():
-            for p, mono in enumerate(self.left.basis(dl)):
-                image = fn(mono)
-                if not image:
-                    continue
-                for m2, c2 in image.poly.terms.items():
-                    d2 = 2 * m2[0] + m2[1]
-                    i2 = new_left.basis_index(d2)[m2]
-                    bucket = acc.setdefault((d2, dr), {})
-                    for q in range(matrix.cols):
-                        c = matrix[p, q]
-                        if c:
-                            bucket[(i2, q)] = bucket.get((i2, q), Fraction(0)) + c2 * c
-        return TensorElement(new_left, self.right, _freeze(acc, new_left, self.right))
+        return _map_factor(self, fn, new_left, left=True)
 
     def map_right(self, fn, new_right) -> "TensorElement":
         """Apply a linear map (given on basis monomials) to the right factors."""
-        acc: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
-        for (dl, dr), matrix in self.blocks.items():
-            for q, mono in enumerate(self.right.basis(dr)):
-                image = fn(mono)
-                if not image:
-                    continue
-                for m2, c2 in image.poly.terms.items():
-                    d2 = 2 * m2[0] + m2[1]
-                    j2 = new_right.basis_index(d2)[m2]
-                    bucket = acc.setdefault((dl, d2), {})
-                    for p in range(matrix.rows):
-                        c = matrix[p, q]
-                        if c:
-                            bucket[(p, j2)] = bucket.get((p, j2), Fraction(0)) + c2 * c
-        return TensorElement(self.left, new_right, _freeze(acc, self.left, new_right))
+        return _map_factor(self, fn, new_right, left=False)
 
     def multiply_left(self, phi: AlgebraElement) -> "TensorElement":
         if phi.algebra != self.left:
             raise AlgebraMismatch("factor does not live in the left algebra")
-        return self.map_left(
-            lambda mono: phi * self.left.normal_form(GradedPoly.monomial(*mono)), self.left
-        )
+        return self.map_left(_times(phi), self.left)
 
     def multiply_right(self, phi: AlgebraElement) -> "TensorElement":
         if phi.algebra != self.right:
             raise AlgebraMismatch("factor does not live in the right algebra")
-        return self.map_right(
-            lambda mono: phi * self.right.normal_form(GradedPoly.monomial(*mono)), self.right
+        return self.map_right(_times(phi), self.right)
+
+
+def _times(phi: AlgebraElement):
+    """Multiplication by phi on basis monomials; each image is computed once."""
+    alg = phi.algebra
+    return cache(lambda mono: phi * alg.normal_form(GradedPoly.monomial(*mono)))
+
+
+def _image_matrices(fn, basis, target) -> dict[int, tuple[list[list[int]], int]]:
+    """Images of ``basis`` under ``fn``, grouped by target degree.
+
+    Each group is an integer matrix over one denominator: row i holds the
+    coefficients of the i-th target basis monomial, one column per source
+    monomial.
+    """
+    groups: dict[int, list[list[Fraction]]] = {}
+    for p, mono in enumerate(basis):
+        image = fn(mono)
+        if not image:
+            continue
+        for m2, c2 in image.poly.terms.items():
+            d2 = 2 * m2[0] + m2[1]
+            if d2 not in groups:
+                groups[d2] = [[_ZERO] * len(basis) for _ in range(target.dim(d2))]
+            groups[d2][target.basis_index(d2)[m2]][p] = c2
+    return {d2: _integer_rows(rows) for d2, rows in groups.items()}
+
+
+def _map_factor(tensor: TensorElement, fn, new_model, left: bool) -> TensorElement:
+    """The fraction-free kernel behind ``map_left`` and ``map_right``.
+
+    With M the integer image matrix of a source degree (``_image_matrices``)
+    and K a block scaled to integers over its lcm denominator, the new block
+    is M K on the left and K M^T = (M K^T)^T on the right: each a plain
+    integer product, with one Fraction per entry built at the end.  Products
+    landing on the same bidegree are summed over a common denominator.
+    """
+    source = tensor.left if left else tensor.right
+    images: dict[int, dict[int, tuple[list[list[int]], int]]] = {}
+    acc: dict[tuple[int, int], tuple[list[list[int]], int]] = {}
+    for (dl, dr), matrix in tensor.blocks.items():
+        d = dl if left else dr
+        if d not in images:
+            images[d] = _image_matrices(fn, source.basis(d), new_model)
+        k_rows, k_den = _integer_rows(zip(*matrix.to_rows()) if left else matrix.to_rows())
+        for d2, (m_rows, m_den) in images[d].items():
+            if left:
+                key, product = (d2, dr), _dot_rows(m_rows, k_rows)
+            else:
+                key, product = (dl, d2), _dot_rows(k_rows, m_rows)
+            den = m_den * k_den
+            if key in acc:
+                previous, previous_den = acc[key]
+                common = lcm(den, previous_den)
+                a, b = common // previous_den, common // den
+                product = [
+                    [a * x + b * y for x, y in zip(r0, r1)] for r0, r1 in zip(previous, product)
+                ]
+                den = common
+            acc[key] = (product, den)
+    blocks = {
+        key: ExactMatrix._trusted(
+            [[Fraction(x, den) if x else _ZERO for x in row] for row in rows]
         )
+        for key, (rows, den) in acc.items()
+    }
+    if left:
+        return TensorElement(new_model, tensor.right, blocks)
+    return TensorElement(tensor.left, new_model, blocks)
 
 
-def _freeze(acc, left, right) -> dict[tuple[int, int], ExactMatrix]:
-    blocks = {}
-    for (dl, dr), entries in acc.items():
-        rows = left.dim(dl)
-        cols = right.dim(dr)
-        data = [[entries.get((i, j), Fraction(0)) for j in range(cols)] for i in range(rows)]
-        blocks[(dl, dr)] = ExactMatrix(data)
-    return blocks
+def _dot_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """A B^T over the integers: every row of ``a`` against every row of ``b``."""
+    return [[sum(map(mul, x, y)) for y in b] for x in a]
 
 
 def kinematic_unit(n: int) -> TensorElement:
@@ -161,8 +198,9 @@ def kinematic_of(n: int, phi: AlgebraElement) -> TensorElement:
     if phi.algebra != alg:
         raise AlgebraMismatch(f"element lives in {phi.algebra!r}, expected {alg!r}")
     unit = kinematic_unit(n)
-    left = unit.multiply_left(phi)
-    right = unit.multiply_right(phi)
+    times = _times(phi)  # both placements share the images phi * b
+    left = unit.map_left(times, alg)
+    right = unit.map_right(times, alg)
     if left != right:
         raise InternalInconsistency(f"kinematic tensor of {phi} differs between factor placements")
     return left

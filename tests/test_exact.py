@@ -17,7 +17,7 @@ from unival import (
     solve_in_span,
 )
 from unival import algebra
-from unival.exact import _row_reduce, rational_from_str, rational_to_str
+from unival.exact import _row_reduce
 
 F = Fraction
 
@@ -117,9 +117,12 @@ def _ldlt_positive_definite(m: ExactMatrix) -> bool:
     return True
 
 
-def test_rational_serialization_round_trip():
-    for text in ("3", "-7/4", "0", "22/7"):
-        assert rational_to_str(rational_from_str(text)) == text
+def test_trusted_construction_equals_checked_construction():
+    rows = [[F(1, 3), F(0)], [F(-2), F(22, 7)]]
+    trusted = ExactMatrix._trusted(rows)
+    assert trusted == ExactMatrix(rows)
+    assert (trusted.rows, trusted.cols) == (2, 2)
+    assert trusted.transpose() == ExactMatrix([[F(1, 3), F(-2)], [F(0), F(22, 7)]])
 
 
 def test_identity_inverse():

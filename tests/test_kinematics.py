@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from threading import Barrier
+import sys
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from unival import (
     AlgebraMismatch,
@@ -12,6 +18,7 @@ from unival import (
     ExactMatrix,
     SOAlgebra,
     TensorElement,
+    UnitaryAlgebra,
     annihilator_congruence_holds,
     build_algebra,
     kinematic_matrix,
@@ -21,10 +28,82 @@ from unival import (
     so_kinematic_of,
     step_up_identity_holds,
 )
+from unival import algebra
+from unival.poly import GradedPoly, S
 
 F = Fraction
 
 ONE = ExactMatrix([[1]])
+
+
+# Slow oracle: the per-entry Fraction accumulation the integer block kernel
+# replaced, one dict of entries per output bidegree.
+def oracle_map_left(tensor, fn, new_left):
+    acc = {}
+    for (dl, dr), matrix in tensor.blocks.items():
+        for p, mono in enumerate(tensor.left.basis(dl)):
+            image = fn(mono)
+            if not image:
+                continue
+            for m2, c2 in image.poly.terms.items():
+                d2 = 2 * m2[0] + m2[1]
+                i2 = new_left.basis_index(d2)[m2]
+                bucket = acc.setdefault((d2, dr), {})
+                for q in range(matrix.cols):
+                    if matrix[p, q]:
+                        bucket[(i2, q)] = bucket.get((i2, q), F(0)) + c2 * matrix[p, q]
+    return TensorElement(new_left, tensor.right, _freeze(acc, new_left, tensor.right))
+
+
+def oracle_map_right(tensor, fn, new_right):
+    acc = {}
+    for (dl, dr), matrix in tensor.blocks.items():
+        for q, mono in enumerate(tensor.right.basis(dr)):
+            image = fn(mono)
+            if not image:
+                continue
+            for m2, c2 in image.poly.terms.items():
+                d2 = 2 * m2[0] + m2[1]
+                j2 = new_right.basis_index(d2)[m2]
+                bucket = acc.setdefault((dl, d2), {})
+                for p in range(matrix.rows):
+                    if matrix[p, q]:
+                        bucket[(p, j2)] = bucket.get((p, j2), F(0)) + c2 * matrix[p, q]
+    return TensorElement(tensor.left, new_right, _freeze(acc, tensor.left, new_right))
+
+
+def _freeze(acc, left, right):
+    return {
+        (dl, dr): ExactMatrix(
+            [[entries.get((i, j), F(0)) for j in range(right.dim(dr))] for i in range(left.dim(dl))]
+        )
+        for (dl, dr), entries in acc.items()
+    }
+
+
+def times(phi):
+    alg = phi.algebra
+    return lambda mono: phi * alg.normal_form(GradedPoly.monomial(*mono))
+
+
+@st.composite
+def elements(draw, n):
+    # Raw terms up to degree 2n+2: some vanish in the quotient, several
+    # degrees mix, and cancellation or an empty draw gives phi = 0.
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        d = draw(st.integers(0, 2 * n + 2))
+        p = draw(st.integers(0, d // 2))
+        q = d - 2 * p
+        c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        terms[(p, q)] = terms.get((p, q), F(0)) + c
+    return build_algebra(n).normal_form(GradedPoly(terms))
+
+
+@st.composite
+def factor_pairs(draw):
+    n = draw(st.integers(1, 6))
+    return n, draw(elements(n)), draw(elements(n))
 
 
 def test_unit_tensor_dimension_one():
@@ -130,3 +209,72 @@ def test_tensor_arithmetic():
     doubled = unit + unit
     assert doubled == unit.scale(2)
     assert doubled.scale(F(1, 2)) == unit
+
+
+@given(factor_pairs())
+@settings(max_examples=40, deadline=None)
+@example((3, build_algebra(3).normal_form("0"), build_algebra(3).normal_form("t")))
+@example((3, build_algebra(3).normal_form("1 + t"), build_algebra(3).normal_form("s + t")))
+@example((5, build_algebra(5).normal_form("t^9"), build_algebra(5).normal_form("s^4*t")))
+@example((6, build_algebra(6).normal_form("s^6"), build_algebra(6).normal_form("t^12")))
+def test_kernel_matches_oracle_for_random_factors(case):
+    n, phi, psi = case
+    unit = kinematic_unit(n)
+    alg = build_algebra(n)
+    left = oracle_map_left(unit, times(phi), alg)
+    assert unit.map_left(times(phi), alg) == left
+    assert unit.map_right(times(phi), alg) == oracle_map_right(unit, times(phi), alg)
+    assert kinematic_of(n, phi) == left  # the placements agree
+    # a second factor on a tensor with several blocks per bidegree row/column
+    # makes products from different blocks land on one bidegree
+    assert left.multiply_left(psi) == oracle_map_left(left, times(psi), alg)
+    assert left.multiply_right(psi) == oracle_map_right(left, times(psi), alg)
+
+
+def test_kernel_matches_oracle_for_step_up_maps():
+    for n in range(1, 9):
+        small, big = build_algebra(n), build_algebra(n + 1)
+
+        def restrict(mono):
+            return small.normal_form(GradedPoly.monomial(*mono))
+
+        def step(mono):
+            return big.normal_form(S * GradedPoly.monomial(*mono))
+
+        upper, lower = kinematic_unit(n + 1), kinematic_unit(n)
+        assert upper.map_right(restrict, small) == oracle_map_right(upper, restrict, small), n
+        assert lower.map_left(step, big) == oracle_map_left(lower, step, big), n
+
+
+def test_build_algebra_shares_one_instance_across_threads(monkeypatch, fresh_matrix_caches):
+    class SlowAlgebra(UnitaryAlgebra):
+        def __init__(self, n):
+            super().__init__(n)
+            time.sleep(0.01)  # hold every racing thread inside construction
+
+    monkeypatch.setattr(algebra, "_BUILD_CACHE", {})
+    monkeypatch.setattr(algebra, "UnitaryAlgebra", SlowAlgebra)
+    workers = 8
+    barrier = Barrier(workers, timeout=60)
+
+    def work(_):
+        barrier.wait()  # release every thread into the empty cache at once
+        out = []
+        for n in (1, 2, 3, 4):
+            alg = build_algebra(n)
+            out.append((alg, kinematic_of(n, alg.normal_form("s*t + 2*t^3 - 1/2"))))
+        return out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(work, range(workers), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == workers
+    for n_index in range(4):
+        algs = {id(result[n_index][0]) for result in results}
+        assert len(algs) == 1
+        assert all(result[n_index][1] == results[0][n_index][1] for result in results)
+    assert set(algebra._BUILD_CACHE) == {1, 2, 3, 4}

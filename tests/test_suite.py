@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from unival import algebra, duality, exact, run_suite
+from unival import ExactMatrix, TensorElement, algebra, duality, exact, kinematics, run_suite
 from unival.algebra import UnitaryAlgebra, _BUILD_CACHE
 from unival.cli import run
 from unival.poly import GradedPoly
@@ -78,3 +78,36 @@ def test_suite_catches_corrupted_closed_form(monkeypatch, fresh_matrix_caches):
     failing = {entry.name: entry.counterexample for entry in report.entries if not entry.passed}
     assert "pairing-structure" in failing
     assert "n=3" in failing["pairing-structure"]
+
+
+def _corrupt_tensor_kernel(monkeypatch, sides):
+    """Add 1 to entry (0, 0) of the lowest block the tensor kernel returns on ``sides``."""
+    real_map_factor = kinematics._map_factor
+
+    def corrupted(tensor, fn, new_model, left):
+        out = real_map_factor(tensor, fn, new_model, left)
+        if ("left" if left else "right") not in sides or not out.blocks:
+            return out
+        key = min(out.blocks)
+        rows = out.blocks[key].to_rows()
+        rows[0][0] += 1
+        return TensorElement(out.left, out.right, {**out.blocks, key: ExactMatrix(rows)})
+
+    monkeypatch.setattr(kinematics, "_map_factor", corrupted)
+
+
+def test_suite_catches_tensor_kernel_corrupted_on_one_side(monkeypatch):
+    _corrupt_tensor_kernel(monkeypatch, {"right"})
+    report = run_suite(3)
+    assert not report.ok
+    failing = {entry.name: entry.counterexample for entry in report.entries if not entry.passed}
+    assert "kinematic-cocommutativity" in failing
+    assert "InternalInconsistency" in failing["kinematic-cocommutativity"]
+
+
+def test_suite_catches_tensor_kernel_corrupted_on_both_sides(monkeypatch):
+    _corrupt_tensor_kernel(monkeypatch, {"left", "right"})
+    report = run_suite(3)
+    assert not report.ok
+    failing = {entry.name for entry in report.entries if not entry.passed}
+    assert {"kinematic-step-up", "annihilator-congruence"} <= failing
