@@ -9,6 +9,11 @@ construction by eliminating the corresponding degree slice of the ideal.
 Degrees 2n+1 and 2n+2 are verified to be covered entirely by the ideal, so
 everything above degree 2n reduces to zero.
 
+The tables are integers: degree d keeps one denominator D_d and, for each
+non-basis monomial, integer coefficients on the degree-d basis.  Normal forms
+and products run through one integer kernel (``UnitaryAlgebra._reduce``)
+that builds one ``Fraction`` per output coefficient.
+
 The orthogonal model in real dimension n is the truncated polynomial ring
 Q[t]/(t^(n+1)), which doubles as a tiny independent oracle for the unitary
 engine (the n=1 unitary model collapses onto it).
@@ -17,9 +22,11 @@ engine (the n=1 unitary model collapses onto it).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import Iterable
 
 from .errors import AlgebraMismatch, DegreeOutOfRange, InternalInconsistency
-from .exact import _exact, _row_reduce
+from .exact import _exact, _integer_rows, _row_reduce
 from .poly import GradedPoly, Monomial, S, log_component, poly_parse
 
 
@@ -42,6 +49,13 @@ def series_dimension(n: int, d: int) -> int:
         return m // 2 + 1 if m >= 0 else 0
 
     return g(d) - g(d - n - 1) - g(d - n - 2) + g(d - 2 * n - 3)
+
+
+def _numerators(poly: GradedPoly) -> tuple[list[tuple[Monomial, int]], int]:
+    """The terms of ``poly`` as integer numerators over the lcm of their denominators."""
+    terms = poly.terms
+    den = lcm(*[c.denominator for c in terms.values()])
+    return [(mono, c.numerator * (den // c.denominator)) for mono, c in terms.items()], den
 
 
 class AlgebraElement:
@@ -83,7 +97,7 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._require_same(other)
-            return self.algebra.normal_form(self.poly * other.poly)
+            return self.algebra._multiply(self.poly, other.poly)
         return AlgebraElement(self.algebra, self.poly * _exact(other))
 
     def __rmul__(self, other):
@@ -104,7 +118,7 @@ class AlgebraElement:
         """Multiplication by s after inclusion into the next unitary model."""
         if not isinstance(self.algebra, UnitaryAlgebra):
             raise AlgebraMismatch("step-up is defined on the unitary model")
-        return build_algebra(self.algebra.n + 1).normal_form(S * self.poly)
+        return build_algebra(self.algebra.n + 1)._multiply(S, self.poly)
 
     def __str__(self) -> str:
         return str(self.poly)
@@ -116,7 +130,7 @@ class AlgebraElement:
 class UnitaryAlgebra:
     """Unitary quotient model for a fixed complex dimension n."""
 
-    __slots__ = ("n", "top_degree", "_basis", "_basis_index", "_reduction")
+    __slots__ = ("n", "top_degree", "_basis", "_basis_index", "_table")
 
     def __init__(self, n: int):
         if n < 1:
@@ -125,12 +139,16 @@ class UnitaryAlgebra:
         self.top_degree = 2 * n
         self._basis = {d: basis_monomials(n, d) for d in range(2 * n + 1)}
         self._basis_index = {d: {m: i for i, m in enumerate(b)} for d, b in self._basis.items()}
-        self._reduction: dict[Monomial, GradedPoly] = {}
+        # _table[d] = (D_d, rows): s^p t^(d-2p) with p >= dim(d) reduces to
+        # rows[p - dim(d)] / D_d on the degree-d basis; degrees <= n are all basis.
+        self._table: list[tuple[int, tuple[tuple[int, ...], ...]]] = [(1, ())] * (n + 1)
         generators = (log_component(n + 1), log_component(n + 2))
         for d in range(n + 1, 2 * n + 3):
-            self._reduce_degree_slice(d, generators)
+            self._table.append(self._reduce_degree_slice(d, generators))
 
-    def _reduce_degree_slice(self, d: int, generators: tuple[GradedPoly, GradedPoly]) -> None:
+    def _reduce_degree_slice(
+        self, d: int, generators: tuple[GradedPoly, GradedPoly]
+    ) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """Rewrite every non-basis monomial of degree d in basis monomials.
 
         The degree-d slice of the ideal is spanned by the monomial multiples
@@ -138,13 +156,13 @@ class UnitaryAlgebra:
         multiples with pivot columns at the non-basis monomials (descending
         s-power first) must consume exactly the non-basis monomials; any
         other pivot pattern contradicts the dimension count and aborts.
+        Returns the degree's table entry: the rewrites as integer rows in
+        ascending s-power, over their common denominator.
         """
         monos = [(p, d - 2 * p) for p in range(d // 2 + 1)]
         basis = self._basis.get(d, ())
         in_basis = set(basis)
         nonbasis = sorted((m for m in monos if m not in in_basis), key=lambda m: -m[0])
-        if not nonbasis:
-            return
         cols = nonbasis + list(basis)
         index = {m: c for c, m in enumerate(cols)}
         rows: list[list[Fraction]] = []
@@ -163,11 +181,8 @@ class UnitaryAlgebra:
                 f"n={self.n}: degree-{d} ideal slice pivots {pivots} do not match "
                 f"the {len(nonbasis)} non-basis monomials"
             )
-        for r, mono in enumerate(nonbasis):
-            rewrite = {
-                cols[c]: -rows[r][c] for c in range(len(nonbasis), len(cols)) if rows[r][c] != 0
-            }
-            self._reduction[mono] = GradedPoly(rewrite)
+        rewrites, den = _integer_rows(rows[r][len(nonbasis):] for r in reversed(range(len(nonbasis))))
+        return den, tuple(tuple(-x for x in row) for row in rewrites)
 
     def basis(self, d: int) -> tuple[Monomial, ...]:
         return self._basis.get(d, ())
@@ -179,29 +194,55 @@ class UnitaryAlgebra:
         return len(self.basis(d))
 
     def reduction_of(self, mono: Monomial) -> GradedPoly:
-        """Normal form of a single non-basis monomial (zero above degree 2n+2)."""
-        d = 2 * mono[0] + mono[1]
-        if d > self.top_degree:
-            return self._reduction.get(mono, GradedPoly.zero())
-        if mono in self._basis_index[d]:
-            return GradedPoly.monomial(*mono)
-        return self._reduction[mono]
+        """Normal form of a single monomial (zero above degree 2n), read from the tables."""
+        return self._reduce([(mono, 1)], 1).poly
+
+    def _reduce(self, terms: Iterable[tuple[Monomial, int]], den: int) -> AlgebraElement:
+        """The integer reduction kernel: normal form of sum(c * s^p t^q) / den.
+
+        Terms may repeat a monomial; terms above degree 2n vanish.  Degree d
+        accumulates integers over den * D_d: a basis monomial adds c * D_d
+        at its slot (its s-power), a non-basis one adds c times its table
+        row.  One Fraction is built per nonzero output coefficient.
+        """
+        top = self.top_degree
+        table = self._table
+        basis = self._basis
+        acc: dict[int, list[int]] = {}
+        for (p, q), c in terms:
+            d = 2 * p + q
+            if d > top:
+                continue
+            row = acc.get(d)
+            if row is None:
+                row = acc[d] = [0] * len(basis[d])
+            k = p - len(row)
+            if k < 0:
+                row[p] += c * table[d][0]
+            else:
+                acc[d] = [x + c * y for x, y in zip(row, table[d][1][k])]
+        out: dict[Monomial, Fraction] = {}
+        for d, row in acc.items():
+            full = den * table[d][0]
+            for mono, x in zip(basis[d], row):
+                if x:
+                    out[mono] = Fraction(x, full)
+        return AlgebraElement(self, GradedPoly._trusted(out))
 
     def normal_form(self, poly: GradedPoly | str) -> AlgebraElement:
         """Linear extension of the reduction tables; total on all of Q[s,t]."""
         if isinstance(poly, str):
             poly = poly_parse(poly)
-        acc: dict[Monomial, Fraction] = {}
-        for mono, c in poly.terms.items():
-            d = 2 * mono[0] + mono[1]
-            if d > self.top_degree:
-                continue
-            if mono in self._basis_index[d]:
-                acc[mono] = acc.get(mono, Fraction(0)) + c
-            else:
-                for m2, c2 in self._reduction[mono].terms.items():
-                    acc[m2] = acc.get(m2, Fraction(0)) + c * c2
-        return AlgebraElement(self, GradedPoly._trusted(acc))
+        return self._reduce(*_numerators(poly))
+
+    def _multiply(self, a: GradedPoly, b: GradedPoly) -> AlgebraElement:
+        """Normal form of a*b: the integer numerators are convolved straight into the kernel."""
+        left, left_den = _numerators(a)
+        right, right_den = _numerators(b)
+        return self._reduce(
+            (((p1 + p2, q1 + q2), c1 * c2) for (p1, q1), c1 in left for (p2, q2), c2 in right),
+            left_den * right_den,
+        )
 
     def one(self) -> AlgebraElement:
         return AlgebraElement(self, GradedPoly.one())
@@ -248,6 +289,9 @@ class SOAlgebra:
             if q <= self.n:
                 acc[(0, q)] = acc.get((0, q), Fraction(0)) + c
         return AlgebraElement(self, GradedPoly(acc))
+
+    def _multiply(self, a: GradedPoly, b: GradedPoly) -> AlgebraElement:
+        return self.normal_form(a * b)
 
     def one(self) -> AlgebraElement:
         return AlgebraElement(self, GradedPoly.one())

@@ -13,15 +13,17 @@ from fractions import Fraction
 
 from .algebra import SOAlgebra
 from .exact import ExactMatrix
-from .poly import GradedPoly, Monomial, format_monomial, poly_format
+from .poly import GradedPoly, Monomial, format_monomial, join_signed, plain_magnitude, poly_format
 from .suite import SuiteReport
 
 
+def latex_magnitude(numerator: int, denominator: int) -> str:
+    return str(numerator) if denominator == 1 else f"\\frac{{{numerator}}}{{{denominator}}}"
+
+
 def rational_latex(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    sign = "-" if x < 0 else ""
-    return f"{sign}\\frac{{{abs(x.numerator)}}}{{{x.denominator}}}"
+    sign = "-" if x.numerator < 0 else ""
+    return sign + latex_magnitude(abs(x.numerator), x.denominator)
 
 
 def _power_latex(symbol: str, exponent: int) -> str:
@@ -41,23 +43,12 @@ def monomial_latex(mono: Monomial) -> str:
 
 
 def poly_latex(poly: GradedPoly) -> str:
-    if not poly:
-        return "0"
     ordered = sorted(poly.terms.items(), key=lambda item: (2 * item[0][0] + item[0][1], -item[0][0]))
-    chunks: list[str] = []
-    for mono, coeff in ordered:
-        magnitude = abs(coeff)
-        if mono == (0, 0):
-            body = rational_latex(magnitude)
-        elif magnitude == 1:
-            body = monomial_latex(mono)
-        else:
-            body = f"{rational_latex(magnitude)}{monomial_latex(mono)}"
-        if not chunks:
-            chunks.append(f"-{body}" if coeff < 0 else body)
-        else:
-            chunks.append(f"{'-' if coeff < 0 else '+'} {body}")
-    return " ".join(chunks)
+    return join_signed(
+        ((coeff, None if mono == (0, 0) else monomial_latex(mono)) for mono, coeff in ordered),
+        latex_magnitude,
+        times="",
+    )
 
 
 def matrix_plain(m: ExactMatrix) -> str:
@@ -110,49 +101,34 @@ def tensor_json(tensor) -> dict:
     return {"left": _model_json(tensor.left), "right": _model_json(tensor.right), "blocks": blocks}
 
 
-def _block_terms(tensor, dl: int, dr: int, matrix: ExactMatrix):
-    rows = tensor.left.basis(dl)
-    cols = tensor.right.basis(dr)
-    for i, row_mono in enumerate(rows):
-        for j, col_mono in enumerate(cols):
-            if matrix[i, j]:
-                yield row_mono, col_mono, matrix[i, j]
+def _block_sums(tensor, label, pair: str, magnitude, times: str) -> list[tuple[tuple[int, int], str]]:
+    """Each nonzero block as one signed sum; its basis labels are formatted once."""
+    lines = []
+    for (dl, dr), matrix in tensor.sorted_blocks():
+        rows = [label(m) for m in tensor.left.basis(dl)]
+        cols = [label(m) for m in tensor.right.basis(dr)]
+        terms = (
+            (coeff, f"{row}{pair}{col}")
+            for row, entries in zip(rows, matrix.to_rows())
+            for col, coeff in zip(cols, entries)
+            if coeff
+        )
+        lines.append(((dl, dr), join_signed(terms, magnitude, times)))
+    return lines
 
 
 def tensor_plain(tensor) -> str:
     if not tensor.blocks:
         return "0"
-    lines = []
-    for (dl, dr), matrix in tensor.sorted_blocks():
-        chunks: list[str] = []
-        for row_mono, col_mono, coeff in _block_terms(tensor, dl, dr, matrix):
-            magnitude = abs(coeff)
-            pair = f"{format_monomial(row_mono)}(x){format_monomial(col_mono)}"
-            body = pair if magnitude == 1 else f"{magnitude}*{pair}"
-            if not chunks:
-                chunks.append(f"-{body}" if coeff < 0 else body)
-            else:
-                chunks.append(f"{'-' if coeff < 0 else '+'} {body}")
-        lines.append(f"({dl},{dr}): " + " ".join(chunks))
-    return "\n".join(lines)
+    lines = _block_sums(tensor, format_monomial, "(x)", plain_magnitude, "*")
+    return "\n".join(f"({dl},{dr}): {line}" for (dl, dr), line in lines)
 
 
 def tensor_latex(tensor) -> str:
     if not tensor.blocks:
         return "0"
-    lines = []
-    for (dl, dr), matrix in tensor.sorted_blocks():
-        chunks: list[str] = []
-        for row_mono, col_mono, coeff in _block_terms(tensor, dl, dr, matrix):
-            magnitude = abs(coeff)
-            pair = f"{monomial_latex(row_mono)} \\otimes {monomial_latex(col_mono)}"
-            body = pair if magnitude == 1 else f"{rational_latex(magnitude)}\\, {pair}"
-            if not chunks:
-                chunks.append(f"-{body}" if coeff < 0 else body)
-            else:
-                chunks.append(f"{'-' if coeff < 0 else '+'} {body}")
-        lines.append("&" + " ".join(chunks))
-    body = " \\\\\n".join(lines)
+    lines = _block_sums(tensor, monomial_latex, " \\otimes ", latex_magnitude, "\\, ")
+    body = " \\\\\n".join(f"&{line}" for _, line in lines)
     return f"\\begin{{aligned}}\n{body}\n\\end{{aligned}}"
 
 

@@ -106,9 +106,13 @@ class TensorElement:
 
 
 def _times(phi: AlgebraElement):
-    """Multiplication by phi on basis monomials; each image is computed once."""
+    """Multiplication by phi on basis monomials; each image is computed once.
+
+    A basis monomial is its own normal form, so each image is one product
+    through the algebra's reduction kernel.
+    """
     alg = phi.algebra
-    return cache(lambda mono: phi * alg.normal_form(GradedPoly.monomial(*mono)))
+    return cache(lambda mono: alg._multiply(phi.poly, GradedPoly.monomial(*mono)))
 
 
 def _image_matrices(fn, basis, target) -> dict[int, tuple[list[list[int]], int]]:

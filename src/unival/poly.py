@@ -23,10 +23,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ParseError
-from .exact import _exact
+from .exact import _exact, _integer_rows
 
 Monomial = tuple[int, int]  # (power of s, power of t); grade = 2*s_power + t_power
 
@@ -173,23 +173,44 @@ def format_monomial(mono: Monomial) -> str:
     return "*".join(pieces) if pieces else "1"
 
 
-def poly_format(poly: GradedPoly) -> str:
-    if not poly:
-        return "0"
+def plain_magnitude(numerator: int, denominator: int) -> str:
+    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+
+
+def join_signed(
+    terms: Iterable[tuple[Fraction, str | None]], magnitude=plain_magnitude, times: str = "*"
+) -> str:
+    """Signed sum of ``(coefficient, body)`` terms, e.g. ``-2*t^2 + s - 1/3*s*t``.
+
+    The first sign is attached, later ones stand between spaces.  A
+    coefficient of magnitude 1 is left out unless the body is None, which
+    marks a constant.  Sign and magnitude are read off the numerator and
+    denominator; ``magnitude(numerator, denominator)`` formats a positive
+    magnitude and ``times`` joins it to the body.  The empty sum is "0".
+    """
     chunks: list[str] = []
-    for mono, coeff in poly.sorted_terms():
-        magnitude = abs(coeff)
-        if mono == (0, 0):
-            body = str(magnitude)
-        elif magnitude == 1:
-            body = format_monomial(mono)
+    for coeff, body in terms:
+        num, den = coeff.numerator, coeff.denominator
+        negative = num < 0
+        if negative:
+            num = -num
+        if body is None:
+            text = magnitude(num, den)
+        elif num == 1 and den == 1:
+            text = body
         else:
-            body = f"{magnitude}*{format_monomial(mono)}"
-        if not chunks:
-            chunks.append(f"-{body}" if coeff < 0 else body)
+            text = f"{magnitude(num, den)}{times}{body}"
+        if chunks:
+            chunks.append(f"- {text}" if negative else f"+ {text}")
         else:
-            chunks.append(f"{'-' if coeff < 0 else '+'} {body}")
-    return " ".join(chunks)
+            chunks.append(f"-{text}" if negative else text)
+    return " ".join(chunks) if chunks else "0"
+
+
+def poly_format(poly: GradedPoly) -> str:
+    return join_signed(
+        (coeff, None if mono == (0, 0) else format_monomial(mono)) for mono, coeff in poly.sorted_terms()
+    )
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -426,12 +447,26 @@ class UniPoly:
         return self.__mul__(other)
 
     def shifted(self, offset) -> "UniPoly":
-        """p(z + offset), expanded exactly (Horner in z + offset)."""
-        base = UniPoly((offset, 1))
-        result = UniPoly()
-        for c in reversed(self.coeffs):
-            result = result * base + UniPoly.constant(c)
-        return result
+        """p(z + offset), expanded exactly by one integer Taylor shift.
+
+        With p = P/den for an integer P of degree m and offset = u/v, the
+        integer polynomial R(z) = v^m P(z/v) satisfies R(vz + u) =
+        v^m P(z + u/v).  So R is shifted by u in place over the integers,
+        coefficient j is multiplied by v^j, and everything is divided by
+        v^m den once at the end.
+        """
+        offset = _exact(offset)
+        if not self.coeffs:
+            return self
+        u, v = offset.numerator, offset.denominator
+        m = self.degree()
+        (ints,), den = _integer_rows([self.coeffs])
+        c = [x * v ** (m - j) for j, x in enumerate(ints)]
+        for i in range(m):
+            for j in range(m - 1, i - 1, -1):
+                c[j] += u * c[j + 1]
+        scale = v**m * den
+        return UniPoly([Fraction(x * v**j, scale) for j, x in enumerate(c)])
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)!r})"

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -19,13 +21,51 @@ from unival import (
     poly_parse,
     series_dimension,
 )
-from unival.poly import GradedPoly
+from unival.poly import GradedPoly, Monomial
 
 F = Fraction
 
 monomials = st.tuples(st.integers(0, 3), st.integers(0, 4))
 coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 polys = st.dictionaries(monomials, coefficients, max_size=5).map(GradedPoly)
+large_coefficients = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**12)
+
+
+@cache
+def _fraction_tables(alg) -> dict[Monomial, GradedPoly]:
+    """The integer reduction tables read back as one Fraction rewrite per non-basis monomial."""
+    tables = {}
+    for d in range(alg.n + 1, alg.top_degree + 3):
+        den, rows = alg._table[d]
+        for k, row in enumerate(rows):
+            p = alg.dim(d) + k
+            tables[(p, d - 2 * p)] = GradedPoly({m: F(x, den) for m, x in zip(alg.basis(d), row)})
+    return tables
+
+
+def _fraction_normal_form(alg, poly: GradedPoly) -> GradedPoly:
+    """Oracle: the per-term Fraction reduction that the integer kernel replaced."""
+    tables = _fraction_tables(alg)
+    acc: dict[Monomial, Fraction] = {}
+    for mono, c in poly.terms.items():
+        d = 2 * mono[0] + mono[1]
+        if d > alg.top_degree:
+            continue
+        if mono in alg.basis_index(d):
+            acc[mono] = acc.get(mono, F(0)) + c
+        else:
+            for m2, c2 in tables[mono].terms.items():
+                acc[m2] = acc.get(m2, F(0)) + c * c2
+    return GradedPoly(acc)
+
+
+@st.composite
+def algebra_and_polys(draw):
+    """A dimension n <= 8 and two polynomials with terms up to and above degree 2n+2."""
+    n = draw(st.integers(1, 8))
+    terms = st.tuples(st.integers(0, n + 2), st.integers(0, 2 * n + 4))
+    p, q = (GradedPoly(draw(st.dictionaries(terms, large_coefficients, max_size=8))) for _ in range(2))
+    return build_algebra(n), p, q
 
 
 def test_build_rejects_nonpositive_dimension():
@@ -192,3 +232,51 @@ def test_dimension_one_collapses_onto_orthogonal_model():
         for j in range(3):
             mono = GradedPoly.monomial(0, i) * GradedPoly.monomial(0, j)
             assert a1.normal_form(mono).poly == so2.normal_form(mono).poly
+
+
+@given(algebra_and_polys(), large_coefficients, large_coefficients)
+@settings(max_examples=80)
+def test_normal_form_and_products_match_fraction_oracle(case, a, b):
+    alg, p, q = case
+    x, y = alg.normal_form(p), alg.normal_form(q)
+    assert x.poly == _fraction_normal_form(alg, p)
+    assert (x * y).poly == _fraction_normal_form(alg, x.poly * y.poly) == _fraction_normal_form(alg, p * q)
+    assert alg.normal_form(x.poly) == x
+    assert alg.normal_form(a * p + b * q) == a * x + b * y
+    assert not alg.normal_form(log_component(alg.n + 1) * p)
+    assert not alg._multiply(log_component(alg.n + 2), q)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_normal_form_matches_fraction_oracle_at_dimension_32(seed):
+    alg = build_algebra(32)
+    rng = random.Random(seed)
+
+    def random_poly(count: int, max_degree: int) -> GradedPoly:
+        terms = {}
+        for _ in range(count):
+            d = rng.randint(0, max_degree)
+            p = rng.randint(0, d // 2)
+            terms[(p, d - 2 * p)] = F(rng.randint(-10**12, 10**12), rng.randint(1, 10**15))
+        return GradedPoly(terms)
+
+    for _ in range(8):
+        p, q = random_poly(12, 2 * 32 + 4), random_poly(5, 40)
+        x, y = alg.normal_form(p), alg.normal_form(q)
+        assert x.poly == _fraction_normal_form(alg, p)
+        assert (x * y).poly == _fraction_normal_form(alg, x.poly * y.poly) == _fraction_normal_form(alg, p * q)
+        assert alg.normal_form(x.poly) == x
+    above_top = GradedPoly({(33, 0): F(1, 7), (0, 65): 3, (2, 63): F(-5, 10**20)})
+    assert not alg.normal_form(above_top)
+    assert not alg.normal_form("t^40") * alg.normal_form("s^15")
+    assert alg.normal_form("t^40") * alg.normal_form("s^12") == alg.normal_form("s^12*t^40")
+
+
+def test_reduction_of_reads_the_tables():
+    alg = build_algebra(2)
+    assert alg.reduction_of((2, 0)) == poly_parse("1/6*t^4")
+    assert alg.reduction_of((1, 2)) == poly_parse("1/3*t^4")
+    assert alg.reduction_of((1, 1)) == poly_parse("1/3*t^3")
+    assert alg.reduction_of((1, 0)) == poly_parse("s")
+    assert not alg.reduction_of((3, 0))
+    assert not alg.reduction_of((0, 9))

@@ -224,7 +224,7 @@ def test_row_reduce_matches_fraction_oracle(case):
 
 
 def test_reduction_tables_match_fraction_oracle(monkeypatch):
-    fast = {n: algebra.UnitaryAlgebra(n)._reduction for n in range(1, 21)}
+    fast = {n: algebra.UnitaryAlgebra(n)._table for n in range(1, 21)}
     monkeypatch.setattr(algebra, "_row_reduce", _fraction_row_reduce)
     for n, table in fast.items():
-        assert algebra.UnitaryAlgebra(n)._reduction == table
+        assert algebra.UnitaryAlgebra(n)._table == table

@@ -165,6 +165,35 @@ def test_unipoly_shift():
     assert falling_factorial(0) == UniPoly.constant(1)
 
 
+def _horner_shifted(p: UniPoly, offset) -> UniPoly:
+    """Oracle: p(z + offset) by Horner in z + offset, one UniPoly product per step."""
+    base = UniPoly((offset, 1))
+    result = UniPoly()
+    for c in reversed(p.coeffs):
+        result = result * base + UniPoly.constant(c)
+    return result
+
+
+rational_offsets = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-7, max_value=7, max_denominator=12)
+)
+
+
+@given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=40), max_size=9), rational_offsets)
+@settings(max_examples=150)
+def test_unipoly_shift_matches_horner_oracle(coeffs, offset):
+    p = UniPoly(coeffs)
+    shifted = p.shifted(offset)
+    assert shifted == _horner_shifted(p, offset)
+    assert all(type(c) is Fraction for c in shifted.coeffs)
+    assert shifted.shifted(-Fraction(offset)) == p
+
+
+def test_unipoly_shift_rejects_float_offsets():
+    with pytest.raises(TypeError):
+        UniPoly.variable().shifted(0.5)
+
+
 def test_forward_difference_kills_constants():
     assert not forward_difference(UniPoly.constant(7))
     assert forward_difference(UniPoly.variable()) == UniPoly.constant(1)

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 
 from unival import ExactMatrix, TensorElement, algebra, duality, exact, kinematics, run_suite
-from unival.algebra import UnitaryAlgebra, _BUILD_CACHE
+from unival.algebra import AlgebraElement, UnitaryAlgebra, _BUILD_CACHE
 from unival.cli import run
 from unival.poly import GradedPoly
 
@@ -35,7 +33,7 @@ def test_suite_rejects_bad_bound():
 
 def test_suite_catches_corrupted_reduction_table(monkeypatch, fresh_matrix_caches, capsys):
     tampered = UnitaryAlgebra(2)
-    tampered._reduction[(2, 0)] = GradedPoly({(0, 4): Fraction(1, 5)})  # truth: 1/6
+    tampered._table[4] = (30, ((10,), (6,)))  # s*t^2 -> 1/3*t^4 kept; s^2 -> 1/5*t^4, truth: 1/6
     monkeypatch.setitem(_BUILD_CACHE, 2, tampered)
     report = run_suite(2)
     assert not report.ok
@@ -46,6 +44,22 @@ def test_suite_catches_corrupted_reduction_table(monkeypatch, fresh_matrix_cache
     assert "pairing-structure" in {entry.name for entry in failing}
     assert run(["check", "--n-max", "2"]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_suite_catches_corrupted_reduction_kernel(monkeypatch, fresh_matrix_caches):
+    real_reduce = UnitaryAlgebra._reduce
+
+    def corrupted(self, terms, den):
+        """Adds t^(2n) to every nonzero result of the kernel."""
+        out = real_reduce(self, terms, den)
+        return AlgebraElement(self, out.poly + GradedPoly.monomial(0, self.top_degree)) if out else out
+
+    monkeypatch.setattr(UnitaryAlgebra, "_reduce", corrupted)
+    report = run_suite(3)
+    assert not report.ok
+    failing = {entry.name: entry.counterexample for entry in report.entries if not entry.passed}
+    assert all(failing.values())
+    assert {"ring-axioms", "pairing-structure", "kinematic-step-up"} <= set(failing)
 
 
 def test_suite_catches_corrupted_elimination(monkeypatch, fresh_matrix_caches):
