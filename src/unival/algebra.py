@@ -5,9 +5,13 @@ The unitary model in complex dimension n is the graded quotient of Q[s,t]
 components of log(1 + s + t).  In each degree d <= 2n the monomials
 s^p t^(d-2p) with 0 <= p <= floor(min(d, 2n-d)/2) form a basis; every other
 monomial is rewritten through per-degree reduction tables computed once at
-construction by eliminating the corresponding degree slice of the ideal.
-Degrees 2n+1 and 2n+2 are verified to be covered entirely by the ideal, so
-everything above degree 2n reduces to zero.
+construction.  By the log recursion k s f_k + (k+1) t f_{k+1} + (k+2) f_{k+2}
+= 0 every f_d with d > n lies in the ideal, so each degree's table follows
+from the one below it: a t-shift gives every row but one hard row, which
+NF(f_d) = 0 then determines (``_shift_degree``).  Degrees 2n+1 and 2n+2 have
+no basis, so everything above degree 2n reduces to zero.  The identity
+suite checks the tables against elimination of each degree slice of the
+ideal.
 
 The tables are integers: degree d keeps one denominator D_d and, for each
 non-basis monomial, integer coefficients on the degree-d basis.  Normal forms
@@ -22,11 +26,11 @@ engine (the n=1 unitary model collapses onto it).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable
 
 from .errors import AlgebraMismatch, DegreeOutOfRange, InternalInconsistency
-from .exact import _exact, _integer_rows, _row_reduce
+from .exact import _exact
 from .poly import GradedPoly, Monomial, S, log_component, poly_parse
 
 
@@ -56,6 +60,63 @@ def _numerators(poly: GradedPoly) -> tuple[list[tuple[Monomial, int]], int]:
     terms = poly.terms
     den = lcm(*[c.denominator for c in terms.values()])
     return [(mono, c.numerator * (den // c.denominator)) for mono, c in terms.items()], den
+
+
+_Table = tuple[int, tuple[tuple[int, ...], ...]]
+
+
+def _solve_hard_row(n: int, d: int, relation: list[int]) -> tuple[list[int], int]:
+    """The hard row H of degree d from ``relation[:-1] + relation[-1] * H == 0``.
+
+    Returns H as integer numerators over a positive denominator.  A zero
+    hard-row coefficient would leave H undetermined.
+    """
+    a = relation[-1]
+    if not a:
+        raise InternalInconsistency(f"n={n}: NF(f_{d}) does not involve the hard monomial of degree {d}")
+    sign = -1 if a > 0 else 1
+    return [sign * x for x in relation[:-1]], abs(a)
+
+
+def _shift_degree(n: int, d: int, below: _Table) -> _Table:
+    """Degree d's table entry from degree d-1's, for n < d <= 2n+2.
+
+    Rows live on the basis slots s^j t^(d-2j), j <= P = (2n-d)//2, plus one
+    slot for the hard monomial: s^(P+1) t^(d-2P-2) in odd d, s^(d/2) in even
+    d.  Any other non-basis s^p t^q is t * s^p t^(q-1), non-basis in degree
+    d-1, so its row is that row shifted by t.  The shift lands on slots
+    0..P, and in odd d also on the hard slot: such a row is a known part
+    plus alpha times the hard row H.  For d > n the log recursion puts f_d
+    in the ideal, so NF(f_d) = 0; written through these rows it reads
+    ``K + A * H = 0``, which gives H.  Every row then goes over the one
+    denominator den(d-1) * A, cut down by the gcd of all entries, which is
+    the lcm of the rows' reduced denominators.
+    """
+    top = (2 * n - d) // 2
+    hard = d // 2 if d % 2 == 0 else top + 1
+    den_below, rows_below = below
+    first_below = (2 * n - d + 1) // 2 + 1  # dim(d-1): s-power of its first table row
+    relation = [0] * (top + 2)
+    for (p, _), c in _numerators(log_component(d))[0]:
+        if p <= top:
+            relation[p] += c * den_below
+        elif p == hard:
+            relation[-1] += c * den_below
+        else:
+            for j, x in enumerate(rows_below[p - first_below]):
+                relation[j] += c * x
+    h_row, h_den = _solve_hard_row(n, d, relation)
+    rows = []
+    for p in range(top + 1, d // 2 + 1):
+        if p == hard:
+            rows.append([x * den_below for x in h_row])
+        else:
+            row = rows_below[p - first_below]
+            alpha = row[top + 1] if d % 2 else 0
+            rows.append([x * h_den + alpha * h for x, h in zip(row, h_row)])
+    den = den_below * h_den
+    g = gcd(den, *(x for row in rows for x in row))
+    return den // g, tuple(tuple(x // g for x in row) for row in rows)
 
 
 class AlgebraElement:
@@ -141,48 +202,9 @@ class UnitaryAlgebra:
         self._basis_index = {d: {m: i for i, m in enumerate(b)} for d, b in self._basis.items()}
         # _table[d] = (D_d, rows): s^p t^(d-2p) with p >= dim(d) reduces to
         # rows[p - dim(d)] / D_d on the degree-d basis; degrees <= n are all basis.
-        self._table: list[tuple[int, tuple[tuple[int, ...], ...]]] = [(1, ())] * (n + 1)
-        generators = (log_component(n + 1), log_component(n + 2))
+        self._table: list[_Table] = [(1, ())] * (n + 1)
         for d in range(n + 1, 2 * n + 3):
-            self._table.append(self._reduce_degree_slice(d, generators))
-
-    def _reduce_degree_slice(
-        self, d: int, generators: tuple[GradedPoly, GradedPoly]
-    ) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """Rewrite every non-basis monomial of degree d in basis monomials.
-
-        The degree-d slice of the ideal is spanned by the monomial multiples
-        of the two generators landing in degree d.  Row-reducing those
-        multiples with pivot columns at the non-basis monomials (descending
-        s-power first) must consume exactly the non-basis monomials; any
-        other pivot pattern contradicts the dimension count and aborts.
-        Returns the degree's table entry: the rewrites as integer rows in
-        ascending s-power, over their common denominator.
-        """
-        monos = [(p, d - 2 * p) for p in range(d // 2 + 1)]
-        basis = self._basis.get(d, ())
-        in_basis = set(basis)
-        nonbasis = sorted((m for m in monos if m not in in_basis), key=lambda m: -m[0])
-        cols = nonbasis + list(basis)
-        index = {m: c for c, m in enumerate(cols)}
-        rows: list[list[Fraction]] = []
-        for g in generators:
-            shift = d - g.total_degree()
-            if shift < 0:
-                continue
-            for a in range(shift // 2 + 1):
-                row = [Fraction(0)] * len(cols)
-                for (p, q), c in g.terms.items():
-                    row[index[(p + a, q + shift - 2 * a)]] = c
-                rows.append(row)
-        pivots = _row_reduce(rows, len(cols))
-        if pivots != list(range(len(nonbasis))):
-            raise InternalInconsistency(
-                f"n={self.n}: degree-{d} ideal slice pivots {pivots} do not match "
-                f"the {len(nonbasis)} non-basis monomials"
-            )
-        rewrites, den = _integer_rows(rows[r][len(nonbasis):] for r in reversed(range(len(nonbasis))))
-        return den, tuple(tuple(-x for x in row) for row in rewrites)
+            self._table.append(_shift_degree(n, d, self._table[d - 1]))
 
     def basis(self, d: int) -> tuple[Monomial, ...]:
         return self._basis.get(d, ())

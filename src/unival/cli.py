@@ -27,7 +27,7 @@ from .emit import (
     format_report,
     format_tensor,
 )
-from .errors import UnivalError
+from .errors import DegreeOutOfRange, UnivalError
 from .kinematics import kinematic_of, so_kinematic, so_kinematic_of
 from .poly import poly_parse
 from .suite import run_suite
@@ -125,6 +125,8 @@ def _reject_csv(args) -> None:
 def _cmd_basis(args) -> int:
     _reject_csv(args)
     alg = build_algebra(args.n)
+    if not 0 <= args.degree <= alg.top_degree:
+        raise DegreeOutOfRange(f"degree must lie in 0..{alg.top_degree}, got {args.degree}")
     monomials = alg.basis(args.degree)
     if args.format == "json":
         payload = {"n": args.n, "degree": args.degree, "basis": json.loads(format_basis(monomials, "json"))}

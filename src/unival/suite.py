@@ -34,7 +34,8 @@ from .duality import (
     step_down_identity_holds,
     top_coefficient,
 )
-from .exact import ExactMatrix, is_positive_definite, solve_in_span
+from .errors import InternalInconsistency
+from .exact import ExactMatrix, _integer_rows, _row_reduce, is_positive_definite, solve_in_span
 from .kinematics import (
     annihilator_congruence_holds,
     kinematic_of,
@@ -160,10 +161,50 @@ def _check_basis_dimensions(n_max: int) -> Optional[str]:
     return None
 
 
+def _elimination_table(n: int, d: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Degree d's reduction table by eliminating the degree-d slice of the ideal.
+
+    The oracle for construction.  The slice is spanned by the monomial
+    multiples of f_{n+1} and f_{n+2} landing in degree d.  Row-reducing
+    them with pivot columns at the non-basis monomials (descending s-power
+    first) must consume exactly the non-basis monomials; any other pivot
+    pattern contradicts the dimension count and raises.  Returns the table
+    entry: the rewrites as integer rows in ascending s-power, over their
+    common denominator.
+    """
+    monos = [(p, d - 2 * p) for p in range(d // 2 + 1)]
+    basis = basis_monomials(n, d)
+    nonbasis = sorted(set(monos) - set(basis), key=lambda m: -m[0])
+    cols = nonbasis + list(basis)
+    index = {m: c for c, m in enumerate(cols)}
+    rows: list[list[Fraction]] = []
+    for g in (log_component(n + 1), log_component(n + 2)):
+        shift = d - g.total_degree()
+        if shift < 0:
+            continue
+        for a in range(shift // 2 + 1):
+            row = [Fraction(0)] * len(cols)
+            for (p, q), c in g.terms.items():
+                row[index[(p + a, q + shift - 2 * a)]] = c
+            rows.append(row)
+    pivots = _row_reduce(rows, len(cols))
+    if pivots != list(range(len(nonbasis))):
+        raise InternalInconsistency(
+            f"n={n}: degree-{d} ideal slice pivots {pivots} do not match "
+            f"the {len(nonbasis)} non-basis monomials"
+        )
+    rewrites, den = _integer_rows(rows[r][len(nonbasis):] for r in reversed(range(len(nonbasis))))
+    return den, tuple(tuple(-x for x in row) for row in rewrites)
+
+
 def _check_quotient_soundness(n_max: int) -> Optional[str]:
     rng = random.Random(_SEED)
     for n in range(1, n_max + 1):
         alg = build_algebra(n)
+        for d in range(n + 1, 2 * n + 3):
+            expected = _elimination_table(n, d)
+            if alg._table[d] != expected:
+                return f"n={n}, d={d}: reduction table {alg._table[d]} != slice elimination {expected}"
         g1, g2 = log_component(n + 1), log_component(n + 2)
         for label, g in (("f_{n+1}", g1), ("f_{n+2}", g2)):
             if alg.normal_form(g):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from unival import (
     AlgebraMismatch,
     DegreeOutOfRange,
+    ExactMatrix,
     SOAlgebra,
     annihilator_basis,
     basis_monomials,
@@ -20,6 +21,7 @@ from unival import (
     log_component,
     poly_parse,
     series_dimension,
+    top_coefficient,
 )
 from unival.poly import GradedPoly, Monomial
 
@@ -280,3 +282,18 @@ def test_reduction_of_reads_the_tables():
     assert alg.reduction_of((1, 0)) == poly_parse("s")
     assert not alg.reduction_of((3, 0))
     assert not alg.reduction_of((0, 9))
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2 * n))))
+@settings(max_examples=60)
+def test_duality_pairing_is_perfect(case):
+    # Poincare duality read off the tables: the top coefficients of
+    # NF(b_i * b'_j) over the bases of degrees d and 2n-d form an invertible
+    # square matrix.  The inverse comes from elimination, not from the tables.
+    n, d = case
+    alg = build_algebra(n)
+    left = [alg.normal_form(GradedPoly.monomial(*m)) for m in alg.basis(d)]
+    right = [alg.normal_form(GradedPoly.monomial(*m)) for m in alg.basis(2 * n - d)]
+    assert len(left) == len(right) == alg.dim(d)
+    pairing = ExactMatrix([[top_coefficient(a * b) for b in right] for a in left])
+    assert pairing @ pairing.inverse() == ExactMatrix.identity(len(left))

@@ -20,10 +20,13 @@ def test_basis_plain(capsys):
     assert out == "t^4, s*t^2\n"
 
 
-def test_basis_above_top_degree_is_empty(capsys):
-    code, out, _ = _capture(capsys, ["basis", "--n", "2", "--degree", "5"])
-    assert code == 0
-    assert out == "\n"
+def test_basis_degree_out_of_range_exits_1(capsys):
+    for n, degree in ((2, 5), (3, -1), (3, 7)):
+        code, out, err = _capture(capsys, ["basis", "--n", str(n), "--degree", str(degree)])
+        assert (code, out) == (1, "")
+        assert err == f"error: degree must lie in 0..{2 * n}, got {degree}\n"
+    code, out, _ = _capture(capsys, ["basis", "--n", "3", "--degree", "6"])
+    assert (code, out) == (0, "t^6\n")
 
 
 def test_basis_below_first_relation(capsys):

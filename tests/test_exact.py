@@ -16,7 +16,7 @@ from unival import (
     is_positive_definite,
     solve_in_span,
 )
-from unival import algebra
+from unival import algebra, suite
 from unival.exact import _row_reduce
 
 F = Fraction
@@ -224,7 +224,9 @@ def test_row_reduce_matches_fraction_oracle(case):
 
 
 def test_reduction_tables_match_fraction_oracle(monkeypatch):
-    fast = {n: algebra.UnitaryAlgebra(n)._table for n in range(1, 21)}
-    monkeypatch.setattr(algebra, "_row_reduce", _fraction_row_reduce)
-    for n, table in fast.items():
-        assert algebra.UnitaryAlgebra(n)._table == table
+    # The shift recurrence against slice elimination run on plain rational
+    # Gauss-Jordan: every table entry, D_d included, for n <= 30.
+    monkeypatch.setattr(suite, "_row_reduce", _fraction_row_reduce)
+    for n in range(1, 31):
+        table = algebra.UnitaryAlgebra(n)._table
+        assert table[n + 1:] == [suite._elimination_table(n, d) for d in range(n + 1, 2 * n + 3)]

@@ -4,8 +4,18 @@ from __future__ import annotations
 
 import pytest
 
-from unival import ExactMatrix, TensorElement, algebra, duality, exact, kinematics, run_suite
-from unival.algebra import AlgebraElement, UnitaryAlgebra, _BUILD_CACHE
+from unival import (
+    ExactMatrix,
+    InternalInconsistency,
+    TensorElement,
+    algebra,
+    duality,
+    exact,
+    kinematics,
+    run_suite,
+    suite,
+)
+from unival.algebra import AlgebraElement, UnitaryAlgebra, _BUILD_CACHE, build_algebra
 from unival.cli import run
 from unival.poly import GradedPoly
 
@@ -72,11 +82,53 @@ def test_suite_catches_corrupted_elimination(monkeypatch, fresh_matrix_caches):
         return pivots
 
     monkeypatch.setattr(exact, "_row_reduce", perturbed)
-    monkeypatch.setattr(algebra, "_row_reduce", perturbed)
+    monkeypatch.setattr(suite, "_row_reduce", perturbed)
     monkeypatch.setattr(algebra, "_BUILD_CACHE", {})
     report = run_suite(3)
     assert not report.ok
     assert all(entry.counterexample for entry in report.entries if not entry.passed)
+    assert "quotient-soundness" in {entry.name for entry in report.entries if not entry.passed}
+
+
+def test_suite_catches_corrupted_hard_row(monkeypatch, fresh_matrix_caches):
+    real_solve = algebra._solve_hard_row
+
+    def corrupted(n, d, relation):
+        """Adds 1 to the first entry of the degree-2n hard row."""
+        h_row, h_den = real_solve(n, d, relation)
+        if d == 2 * n:
+            h_row[0] += h_den
+        return h_row, h_den
+
+    monkeypatch.setattr(algebra, "_solve_hard_row", corrupted)
+    monkeypatch.setattr(algebra, "_BUILD_CACHE", {})
+    report = run_suite(3)
+    assert not report.ok
+    failing = {entry.name: entry.counterexample for entry in report.entries if not entry.passed}
+    assert all(failing.values())
+    assert "slice elimination" in failing["quotient-soundness"]
+
+
+def test_construction_rejects_a_vanishing_hard_row_coefficient(monkeypatch):
+    real_solve = algebra._solve_hard_row
+
+    def vanishing(n, d, relation):
+        return real_solve(n, d, relation[:-1] + [0])
+
+    monkeypatch.setattr(algebra, "_solve_hard_row", vanishing)
+    with pytest.raises(InternalInconsistency, match="hard monomial"):
+        UnitaryAlgebra(4)
+
+
+def test_construction_eliminates_nothing(monkeypatch):
+    def forbidden(rows, pivot_cols):
+        raise AssertionError("construction called _row_reduce")
+
+    for module in (exact, algebra, suite):
+        if hasattr(module, "_row_reduce"):
+            monkeypatch.setattr(module, "_row_reduce", forbidden)
+    monkeypatch.setattr(algebra, "_BUILD_CACHE", {})
+    assert build_algebra(20).dim(20) == 11
 
 
 def test_suite_catches_corrupted_closed_form(monkeypatch, fresh_matrix_caches):
