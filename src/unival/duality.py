@@ -30,14 +30,14 @@ the reduction engine (entry "pairing-structure").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from .algebra import build_algebra
 from .errors import IndexOutOfRange, InternalInconsistency, StructureViolation
-from .exact import ExactMatrix, is_positive_definite
+from .exact import ExactMatrix, _row_reduce, is_positive_definite
 from .poly import GradedPoly, log_component
 
 
@@ -112,23 +112,19 @@ def kinematic_annihilator_block(n: int, k: int) -> ExactMatrix:
     block = m.block(1, k + 1, 1, k + 1)
     if not block.is_symmetric():
         raise StructureViolation(f"annihilator block n={n}, k={k} is not symmetric")
-    if block.det() == 0:
+    if len(_row_reduce(block.to_rows(), k)) < k:
         raise StructureViolation(f"annihilator block n={n}, k={k} is singular")
     return block
 
 
-@dataclass(frozen=True)
-class CompanionData:
+class CompanionData(namedtuple("CompanionData", "n k matrix coefficients")):
     """Companion matrix extracted from one kinematic/pairing product.
 
     ``coefficients`` holds a_0 .. a_k read off the last column; the implied
     next coefficient a_{k+1} is always 1.
     """
 
-    n: int
-    k: int
-    matrix: ExactMatrix
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"n": self.n, "k": self.k, "a": [str(c) for c in self.coefficients]}

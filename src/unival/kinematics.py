@@ -21,7 +21,7 @@ from .algebra import (
     build_algebra,
 )
 from .duality import kinematic_matrix
-from .errors import AlgebraMismatch, DegreeOutOfRange, InternalInconsistency, NotInSpan
+from .errors import AlgebraMismatch, DegreeOutOfRange, NotInSpan
 from .exact import ExactMatrix, _integer_rows, solve_in_span
 from .poly import GradedPoly, S
 
@@ -193,21 +193,16 @@ def kinematic_unit(n: int) -> TensorElement:
 
 
 def kinematic_of(n: int, phi: AlgebraElement) -> TensorElement:
-    """Kinematic tensor of an element: the unit tensor multiplied by it.
+    """Kinematic tensor of an element: the unit tensor with the factor absorbed on the left.
 
-    The factor may be absorbed on either side; both placements are computed
-    and must agree exactly.
+    Absorbing it on the right gives the same tensor, and both equal the
+    pairing formula; the identity suite checks both
+    (entry "kinematic-cocommutativity").
     """
     alg = build_algebra(n)
     if phi.algebra != alg:
         raise AlgebraMismatch(f"element lives in {phi.algebra!r}, expected {alg!r}")
-    unit = kinematic_unit(n)
-    times = _times(phi)  # both placements share the images phi * b
-    left = unit.map_left(times, alg)
-    right = unit.map_right(times, alg)
-    if left != right:
-        raise InternalInconsistency(f"kinematic tensor of {phi} differs between factor placements")
-    return left
+    return kinematic_unit(n).map_left(_times(phi), alg)
 
 
 def so_kinematic(n_real: int, k: int) -> TensorElement:

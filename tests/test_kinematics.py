@@ -30,6 +30,7 @@ from unival import (
 )
 from unival import algebra
 from unival.poly import GradedPoly, S
+from unival.suite import _pairing_formula_tensor
 
 F = Fraction
 
@@ -224,11 +225,40 @@ def test_kernel_matches_oracle_for_random_factors(case):
     left = oracle_map_left(unit, times(phi), alg)
     assert unit.map_left(times(phi), alg) == left
     assert unit.map_right(times(phi), alg) == oracle_map_right(unit, times(phi), alg)
-    assert kinematic_of(n, phi) == left  # the placements agree
+    assert kinematic_of(n, phi) == left  # kinematic_of is the left placement
     # a second factor on a tensor with several blocks per bidegree row/column
     # makes products from different blocks land on one bidegree
     assert left.multiply_left(psi) == oracle_map_left(left, times(psi), alg)
     assert left.multiply_right(psi) == oracle_map_right(left, times(psi), alg)
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), elements(n))))
+@settings(max_examples=40, deadline=None)
+@example((4, build_algebra(4).normal_form("0")))
+@example((5, build_algebra(5).normal_form("2 - s*t + 1/3*t^4 + s^3*t^2")))
+@example((8, build_algebra(8).normal_form("-3/2*t^16")))
+@example((8, build_algebra(8).normal_form("s^8")))
+def test_kinematic_of_matches_pairing_formula(case):
+    n, phi = case
+    assert _pairing_formula_tensor(n, phi).blocks == kinematic_of(n, phi).blocks
+
+
+def test_kinematic_of_matches_pairing_formula_at_n20():
+    phi = build_algebra(20).normal_form("s*t + 2*t^3")
+    tensor = kinematic_of(20, phi)
+    assert _pairing_formula_tensor(20, phi).blocks == tensor.blocks
+    assert len(tensor.blocks) == 2 * 20 - 2  # degree 3: one block per (2n-A, A+3), A <= 2n-3
+
+
+def test_kinematic_of_places_the_factor_once(monkeypatch):
+    def forbidden(self, fn, new_right):
+        raise AssertionError("kinematic_of called map_right")
+
+    monkeypatch.setattr(TensorElement, "map_right", forbidden)
+    alg = build_algebra(4)
+    for text in ("1", "s*t + 2*t^3", "t^8"):
+        phi = alg.normal_form(text)
+        assert kinematic_of(4, phi) == kinematic_unit(4).map_left(times(phi), alg)
 
 
 def test_kernel_matches_oracle_for_step_up_maps():

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unival import (
@@ -64,6 +64,25 @@ def test_format_examples():
 @given(polys)
 @settings(max_examples=80)
 def test_parse_format_round_trip(p):
+    assert poly_parse(poly_format(p)) == p
+
+
+wide_coefficients = st.one_of(
+    st.just(F(0)),
+    st.integers(-10**6, 10**6).map(F),
+    st.fractions(max_denominator=10**6),
+)
+wide_polys = st.dictionaries(
+    st.tuples(st.integers(0, 40), st.integers(0, 40)), wide_coefficients, max_size=8
+).map(GradedPoly)
+
+
+@given(wide_polys)
+@settings(max_examples=150)
+@example(GradedPoly({(40, 40): F(-7, 3), (0, 0): 0, (40, 0): -1, (0, 40): F(1, 40)}))
+def test_parse_format_round_trip_wide(p):
+    # negative, zero (dropped on construction) and non-integer coefficients,
+    # exponents up to 40 on both variables
     assert poly_parse(poly_format(p)) == p
 
 

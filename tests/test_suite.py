@@ -177,3 +177,22 @@ def test_suite_catches_tensor_kernel_corrupted_on_both_sides(monkeypatch):
     assert not report.ok
     failing = {entry.name for entry in report.entries if not entry.passed}
     assert {"kinematic-step-up", "annihilator-congruence"} <= failing
+
+
+def test_suite_catches_corrupted_tensor_images(monkeypatch):
+    # Both placements share the images phi * b, so only the pairing formula
+    # (and the annihilator congruence) can see a wrong image.
+    real_times = kinematics._times
+
+    def corrupted(phi):
+        """Adds t^(2n) to the image of 1 under multiplication by phi."""
+        alg = phi.algebra
+        times = real_times(phi)
+        extra = alg.normal_form(GradedPoly.monomial(0, alg.top_degree))
+        return lambda mono: times(mono) + extra if mono == (0, 0) else times(mono)
+
+    monkeypatch.setattr(kinematics, "_times", corrupted)
+    report = run_suite(6)
+    failing = {entry.name: entry.counterexample for entry in report.entries if not entry.passed}
+    assert {"kinematic-cocommutativity", "annihilator-congruence"} <= set(failing)
+    assert "differs from the pairing formula" in failing["kinematic-cocommutativity"]
