@@ -16,7 +16,8 @@ ideal.
 The tables are integers: degree d keeps one denominator D_d and, for each
 non-basis monomial, integer coefficients on the degree-d basis.  Normal forms
 and products run through one integer kernel (``UnitaryAlgebra._reduce``)
-that builds one ``Fraction`` per output coefficient.
+that builds one ``Fraction`` per output coefficient; kinematic tensors read
+its integer rows (``_accumulate``) with no ``Fraction`` at all.
 
 The orthogonal model in real dimension n is the truncated polynomial ring
 Q[t]/(t^(n+1)), which doubles as a tiny independent oracle for the unitary
@@ -219,13 +220,11 @@ class UnitaryAlgebra:
         """Normal form of a single monomial (zero above degree 2n), read from the tables."""
         return self._reduce([(mono, 1)], 1).poly
 
-    def _reduce(self, terms: Iterable[tuple[Monomial, int]], den: int) -> AlgebraElement:
-        """The integer reduction kernel: normal form of sum(c * s^p t^q) / den.
+    def _accumulate(self, terms: Iterable[tuple[Monomial, int]]) -> dict[int, list[int]]:
+        """The table lookup: sum(c * s^p t^q) as one integer row over D_d per degree d <= 2n.
 
-        Terms may repeat a monomial; terms above degree 2n vanish.  Degree d
-        accumulates integers over den * D_d: a basis monomial adds c * D_d
-        at its slot (its s-power), a non-basis one adds c times its table
-        row.  One Fraction is built per nonzero output coefficient.
+        Terms may repeat a monomial.  A basis monomial adds c * D_d at its slot
+        (its s-power), a non-basis one adds c times its table row.
         """
         top = self.top_degree
         table = self._table
@@ -243,10 +242,17 @@ class UnitaryAlgebra:
                 row[p] += c * table[d][0]
             else:
                 acc[d] = [x + c * y for x, y in zip(row, table[d][1][k])]
+        return acc
+
+    def _reduce(self, terms: Iterable[tuple[Monomial, int]], den: int) -> AlgebraElement:
+        """The integer reduction kernel: normal form of sum(c * s^p t^q) / den.
+
+        One Fraction per nonzero entry of ``_accumulate``'s rows, over den * D_d.
+        """
         out: dict[Monomial, Fraction] = {}
-        for d, row in acc.items():
-            full = den * table[d][0]
-            for mono, x in zip(basis[d], row):
+        for d, row in self._accumulate(terms).items():
+            full = den * self._table[d][0]
+            for mono, x in zip(self._basis[d], row):
                 if x:
                     out[mono] = Fraction(x, full)
         return AlgebraElement(self, GradedPoly._trusted(out))
@@ -284,16 +290,20 @@ class UnitaryAlgebra:
 class SOAlgebra:
     """Truncated polynomial model Q[t]/(t^(n+1)) in real dimension n."""
 
-    __slots__ = ("n", "top_degree")
+    __slots__ = ("n", "top_degree", "_basis", "_table")
 
     def __init__(self, n: int):
         if n < 1:
             raise DegreeOutOfRange("real dimension n must be >= 1")
         self.n = n
         self.top_degree = n
+        self._basis = {d: ((0, d),) for d in range(n + 1)}
+        self._table = [(1, ())] * (n + 1)
+
+    _accumulate = UnitaryAlgebra._accumulate  # every t^d is a basis monomial, over D_d = 1
 
     def basis(self, d: int) -> tuple[Monomial, ...]:
-        return ((0, d),) if 0 <= d <= self.n else ()
+        return self._basis.get(d, ())
 
     def basis_index(self, d: int) -> dict[Monomial, int]:
         return {(0, d): 0} if 0 <= d <= self.n else {}

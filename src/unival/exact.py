@@ -89,7 +89,7 @@ def _row_reduce(rows: list[list[Fraction]], pivot_cols: int) -> list[int]:
 class ExactMatrix:
     """Immutable dense matrix with Fraction entries."""
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "_ints")
 
     def __init__(self, entries: Iterable[Iterable]):
         data = tuple(tuple(_exact(x) for x in row) for row in entries)
@@ -101,6 +101,7 @@ class ExactMatrix:
         self.rows = len(data)
         self.cols = width
         self._data = data
+        self._ints = None
 
     @classmethod
     def _trusted(cls, rows: Iterable[Iterable[Fraction]]) -> "ExactMatrix":
@@ -109,6 +110,7 @@ class ExactMatrix:
         matrix._data = tuple(map(tuple, rows))
         matrix.rows = len(matrix._data)
         matrix.cols = len(matrix._data[0])
+        matrix._ints = None
         return matrix
 
     @classmethod
@@ -121,6 +123,13 @@ class ExactMatrix:
 
     def to_json(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self._data]
+
+    def _integers(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The entries as integer rows over one denominator (``_integer_rows``), computed once."""
+        if self._ints is None:
+            rows, den = _integer_rows(self._data)
+            self._ints = tuple(map(tuple, rows)), den
+        return self._ints
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self._data[i]

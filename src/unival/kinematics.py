@@ -17,6 +17,7 @@ from operator import mul
 from .algebra import (
     AlgebraElement,
     SOAlgebra,
+    _numerators,
     annihilator_basis,
     build_algebra,
 )
@@ -88,31 +89,46 @@ class TensorElement:
 
     def map_left(self, fn, new_left) -> "TensorElement":
         """Apply a linear map (given on basis monomials) to the left factors."""
-        return _map_factor(self, fn, new_left, left=True)
+        images = cache(lambda d: _image_matrices(fn, self.left.basis(d), new_left))
+        return _map_factor(self, images, new_left, left=True)
 
     def map_right(self, fn, new_right) -> "TensorElement":
         """Apply a linear map (given on basis monomials) to the right factors."""
-        return _map_factor(self, fn, new_right, left=False)
+        images = cache(lambda d: _image_matrices(fn, self.right.basis(d), new_right))
+        return _map_factor(self, images, new_right, left=False)
 
     def multiply_left(self, phi: AlgebraElement) -> "TensorElement":
         if phi.algebra != self.left:
-            raise AlgebraMismatch("factor does not live in the left algebra")
-        return self.map_left(_times(phi), self.left)
+            raise AlgebraMismatch(f"factor lives in {phi.algebra!r}, the left factor in {self.left!r}")
+        return _map_factor(self, _product_images(phi), self.left, left=True)
 
     def multiply_right(self, phi: AlgebraElement) -> "TensorElement":
         if phi.algebra != self.right:
-            raise AlgebraMismatch("factor does not live in the right algebra")
-        return self.map_right(_times(phi), self.right)
+            raise AlgebraMismatch(f"factor lives in {phi.algebra!r}, the right factor in {self.right!r}")
+        return _map_factor(self, _product_images(phi), self.right, left=False)
 
 
-def _times(phi: AlgebraElement):
-    """Multiplication by phi on basis monomials; each image is computed once.
+def _product_images(phi: AlgebraElement):
+    """Multiplication by phi as integer matrices read off the reduction tables.
 
-    A basis monomial is its own normal form, so each image is one product
-    through the algebra's reduction kernel.
+    Maps a source degree d, once per d, to ``{d2: (M, den_phi * D_d2)}``: column
+    j of M is ``_accumulate`` of phi times the j-th basis monomial.  All-zero
+    groups are left out.
     """
     alg = phi.algebra
-    return cache(lambda mono: alg._multiply(phi.poly, GradedPoly.monomial(*mono)))
+    terms, den = _numerators(phi.poly)
+
+    @cache
+    def images(d: int) -> dict[int, tuple[list[list[int]], int]]:
+        columns = [alg._accumulate(((p + a, q + b), c) for (a, b), c in terms) for p, q in alg.basis(d)]
+        out = {}
+        for d2 in {d2 for column in columns for d2 in column}:
+            rows = [list(row) for row in zip(*(column.get(d2) or [0] * alg.dim(d2) for column in columns))]
+            if any(map(any, rows)):
+                out[d2] = rows, den * alg._table[d2][0]
+        return out
+
+    return images
 
 
 def _image_matrices(fn, basis, target) -> dict[int, tuple[list[list[int]], int]]:
@@ -135,24 +151,22 @@ def _image_matrices(fn, basis, target) -> dict[int, tuple[list[list[int]], int]]
     return {d2: _integer_rows(rows) for d2, rows in groups.items()}
 
 
-def _map_factor(tensor: TensorElement, fn, new_model, left: bool) -> TensorElement:
-    """The fraction-free kernel behind ``map_left`` and ``map_right``.
+def _map_factor(tensor: TensorElement, images, new_model, left: bool) -> TensorElement:
+    """The fraction-free kernel behind ``map_left``, ``map_right`` and the products.
 
-    With M the integer image matrix of a source degree (``_image_matrices``)
-    and K a block scaled to integers over its lcm denominator, the new block
-    is M K on the left and K M^T = (M K^T)^T on the right: each a plain
-    integer product, with one Fraction per entry built at the end.  Products
-    landing on the same bidegree are summed over a common denominator.
+    ``images`` maps a source degree to integer image matrices ``{d2: (M, den)}``
+    (``_image_matrices`` or ``_product_images``).  With K a block's integer
+    rows (``ExactMatrix._integers``, scaled once per matrix), the new block is
+    M K on the left and K M^T = (M K^T)^T on the right: each a plain integer
+    product, with one Fraction per entry built at the end.  Products landing
+    on the same bidegree are summed over a common denominator.
     """
-    source = tensor.left if left else tensor.right
-    images: dict[int, dict[int, tuple[list[list[int]], int]]] = {}
     acc: dict[tuple[int, int], tuple[list[list[int]], int]] = {}
     for (dl, dr), matrix in tensor.blocks.items():
-        d = dl if left else dr
-        if d not in images:
-            images[d] = _image_matrices(fn, source.basis(d), new_model)
-        k_rows, k_den = _integer_rows(zip(*matrix.to_rows()) if left else matrix.to_rows())
-        for d2, (m_rows, m_den) in images[d].items():
+        k_rows, k_den = matrix._integers()
+        if left:
+            k_rows = list(zip(*k_rows))
+        for d2, (m_rows, m_den) in images(dl if left else dr).items():
             if left:
                 key, product = (d2, dr), _dot_rows(m_rows, k_rows)
             else:
@@ -195,14 +209,12 @@ def kinematic_unit(n: int) -> TensorElement:
 def kinematic_of(n: int, phi: AlgebraElement) -> TensorElement:
     """Kinematic tensor of an element: the unit tensor with the factor absorbed on the left.
 
-    Absorbing it on the right gives the same tensor, and both equal the
-    pairing formula; the identity suite checks both
+    Integer work from the reduction tables to the final entries
+    (``_product_images``).  Absorbing it on the right gives the same tensor,
+    and both equal the pairing formula; the identity suite checks both
     (entry "kinematic-cocommutativity").
     """
-    alg = build_algebra(n)
-    if phi.algebra != alg:
-        raise AlgebraMismatch(f"element lives in {phi.algebra!r}, expected {alg!r}")
-    return kinematic_unit(n).map_left(_times(phi), alg)
+    return kinematic_unit(n).multiply_left(phi)
 
 
 def so_kinematic(n_real: int, k: int) -> TensorElement:
@@ -238,39 +250,21 @@ def annihilator_congruence_holds(n: int, k: int) -> bool:
     alg = build_algebra(n)
     if not 0 <= k <= 2 * n:
         raise DegreeOutOfRange(f"power must satisfy 0 <= k <= {2 * n}, got {k}")
+    corners = {}
+    for i in range(k, 2 * n + 1):  # t^i x t^j with i + j = 2n + k: entry (0, 0) of block (i, j)
+        rows = [[0] * alg.dim(2 * n + k - i) for _ in range(alg.dim(i))]
+        rows[0][0] = 1
+        corners[(i, 2 * n + k - i)] = ExactMatrix(rows)
     tensor = kinematic_of(n, alg.normal_form(GradedPoly.monomial(0, k)))
-    residual: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {
-        key: {
-            (i, j): matrix[i, j]
-            for i in range(matrix.rows)
-            for j in range(matrix.cols)
-            if matrix[i, j]
-        }
-        for key, matrix in tensor.blocks.items()
-    }
-    for i in range(max(0, k), 2 * n + 1):
-        j = 2 * n + k - i
-        if 0 <= j <= 2 * n:
-            bucket = residual.setdefault((i, j), {})
-            bucket[(0, 0)] = bucket.get((0, 0), Fraction(0)) - 1
+    residual = tensor - TensorElement(alg, alg, corners)
 
-    vectors: dict[int, list[list[Fraction]]] = {}
-
+    @cache
     def annihilator_vectors(d: int) -> list[list[Fraction]]:
-        if d not in vectors:
-            basis = alg.basis(d)
-            vectors[d] = [
-                [element.poly.coefficient(*mono) for mono in basis]
-                for element in annihilator_basis(alg, d)
-            ]
-        return vectors[d]
+        basis = alg.basis(d)
+        return [[element.poly.coefficient(*mono) for mono in basis] for element in annihilator_basis(alg, d)]
 
-    for (dl, dr), entries in residual.items():
-        if not any(entries.values()):
-            continue
-        rows = alg.dim(dl)
-        cols = alg.dim(dr)
-        target = [entries.get((i, j), Fraction(0)) for i in range(rows) for j in range(cols)]
+    for (dl, dr), matrix in residual.blocks.items():
+        target = [x for row in matrix.to_rows() for x in row]
         left_vecs = annihilator_vectors(dl)
         right_vecs = annihilator_vectors(dr)
         if not left_vecs or not right_vecs:

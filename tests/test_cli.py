@@ -3,7 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import unival
 from unival import ExactMatrix, kinematic_matrix, poly_parse
 from unival.cli import run
 
@@ -179,3 +186,18 @@ def test_help_exits_zero(capsys):
     code, out, _ = _capture(capsys, ["--help"])
     assert code == 0
     assert "basis" in out
+
+
+@pytest.mark.parametrize("module", ["unival", "unival.cli"])
+def test_module_forms_run_the_cli(module):
+    src = str(Path(unival.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "check", "--n-max", "2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert sum(line.startswith("PASS") for line in done.stdout.splitlines()) == 24

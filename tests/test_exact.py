@@ -16,8 +16,8 @@ from unival import (
     is_positive_definite,
     solve_in_span,
 )
-from unival import algebra, suite
-from unival.exact import _row_reduce
+from unival import algebra, exact, suite
+from unival.exact import _integer_rows, _row_reduce
 
 F = Fraction
 
@@ -230,3 +230,21 @@ def test_reduction_tables_match_fraction_oracle(monkeypatch):
     for n in range(1, 31):
         table = algebra.UnitaryAlgebra(n)._table
         assert table[n + 1:] == [suite._elimination_table(n, d) for d in range(n + 1, 2 * n + 3)]
+
+
+def test_integer_form_is_computed_once(monkeypatch):
+    calls = []
+
+    def counting(rows):
+        calls.append(1)
+        return _integer_rows(rows)
+
+    monkeypatch.setattr(exact, "_integer_rows", counting)
+    entries = [[F(1, 2), F(-2, 3), F(0)], [F(5), F(1, 6), F(-7, 4)]]
+    for matrix in (ExactMatrix(entries), ExactMatrix._trusted(entries)):
+        calls.clear()
+        ints = matrix._integers()
+        rows, den = _integer_rows(entries)
+        assert ints == (tuple(map(tuple, rows)), den) == (((6, -8, 0), (60, 2, -21)), 12)
+        assert matrix._integers() is ints
+        assert len(calls) == 1

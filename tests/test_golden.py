@@ -6,7 +6,8 @@ this file as a script prints the table for the current build:
 
     PYTHONPATH=src python tests/test_golden.py
 
-Regenerate only when an output change is intended and reviewed.
+Regenerate only when an output change is intended and reviewed.  ``ERRORS``
+pins bad input the same way: the exit code and the whole of stderr.
 """
 
 from __future__ import annotations
@@ -23,6 +24,16 @@ from unival.cli import run
 FORMATS = ("plain", "json", "latex")
 DIMENSIONS = (2, 5, 8)
 PHIS = ("1", "t - 3/2*s", "s^2 - 1/3*t^3 + 5/7*s*t")
+SO_PHIS = ("1", "2*t - 1/3*t^3 + t^4")
+# Bad input: the exit code and the whole of stderr, with nothing on stdout.
+ERRORS: dict[str, tuple[int, str]] = {
+    "reduce --n 0 t": (1, "error: complex dimension n must be >= 1\n"),
+    "reduce --n 2 s^1.5": (
+        1,
+        "error: position 3: unexpected character '.' (expected a digit, 's', 't', or an operator)\n",
+    ),
+    "basis --n 3 --degree 99": (1, "error: degree must lie in 0..6, got 99\n"),
+}
 
 
 def _cases() -> dict[str, list[list[str]]]:
@@ -55,7 +66,17 @@ def _cases() -> dict[str, list[list[str]]]:
                     )
             for phi in PHIS:
                 cases.setdefault("kinematic", []).append(["kinematic", "--n", str(n), "--phi", phi, *flag])
+    for fmt in FORMATS:
+        flag = ["--format", fmt]
+        # n = 12 pins the tensor kernel above the n <= 8 of the property tests
+        for phi in PHIS:
+            cases["kinematic"].append(["kinematic", "--n", "12", "--phi", phi, *flag])
+        for phi in SO_PHIS:
+            cases.setdefault("kinematic-so", []).append(["kinematic", "--so", "4", "--phi", phi, *flag])
+        for n, k in ((3, 0), (4, 2), (6, 6)):
+            cases.setdefault("son", []).append(["son", "--n", str(n), "--k", str(k), *flag])
     cases["check"] = [["check", "--n-max", "4", "--format", fmt] for fmt in FORMATS]
+    cases["positivity"] = [["positivity", "--n-max", "6", "--format", fmt] for fmt in ("plain", "json", "csv")]
     return cases
 
 
@@ -224,9 +245,36 @@ GOLDEN: dict[str, str] = {
     'kinematic --n 8 --phi 1 --format latex': '33a169c0d739296ddcb7193f69fdf1e17ae599e74284de9d0dd8b34e12e98b9f',
     "kinematic --n 8 --phi 't - 3/2*s' --format latex": '2784ca0056e72329bc61000d4e68987d7c792bcea4f15d96baeb2aa05554ed16',
     "kinematic --n 8 --phi 's^2 - 1/3*t^3 + 5/7*s*t' --format latex": '6366668c5889f1ad38fd1d01f38871e6ee83c3cf1b646f99d2f0e651bea13e13',
+    'kinematic --n 12 --phi 1 --format plain': 'dacfe8e2a6f850ca969b3a7d53c87fd5ecfd7eb2a9712c24f6bffe3083f6a4b3',
+    "kinematic --n 12 --phi 't - 3/2*s' --format plain": '3996b9f15f3f0617c1793ce8cb82a8269517f38af3027b8e19cef815409aa368',
+    "kinematic --n 12 --phi 's^2 - 1/3*t^3 + 5/7*s*t' --format plain": '33111394c19cb22bc3f6be77cfb00626de9a2b1f2ea0d414dcbee15f1481f22d',
+    'kinematic --n 12 --phi 1 --format json': '74924256b06d54f4d3b771767e7d8710587ad7f506257b643428dd8973d966ad',
+    "kinematic --n 12 --phi 't - 3/2*s' --format json": 'bde684845201517c618edba19e38ced88e4830f7bfbb3f24b0ae44d4d7130c62',
+    "kinematic --n 12 --phi 's^2 - 1/3*t^3 + 5/7*s*t' --format json": '718d421e5363621cd381d9a164494665e02f1af1d89ba2ac70090e7909eafcca',
+    'kinematic --n 12 --phi 1 --format latex': '3a2a13867406cf68b15e534dc17d33a7a3f7e5c90a8aa6e1df9da25178f7c759',
+    "kinematic --n 12 --phi 't - 3/2*s' --format latex": '88fb961bf6bda1b4c4bb12782b2351be67eceb322b98b8d30a1e097d7be4089a',
+    "kinematic --n 12 --phi 's^2 - 1/3*t^3 + 5/7*s*t' --format latex": '02f62f9cebd5d8e602ad890dcacdebfc04b00792424ebc8f18001177403976cc',
+    'kinematic --so 4 --phi 1 --format plain': 'e6b970869270173c9ae751d6c728dd4ae7d989ed0bd79dc9a32b6dbc75b12b8a',
+    "kinematic --so 4 --phi '2*t - 1/3*t^3 + t^4' --format plain": '6f1db017bd3365b7b5244790fe0a7e6d07e30b45aa3b621fc0769389175053aa',
+    'kinematic --so 4 --phi 1 --format json': 'f4c49416169d4565b544bcf6c2f7dd2eb4a1884ac9c1557b0983135632b62314',
+    "kinematic --so 4 --phi '2*t - 1/3*t^3 + t^4' --format json": 'f930f85f4380cec964f626c7560c8acf896b71a8cd2f7440d7601f4210fc3837',
+    'kinematic --so 4 --phi 1 --format latex': '3c435e57cffbd4b8e9060ab4df2d702f8ddef0a0d9c9902a425c837eb3c7ce08',
+    "kinematic --so 4 --phi '2*t - 1/3*t^3 + t^4' --format latex": '2372dc7c94569a44fcc48a46fa28a292decfd42d56fbc88718fb82d6008bf3e3',
+    'son --n 3 --k 0 --format plain': '8a34906208ac7776330be94feefe16d3e16d0f95ae3cc8730d036a78d3ffd01a',
+    'son --n 4 --k 2 --format plain': 'a3dfc0d9d1e8fcc1e1f97167e665f239b67dd6dcd2ebd922cd96e03c814708c3',
+    'son --n 6 --k 6 --format plain': '4d09f45afc154b522538af31a2b94f6f93d344128af46e9d4d1c9e437efeebca',
+    'son --n 3 --k 0 --format json': 'ecb53641649a7fa38c5f51442a4b3780d2c67cbc11f383e8c979daa2391fc5d1',
+    'son --n 4 --k 2 --format json': '58c1cd4eee0e82e3b9dd56a550751a1e322d375c59b91e47179d643d2aeb33e9',
+    'son --n 6 --k 6 --format json': 'a07921c2d766a571634ebaf29263df44efd83dcc036141b11a432e91936da151',
+    'son --n 3 --k 0 --format latex': 'edbe9416954c3d3d0c2d762f56c217da9dfa5232fcedd3549acfa4a166b22b27',
+    'son --n 4 --k 2 --format latex': '71d3271c198eb02b449f4829cfad7538dd8001a9eed05c8b48d94cb7578d4024',
+    'son --n 6 --k 6 --format latex': '2148c5cededf708795b4ee3de314d947fd013c080f58654f8efc4610f301377c',
     'check --n-max 4 --format plain': '1396607db0ea527280179997ca1f1b8b3c74476993a690afa522610b80200cd2',
     'check --n-max 4 --format json': '5d1bb81cf6acc816e267457d5837e389a30d6097c3acbcf06aec974056b090bd',
     'check --n-max 4 --format latex': '1396607db0ea527280179997ca1f1b8b3c74476993a690afa522610b80200cd2',
+    'positivity --n-max 6 --format plain': 'b53cb7b792e99924a6894e539b9998b3331df7e8326f3cffb95299d2874eff67',
+    'positivity --n-max 6 --format json': 'f74ae5acbe69a59410d46d374b526bf7298cb8210c383bdb6c8462371a5fd3e6',
+    'positivity --n-max 6 --format csv': 'f97fae030340927a60561802c904791e6f3c170daa455ce9cf33da22719b80f5',
 }
 
 
@@ -236,6 +284,14 @@ def test_cli_stdout_matches_golden_digests(command):
     assert len(argvs) == len({shlex.join(argv) for argv in argvs})
     changed = [shlex.join(argv) for argv in argvs if stdout_digest(argv) != GOLDEN[shlex.join(argv)]]
     assert not changed, f"{len(changed)} of {len(argvs)} outputs changed, e.g. {changed[:3]}"
+
+
+@pytest.mark.parametrize("command", sorted(ERRORS))
+def test_cli_bad_input_matches_golden_exit_and_stderr(command):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(shlex.split(command))
+    assert (code, err.getvalue(), out.getvalue()) == (*ERRORS[command], "")
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from unival import (
     step_up_identity_holds,
 )
 from unival import algebra
+from unival.kinematics import _image_matrices, _product_images
 from unival.poly import GradedPoly, S
 from unival.suite import _pairing_formula_tensor
 
@@ -180,6 +181,18 @@ def test_so_kinematic_of_linearity():
     assert combined == so_kinematic(4, 1) + so_kinematic(4, 3).scale(2)
 
 
+def test_multiplying_orthogonal_tensors():
+    so4 = SOAlgebra(4)
+    t = so4.normal_form("t")
+    assert so_kinematic(4, 1).multiply_left(t) == so_kinematic(4, 2)
+    assert so_kinematic(4, 1).multiply_right(t) == so_kinematic(4, 2)
+    phi = so4.normal_form("2 - 1/3*t + t^3")
+    for k in range(5):
+        unit = so_kinematic(4, k)
+        assert unit.multiply_left(phi) == oracle_map_left(unit, times(phi), so4), k
+        assert unit.multiply_right(phi) == oracle_map_right(unit, times(phi), so4), k
+
+
 def test_annihilator_congruence():
     assert annihilator_congruence_holds(1, 0)
     assert annihilator_congruence_holds(2, 0)
@@ -248,6 +261,41 @@ def test_kinematic_of_matches_pairing_formula_at_n20():
     tensor = kinematic_of(20, phi)
     assert _pairing_formula_tensor(20, phi).blocks == tensor.blocks
     assert len(tensor.blocks) == 2 * 20 - 2  # degree 3: one block per (2n-A, A+3), A <= 2n-3
+
+
+def _as_fractions(images):
+    return {d2: [[F(x, den) for x in row] for row in rows] for d2, (rows, den) in images.items()}
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), elements(n))))
+@settings(max_examples=40, deadline=None)
+@example((4, build_algebra(4).normal_form("0")))
+@example((5, build_algebra(5).normal_form("2 - s*t + 1/3*t^4 + s^3*t^2")))
+@example((7, build_algebra(7).normal_form("5/3*t^14")))
+@example((8, build_algebra(8).normal_form("-3/2*t^16 + s^2*t^3 - 1/7*t")))
+def test_product_images_match_the_slow_products(case):
+    # the table-read integer images against the products phi * b through
+    # normal_form, one Fraction per coefficient
+    n, phi = case
+    alg = build_algebra(n)
+    images = _product_images(phi)
+    for d in range(2 * n + 1):
+        expected = _image_matrices(times(phi), alg.basis(d), alg)
+        assert _as_fractions(images(d)) == _as_fractions(expected), d
+        assert images(d) is images(d)  # memoised per source degree
+
+
+def test_kinematic_of_reads_the_tables_without_products(monkeypatch):
+    alg = build_algebra(6)
+    phis = [alg.normal_form(text) for text in ("1", "0", "s*t - 2/3*t^5 + s^3", "7*t^12")]
+    for name in ("_reduce", "_multiply"):
+
+        def forbidden(self, *args, name=name):
+            raise AssertionError(f"kinematic_of called UnitaryAlgebra.{name}")
+
+        monkeypatch.setattr(UnitaryAlgebra, name, forbidden)
+    for phi in phis:
+        assert _pairing_formula_tensor(6, phi).blocks == kinematic_of(6, phi).blocks
 
 
 def test_kinematic_of_places_the_factor_once(monkeypatch):

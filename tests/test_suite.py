@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+import unival
 from unival import (
     ExactMatrix,
     InternalInconsistency,
     TensorElement,
     algebra,
+    cli,
     duality,
     exact,
     kinematics,
@@ -182,17 +184,83 @@ def test_suite_catches_tensor_kernel_corrupted_on_both_sides(monkeypatch):
 def test_suite_catches_corrupted_tensor_images(monkeypatch):
     # Both placements share the images phi * b, so only the pairing formula
     # (and the annihilator congruence) can see a wrong image.
-    real_times = kinematics._times
+    real_product_images = kinematics._product_images
 
     def corrupted(phi):
         """Adds t^(2n) to the image of 1 under multiplication by phi."""
-        alg = phi.algebra
-        times = real_times(phi)
-        extra = alg.normal_form(GradedPoly.monomial(0, alg.top_degree))
-        return lambda mono: times(mono) + extra if mono == (0, 0) else times(mono)
+        images = real_product_images(phi)
+        top = phi.algebra.top_degree
 
-    monkeypatch.setattr(kinematics, "_times", corrupted)
+        def corrupted_images(d):
+            out = dict(images(d))
+            if d == 0:  # target degree 2n, row 0, column 0: t^(2n) times 1
+                rows, den = out.get(top, ([[0]], 1))
+                out[top] = [[rows[0][0] + den]], den
+            return out
+
+        return corrupted_images
+
+    monkeypatch.setattr(kinematics, "_product_images", corrupted)
     report = run_suite(6)
     failing = {entry.name: entry.counterexample for entry in report.entries if not entry.passed}
     assert {"kinematic-cocommutativity", "annihilator-congruence"} <= set(failing)
     assert "differs from the pairing formula" in failing["kinematic-cocommutativity"]
+
+
+def _patch_every_binding(monkeypatch, name, replacement):
+    """Replace ``name`` in every unival module that binds it."""
+    for module in (unival, algebra, duality, kinematics, suite, cli):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, replacement)
+
+
+def _failing_entries(report):
+    failing = {entry.name: entry.counterexample for entry in report.entries if not entry.passed}
+    assert not report.ok
+    assert all(failing.values())
+    return failing
+
+
+def test_suite_catches_corrupted_kinematic_matrix(monkeypatch, fresh_matrix_caches):
+    real_kinematic_matrix = duality.kinematic_matrix
+
+    def corrupted(n, k):
+        """Adds 1 to entry (0, 0) of Q(3, 1)."""
+        q = real_kinematic_matrix(n, k)
+        if (n, k) != (3, 1):
+            return q
+        rows = q.to_rows()
+        rows[0][0] += 1
+        return ExactMatrix(rows)
+
+    _patch_every_binding(monkeypatch, "kinematic_matrix", corrupted)
+    failing = _failing_entries(run_suite(3))
+    assert {"pairing-structure", "pairing-reference-values"} <= set(failing)
+    assert "n=3" in failing["pairing-structure"]
+
+
+def test_suite_catches_corrupted_companion_coefficient(monkeypatch, fresh_matrix_caches):
+    real_coefficient = duality.companion_coefficient
+
+    def corrupted(n, k, i):
+        value = real_coefficient(n, k, i)
+        return value + 1 if (n, k, i) == (3, 1, 1) else value
+
+    _patch_every_binding(monkeypatch, "companion_coefficient", corrupted)
+    failing = _failing_entries(run_suite(3))
+    assert {"companion-closed-form", "companion-relation-vanishes"} <= set(failing)
+
+
+def test_suite_catches_corrupted_annihilator_basis(monkeypatch, fresh_matrix_caches):
+    real_annihilator_basis = algebra.annihilator_basis
+
+    def corrupted(alg, j):
+        """Adds t^2 to the first degree-2 annihilator element of the n=3 model."""
+        out = real_annihilator_basis(alg, j)
+        if (alg.n, j) == (3, 2):
+            out[0] = out[0] + alg.normal_form("t^2")
+        return out
+
+    _patch_every_binding(monkeypatch, "annihilator_basis", corrupted)
+    failing = _failing_entries(run_suite(3))
+    assert {"annihilator", "annihilator-congruence"} <= set(failing)
