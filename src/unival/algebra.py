@@ -22,6 +22,10 @@ its integer rows (``_accumulate``) with no ``Fraction`` at all.
 The orthogonal model in real dimension n is the truncated polynomial ring
 Q[t]/(t^(n+1)), which doubles as a tiny independent oracle for the unitary
 engine (the n=1 unitary model collapses onto it).
+
+Both models derive from one private base, ``_Model``, which holds the
+per-degree bases and integer tables, the table lookup ``_accumulate``,
+equality and hashing; each model keeps its own normal form and product.
 """
 
 from __future__ import annotations
@@ -165,9 +169,6 @@ class AlgebraElement:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def degree_component(self, d: int) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, self.poly.homogeneous_component(d))
-
     def restrict(self, m: int) -> "AlgebraElement":
         """Image in the unitary model of complex dimension m <= n."""
         if not isinstance(self.algebra, UnitaryAlgebra):
@@ -189,23 +190,17 @@ class AlgebraElement:
         return f"<{self.poly} in {self.algebra!r}>"
 
 
-class UnitaryAlgebra:
-    """Unitary quotient model for a fixed complex dimension n."""
+class _Model:
+    """Per-degree monomial bases and integer reduction tables: what both models share."""
 
     __slots__ = ("n", "top_degree", "_basis", "_basis_index", "_table")
 
-    def __init__(self, n: int):
-        if n < 1:
-            raise DegreeOutOfRange("complex dimension n must be >= 1")
+    def __init__(self, n: int, top_degree: int, bases: dict[int, tuple[Monomial, ...]]):
         self.n = n
-        self.top_degree = 2 * n
-        self._basis = {d: basis_monomials(n, d) for d in range(2 * n + 1)}
-        self._basis_index = {d: {m: i for i, m in enumerate(b)} for d, b in self._basis.items()}
-        # _table[d] = (D_d, rows): s^p t^(d-2p) with p >= dim(d) reduces to
-        # rows[p - dim(d)] / D_d on the degree-d basis; degrees <= n are all basis.
+        self.top_degree = top_degree
+        self._basis = bases
+        self._basis_index = {d: {m: i for i, m in enumerate(b)} for d, b in bases.items()}
         self._table: list[_Table] = [(1, ())] * (n + 1)
-        for d in range(n + 1, 2 * n + 3):
-            self._table.append(_shift_degree(n, d, self._table[d - 1]))
 
     def basis(self, d: int) -> tuple[Monomial, ...]:
         return self._basis.get(d, ())
@@ -216,12 +211,8 @@ class UnitaryAlgebra:
     def dim(self, d: int) -> int:
         return len(self.basis(d))
 
-    def reduction_of(self, mono: Monomial) -> GradedPoly:
-        """Normal form of a single monomial (zero above degree 2n), read from the tables."""
-        return self._reduce([(mono, 1)], 1).poly
-
     def _accumulate(self, terms: Iterable[tuple[Monomial, int]]) -> dict[int, list[int]]:
-        """The table lookup: sum(c * s^p t^q) as one integer row over D_d per degree d <= 2n.
+        """The table lookup: sum(c * s^p t^q) as one integer row over D_d per degree d <= top.
 
         Terms may repeat a monomial.  A basis monomial adds c * D_d at its slot
         (its s-power), a non-basis one adds c times its table row.
@@ -243,6 +234,39 @@ class UnitaryAlgebra:
             else:
                 acc[d] = [x + c * y for x, y in zip(row, table[d][1][k])]
         return acc
+
+    def one(self) -> AlgebraElement:
+        return AlgebraElement(self, GradedPoly.one())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _Model):
+            return NotImplemented
+        return type(self) is type(other) and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.n))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n})"
+
+
+class UnitaryAlgebra(_Model):
+    """Unitary quotient model for a fixed complex dimension n."""
+
+    __slots__ = ()
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise DegreeOutOfRange("complex dimension n must be >= 1")
+        super().__init__(n, 2 * n, {d: basis_monomials(n, d) for d in range(2 * n + 1)})
+        # _table[d] = (D_d, rows): s^p t^(d-2p) with p >= dim(d) reduces to
+        # rows[p - dim(d)] / D_d on the degree-d basis; degrees <= n are all basis.
+        for d in range(n + 1, 2 * n + 3):
+            self._table.append(_shift_degree(n, d, self._table[d - 1]))
+
+    def reduction_of(self, mono: Monomial) -> GradedPoly:
+        """Normal form of a single monomial (zero above degree 2n), read from the tables."""
+        return self._reduce([(mono, 1)], 1).poly
 
     def _reduce(self, terms: Iterable[tuple[Monomial, int]], den: int) -> AlgebraElement:
         """The integer reduction kernel: normal form of sum(c * s^p t^q) / den.
@@ -272,44 +296,16 @@ class UnitaryAlgebra:
             left_den * right_den,
         )
 
-    def one(self) -> AlgebraElement:
-        return AlgebraElement(self, GradedPoly.one())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UnitaryAlgebra):
-            return NotImplemented
-        return self.n == other.n
-
-    def __hash__(self) -> int:
-        return hash(("U", self.n))
-
-    def __repr__(self) -> str:
-        return f"UnitaryAlgebra(n={self.n})"
-
-
-class SOAlgebra:
+class SOAlgebra(_Model):
     """Truncated polynomial model Q[t]/(t^(n+1)) in real dimension n."""
 
-    __slots__ = ("n", "top_degree", "_basis", "_table")
+    __slots__ = ()
 
     def __init__(self, n: int):
         if n < 1:
             raise DegreeOutOfRange("real dimension n must be >= 1")
-        self.n = n
-        self.top_degree = n
-        self._basis = {d: ((0, d),) for d in range(n + 1)}
-        self._table = [(1, ())] * (n + 1)
-
-    _accumulate = UnitaryAlgebra._accumulate  # every t^d is a basis monomial, over D_d = 1
-
-    def basis(self, d: int) -> tuple[Monomial, ...]:
-        return self._basis.get(d, ())
-
-    def basis_index(self, d: int) -> dict[Monomial, int]:
-        return {(0, d): 0} if 0 <= d <= self.n else {}
-
-    def dim(self, d: int) -> int:
-        return len(self.basis(d))
+        super().__init__(n, n, {d: ((0, d),) for d in range(n + 1)})  # every t^d is basis, over D_d = 1
 
     def normal_form(self, poly: GradedPoly | str) -> AlgebraElement:
         if isinstance(poly, str):
@@ -324,20 +320,6 @@ class SOAlgebra:
 
     def _multiply(self, a: GradedPoly, b: GradedPoly) -> AlgebraElement:
         return self.normal_form(a * b)
-
-    def one(self) -> AlgebraElement:
-        return AlgebraElement(self, GradedPoly.one())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SOAlgebra):
-            return NotImplemented
-        return self.n == other.n
-
-    def __hash__(self) -> int:
-        return hash(("SO", self.n))
-
-    def __repr__(self) -> str:
-        return f"SOAlgebra(n={self.n})"
 
 
 _BUILD_CACHE: dict[int, UnitaryAlgebra] = {}

@@ -8,7 +8,10 @@ stdout carries results; stderr carries diagnostics.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from functools import reduce
+from operator import mul
 
 from .algebra import SOAlgebra, build_algebra
 from .duality import (
@@ -41,19 +44,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _common_flags() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("plain", "json", "latex", "csv"),
-        default="plain",
-        help="output format (csv applies to positivity only)",
-    )
-    return common
-
-
 def build_parser() -> _Parser:
-    common = _common_flags()
     parser = _Parser(
         prog="unival",
         description=(
@@ -64,23 +55,25 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("basis", parents=[common], help="ordered monomial basis of one degree")
+    def command(name, func, help, formats=("plain", "json", "latex")) -> _Parser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--format", choices=formats, default="plain", help="output format")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("basis", _cmd_basis, "ordered monomial basis of one degree")
     p.add_argument("--n", type=int, required=True, help="complex dimension")
     p.add_argument("--degree", type=int, required=True, help="grading degree")
-    p.set_defaults(func=_cmd_basis)
 
-    p = sub.add_parser("reduce", parents=[common], help="normal form of a polynomial")
+    p = command("reduce", _cmd_normal_form, "normal form of a polynomial")
     p.add_argument("--n", type=int, required=True, help="complex dimension")
-    p.add_argument("poly", help="polynomial text, e.g. 's - 1/2*t^2'")
-    p.set_defaults(func=_cmd_reduce)
+    p.add_argument("factors", nargs=1, metavar="poly", help="polynomial text, e.g. 's - 1/2*t^2'")
 
-    p = sub.add_parser("mul", parents=[common], help="product of two elements, in normal form")
+    p = command("mul", _cmd_normal_form, "product of two elements, in normal form")
     p.add_argument("--n", type=int, required=True, help="complex dimension")
-    p.add_argument("left", help="polynomial text")
-    p.add_argument("right", help="polynomial text")
-    p.set_defaults(func=_cmd_mul)
+    p.add_argument("factors", nargs=2, metavar="poly", help="polynomial text, one per factor")
 
-    p = sub.add_parser("matrix", parents=[common], help="duality and kinematic matrices")
+    p = command("matrix", _cmd_matrix, "duality and kinematic matrices")
     p.add_argument("--n", type=int, required=True, help="complex dimension")
     p.add_argument("--k", type=int, required=True, help="half the degree of the paired piece")
     p.add_argument(
@@ -93,37 +86,26 @@ def build_parser() -> _Parser:
             "companion: scaled product Q(n,k) P(n-1,k) with its coefficient column"
         ),
     )
-    p.set_defaults(func=_cmd_matrix)
 
-    p = sub.add_parser("kinematic", parents=[common], help="kinematic tensor of an element")
+    p = command("kinematic", _cmd_kinematic, "kinematic tensor of an element")
     p.add_argument("--n", type=int, help="complex dimension (unitary model)")
     p.add_argument("--so", type=int, help="real dimension (orthogonal model)")
     p.add_argument("--phi", default="1", help="element text, e.g. 't^2' (default: 1)")
-    p.set_defaults(func=_cmd_kinematic)
 
-    p = sub.add_parser("son", parents=[common], help="orthogonal-model kinematic tensor of t^k")
+    p = command("son", _cmd_son, "orthogonal-model kinematic tensor of t^k")
     p.add_argument("--n", type=int, required=True, help="real dimension")
     p.add_argument("--k", type=int, required=True, help="power of t")
-    p.set_defaults(func=_cmd_son)
 
-    p = sub.add_parser("check", parents=[common], help="run the identity suite")
+    p = command("check", _cmd_check, "run the identity suite")
     p.add_argument("--n-max", type=int, default=12, help="largest complex dimension to sweep")
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("positivity", parents=[common], help="positive-definiteness scan")
+    p = command("positivity", _cmd_positivity, "positive-definiteness scan", ("plain", "json", "csv"))
     p.add_argument("--n-max", type=int, default=12, help="largest complex dimension to scan")
-    p.set_defaults(func=_cmd_positivity)
 
     return parser
 
 
-def _reject_csv(args) -> None:
-    if args.format == "csv":
-        raise UnivalError("--format csv is only supported by the positivity command")
-
-
 def _cmd_basis(args) -> int:
-    _reject_csv(args)
     alg = build_algebra(args.n)
     if not 0 <= args.degree <= alg.top_degree:
         raise DegreeOutOfRange(f"degree must lie in 0..{alg.top_degree}, got {args.degree}")
@@ -136,9 +118,10 @@ def _cmd_basis(args) -> int:
     return 0
 
 
-def _cmd_reduce(args) -> int:
-    _reject_csv(args)
-    element = build_algebra(args.n).normal_form(poly_parse(args.poly))
+def _cmd_normal_form(args) -> int:
+    """``reduce`` prints the normal form of one polynomial, ``mul`` that of the product of two."""
+    alg = build_algebra(args.n)
+    element = reduce(mul, [alg.normal_form(poly_parse(text)) for text in args.factors])
     if args.format == "json":
         print(json.dumps({"n": args.n, "normal_form": str(element.poly)}, indent=2))
     else:
@@ -146,19 +129,7 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _cmd_mul(args) -> int:
-    _reject_csv(args)
-    alg = build_algebra(args.n)
-    product = alg.normal_form(poly_parse(args.left)) * alg.normal_form(poly_parse(args.right))
-    if args.format == "json":
-        print(json.dumps({"n": args.n, "normal_form": str(product.poly)}, indent=2))
-    else:
-        print(format_poly(product.poly, args.format))
-    return 0
-
-
 def _cmd_matrix(args) -> int:
-    _reject_csv(args)
     if args.which == "companion":
         data = companion_data(args.n, args.k)
         if args.format == "json":
@@ -179,7 +150,6 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_kinematic(args) -> int:
-    _reject_csv(args)
     if (args.n is None) == (args.so is None):
         raise UnivalError("exactly one of --n (unitary) or --so (orthogonal) is required")
     if args.so is not None:
@@ -193,13 +163,11 @@ def _cmd_kinematic(args) -> int:
 
 
 def _cmd_son(args) -> int:
-    _reject_csv(args)
     print(format_tensor(so_kinematic(args.n, args.k), args.format))
     return 0
 
 
 def _cmd_check(args) -> int:
-    _reject_csv(args)
     if args.n_max < 1:
         raise UnivalError("--n-max must be >= 1")
     report = run_suite(args.n_max)
@@ -210,8 +178,6 @@ def _cmd_check(args) -> int:
 def _cmd_positivity(args) -> int:
     if args.n_max < 1:
         raise UnivalError("--n-max must be >= 1")
-    if args.format == "latex":
-        raise UnivalError("the positivity scan supports plain, json, and csv output")
     print(format_positivity(positivity_scan(args.n_max), args.format))
     return 0
 
@@ -233,7 +199,13 @@ def run(argv=None) -> int:
 
 
 def main(argv=None) -> None:
-    sys.exit(run(argv))
+    try:
+        code = run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader has gone; keep the exit-time flush from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -192,9 +192,7 @@ def companion_relation(n: int, k: int) -> GradedPoly:
         raise IndexOutOfRange(
             f"requires 2k <= n-2 (only t times the relation is polynomial at 2k = n-1), got n={n}, k={k}"
         )
-    return GradedPoly(
-        {(i, 2 * n - 2 * k - 2 * i - 1): companion_coefficient(n, k, i) for i in range(k + 2)}
-    )
+    return GradedPoly({(p, q - 1): c for (p, q), c in companion_relation_times_t(n, k).terms.items()})
 
 
 def companion_relation_vanishes(n: int, k: int) -> bool:

@@ -49,10 +49,6 @@ class TensorElement:
         self.right = right
         self.blocks = canonical
 
-    @classmethod
-    def zero(cls, left, right) -> "TensorElement":
-        return cls(left, right, {})
-
     def __bool__(self) -> bool:
         return bool(self.blocks)
 
@@ -229,14 +225,8 @@ def so_kinematic(n_real: int, k: int) -> TensorElement:
 
 
 def so_kinematic_of(n_real: int, phi: AlgebraElement) -> TensorElement:
-    """Kinematic tensor of an orthogonal-model element, by linearity in t-powers."""
-    alg = SOAlgebra(n_real)
-    if phi.algebra != alg:
-        raise AlgebraMismatch(f"element lives in {phi.algebra!r}, expected {alg!r}")
-    out = TensorElement.zero(alg, alg)
-    for (_, q), c in phi.poly.terms.items():
-        out = out + so_kinematic(n_real, q).scale(c)
-    return out
+    """Kinematic tensor of an orthogonal-model element: k(1) with the factor absorbed on the left."""
+    return so_kinematic(n_real, 0).multiply_left(phi)
 
 
 def annihilator_congruence_holds(n: int, k: int) -> bool:

@@ -106,6 +106,18 @@ class SuiteReport:
 Check = Callable[[int], Optional[str]]
 
 
+def _sweep(holds: Callable[..., object], names: str, cases: list[tuple]) -> Check:
+    """A check that tries ``holds`` on each case in order; the first failing one is the counterexample."""
+
+    def check(n_max: int) -> Optional[str]:
+        for case in cases:
+            if not holds(*case):
+                return ", ".join(f"{name}={value}" for name, value in zip(names.split(), case))
+        return None
+
+    return check
+
+
 def _check_log_series_agreement(n_max: int) -> Optional[str]:
     series = log_components(30)
     for k in range(1, 31):
@@ -123,20 +135,6 @@ def _check_log_reference_values(n_max: int) -> Optional[str]:
     for k, text in enumerate(expected, start=1):
         if log_component(k) != poly_parse(text):
             return f"k={k}: got {poly_format(log_component(k))}, expected {text}"
-    return None
-
-
-def _check_log_recursion(n_max: int) -> Optional[str]:
-    for k in range(1, 29):
-        if not log_recursion_holds(k):
-            return f"k={k}"
-    return None
-
-
-def _check_difference_operator(n_max: int) -> Optional[str]:
-    for k in range(1, 16):
-        if not difference_identity_holds(k):
-            return f"k={k}"
     return None
 
 
@@ -359,13 +357,6 @@ def _check_pairing_structure(n_max: int) -> Optional[str]:
     return None
 
 
-def _check_annihilator_block(n_max: int) -> Optional[str]:
-    for n in range(3, n_max + 1):
-        for k in range(1, (n - 1) // 2 + 1):
-            kinematic_annihilator_block(n, k)  # raises StructureViolation on failure
-    return None
-
-
 def _check_companion_closed_form(n_max: int) -> Optional[str]:
     for n in range(2, n_max + 1):
         for k in range((n - 1) // 2 + 1):
@@ -379,44 +370,6 @@ def _check_companion_closed_form(n_max: int) -> Optional[str]:
         anchor = companion_coefficient(n, 0, 0)
         if anchor != Fraction(-n, 2 * (2 * n - 1)):
             return f"n={n}: a_0 = {anchor} != -n/(2(2n-1))"
-    return None
-
-
-def _check_companion_relations_vanish(n_max: int) -> Optional[str]:
-    for n in range(2, n_max + 1):
-        for k in range((n - 1) // 2 + 1):
-            if not companion_relation_vanishes(n, k):
-                return f"n={n}, k={k}"
-    return None
-
-
-def _check_companion_relation_log_match(n_max: int) -> Optional[str]:
-    for n in range(2, n_max + 1):
-        if not companion_relation_is_log_component(n):
-            return f"n={n}"
-    return None
-
-
-def _check_step_down(n_max: int) -> Optional[str]:
-    for n in range(3, n_max + 1):
-        for k in range(1, (n - 1) // 2 + 1):
-            if not step_down_identity_holds(n, k):
-                return f"n={n}, k={k}"
-    return None
-
-
-def _check_coefficient_recurrences(n_max: int) -> Optional[str]:
-    for n in range(3, n_max + 1):
-        for k in range(1, (n - 1) // 2 + 1):
-            if not coefficient_recurrences_hold(n, k):
-                return f"n={n}, k={k}"
-    return None
-
-
-def _check_step_up(n_max: int) -> Optional[str]:
-    for n in range(1, min(n_max, 8) + 1):
-        if not step_up_identity_holds(n):
-            return f"n={n}"
     return None
 
 
@@ -488,14 +441,6 @@ def _check_so_unit_coefficients(n_max: int) -> Optional[str]:
     return None
 
 
-def _check_annihilator_congruence(n_max: int) -> Optional[str]:
-    for n in range(1, min(n_max, 6) + 1):
-        for k in range(2 * n + 1):
-            if not annihilator_congruence_holds(n, k):
-                return f"n={n}, k={k}"
-    return None
-
-
 def _check_kinematic_positivity(n_max: int) -> Optional[str]:
     for n in range(1, min(n_max, 12) + 1):
         for k in range(n // 2 + 1):
@@ -525,6 +470,8 @@ def _catalogue(n_max: int) -> list[tuple[str, str, str, Check]]:
     m8 = min(n_max, 8)
     m6 = min(n_max, 6)
     m12 = min(n_max, 12)
+    block_cases = [(n, k) for n in range(3, n_max + 1) for k in range(1, (n - 1) // 2 + 1)]
+    companion_cases = [(n, k) for n in range(2, n_max + 1) for k in range((n - 1) // 2 + 1)]
     return [
         (
             "log-series-agreement",
@@ -542,13 +489,13 @@ def _catalogue(n_max: int) -> list[tuple[str, str, str, Check]]:
             "log-recursion",
             "k*s*f_k + (k+1)*t*f_{k+1} + (k+2)*f_{k+2} = 0",
             "1 <= k <= 28",
-            _check_log_recursion,
+            _sweep(log_recursion_holds, "k", [(k,) for k in range(1, 29)]),
         ),
         (
             "difference-operator",
             "Delta^{k+1} [z(z-1)...(z-k+1)] = 0, iterated and in binomial-expanded form",
             "1 <= k <= 15",
-            _check_difference_operator,
+            _sweep(difference_identity_holds, "k", [(k,) for k in range(1, 16)]),
         ),
         (
             "poly-roundtrip",
@@ -609,7 +556,7 @@ def _catalogue(n_max: int) -> list[tuple[str, str, str, Check]]:
             "annihilator-block",
             "in annihilator coordinates the kinematic matrix is diag(1, B) with B symmetric nonsingular",
             f"k >= 1, 2k+1 <= n <= {n_max}",
-            _check_annihilator_block,
+            _sweep(kinematic_annihilator_block, "n k", block_cases),  # raises StructureViolation on failure
         ),
         (
             "companion-closed-form",
@@ -622,32 +569,32 @@ def _catalogue(n_max: int) -> list[tuple[str, str, str, Check]]:
             "companion-relation-vanishes",
             "sum_i a_i s^i t^(2n-2k-2i-1) = 0 in the quotient (t times it for 2k = n-1)",
             f"0 <= 2k <= n-1, n <= {n_max}",
-            _check_companion_relations_vanish,
+            _sweep(companion_relation_vanishes, "n k", companion_cases),
         ),
         (
             "companion-relation-log-match",
             "the extreme relation equals (-1)^(n/2) f_{n+1} (even n) or "
             "t*relation = (-1)^((n-1)/2) ((n+1)/2) f_{n+1} (odd n), as raw polynomials",
             f"2 <= n <= {n_max}",
-            _check_companion_relation_log_match,
+            _sweep(companion_relation_is_log_component, "n", [(n,) for n in range(2, n_max + 1)]),
         ),
         (
             "step-down-identity",
             "R(n,k) Q(n,k) = diag(1, Q(n-1,k-1)), plus (n-i)C(2n-2i-1,n-i) = 2(2n-2i-1)C(2n-2i-3,n-i-1)",
             f"k >= 1, 2k+1 <= n <= {n_max}",
-            _check_step_down,
+            _sweep(step_down_identity_holds, "n k", block_cases),
         ),
         (
             "coefficient-recurrences",
             "sum_i C(2n-2i-1,n-i) a_i^{n,k} = 0 and the two-step recurrence with gap -n/(2(2n-4k-1))",
             f"k >= 1, 2k <= n-1, n <= {n_max}",
-            _check_coefficient_recurrences,
+            _sweep(coefficient_recurrences_hold, "n k", block_cases),
         ),
         (
             "kinematic-step-up",
             "(n+1) (id x restrict) k_{n+1}(1) = 2(2n+1) (s-step x id) k_n(1)",
             f"1 <= n <= {m8}",
-            _check_step_up,
+            _sweep(step_up_identity_holds, "n", [(n,) for n in range(1, m8 + 1)]),
         ),
         (
             "kinematic-cocommutativity",
@@ -665,7 +612,11 @@ def _catalogue(n_max: int) -> list[tuple[str, str, str, Check]]:
             "annihilator-congruence",
             "k_n(t^k) = sum_{i+j=2n+k} t^i x t^j modulo (annihilator) x (annihilator)",
             f"1 <= n <= {m6}, 0 <= k <= 2n",
-            _check_annihilator_congruence,
+            _sweep(
+                annihilator_congruence_holds,
+                "n k",
+                [(n, k) for n in range(1, m6 + 1) for k in range(2 * n + 1)],
+            ),
         ),
         (
             "kinematic-positive-definite",

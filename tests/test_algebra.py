@@ -15,6 +15,7 @@ from unival import (
     DegreeOutOfRange,
     ExactMatrix,
     SOAlgebra,
+    UnitaryAlgebra,
     annihilator_basis,
     basis_monomials,
     build_algebra,
@@ -225,6 +226,17 @@ def test_so_algebra_multiplication():
     assert (t2 * t2).poly == poly_parse("t^4")
     with pytest.raises(ValueError):
         so4.normal_form("s")
+
+
+def test_models_compare_by_kind_and_dimension():
+    unitary = UnitaryAlgebra(3)
+    assert unitary == build_algebra(3) and hash(unitary) == hash(build_algebra(3))
+    assert unitary != SOAlgebra(3) and SOAlgebra(3) != unitary
+    assert SOAlgebra(3) == SOAlgebra(3) and unitary != UnitaryAlgebra(4)
+    assert (repr(unitary), repr(SOAlgebra(3))) == ("UnitaryAlgebra(n=3)", "SOAlgebra(n=3)")
+    so4 = SOAlgebra(4)
+    assert so4.basis_index(2) == {(0, 2): 0}
+    assert so4.basis_index(-1) == so4.basis_index(5) == {}
 
 
 def test_dimension_one_collapses_onto_orthogonal_model():

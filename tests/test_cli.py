@@ -166,6 +166,9 @@ def test_usage_error_exit_code(capsys):
     assert code == 1
     code, _, _ = _capture(capsys, ["nonsense"])
     assert code == 1
+    code, out, err = _capture(capsys, ["mul", "--n", "2", "s"])
+    assert (code, out) == (1, "")
+    assert "required" in err
 
 
 def test_kinematic_mode_flags_are_exclusive(capsys):
@@ -176,10 +179,25 @@ def test_kinematic_mode_flags_are_exclusive(capsys):
     assert code == 1
 
 
+_NON_CSV_COMMANDS = [
+    ["basis", "--n", "2", "--degree", "2"],
+    ["reduce", "--n", "2", "s"],
+    ["mul", "--n", "2", "s", "t"],
+    ["matrix", "--n", "2", "--k", "1", "--which", "P"],
+    ["kinematic", "--n", "2"],
+    ["son", "--n", "2", "--k", "0"],
+    ["check", "--n-max", "1"],
+]
+
+
 def test_csv_limited_to_positivity(capsys):
-    code, _, err = _capture(capsys, ["basis", "--n", "2", "--degree", "2", "--format", "csv"])
-    assert code == 1
-    assert "csv" in err
+    """Each command takes only its own formats: csv is positivity's alone, which has no latex."""
+    cases = [argv + ["--format", "csv"] for argv in _NON_CSV_COMMANDS]
+    cases.append(["positivity", "--n-max", "2", "--format", "latex"])
+    for argv in cases:
+        code, out, err = _capture(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert "--format" in err and argv[-1] in err, argv
 
 
 def test_help_exits_zero(capsys):
@@ -188,16 +206,35 @@ def test_help_exits_zero(capsys):
     assert "basis" in out
 
 
+def _package_env() -> dict[str, str]:
+    src = str(Path(unival.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.mark.parametrize("module", ["unival", "unival.cli"])
 def test_module_forms_run_the_cli(module):
-    src = str(Path(unival.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-m", module, "check", "--n-max", "2"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_package_env(),
         timeout=120,
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert sum(line.startswith("PASS") for line in done.stdout.splitlines()) == 24
+
+
+def test_closed_stdout_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout fails with EPIPE
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "unival", "check", "--n-max", "2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=_package_env(),
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")

@@ -181,6 +181,12 @@ def test_so_kinematic_of_linearity():
     assert combined == so_kinematic(4, 1) + so_kinematic(4, 3).scale(2)
 
 
+def test_so_kinematic_of_rejects_foreign_element():
+    for phi in (SOAlgebra(3).normal_form("t"), build_algebra(2).normal_form("t")):
+        with pytest.raises(AlgebraMismatch):
+            so_kinematic_of(4, phi)
+
+
 def test_multiplying_orthogonal_tensors():
     so4 = SOAlgebra(4)
     t = so4.normal_form("t")

@@ -264,3 +264,44 @@ def test_suite_catches_corrupted_annihilator_basis(monkeypatch, fresh_matrix_cac
     _patch_every_binding(monkeypatch, "annihilator_basis", corrupted)
     failing = _failing_entries(run_suite(3))
     assert {"annihilator", "annihilator-congruence"} <= set(failing)
+
+
+# Each swept entry, the predicate it calls (patched at its ``suite`` binding),
+# the cases made to fail, and the counterexample of run_suite(6): the first
+# failing case in the entry's sweep order.
+_SWEEPS = [
+    ("log-recursion", "log_recursion_holds", {(7,), (20,)}, "k=7"),
+    ("difference-operator", "difference_identity_holds", {(4,), (12,)}, "k=4"),
+    (
+        "annihilator-block",
+        "kinematic_annihilator_block",
+        {(5, 2), (6, 1)},
+        "StructureViolation: injected at (5, 2)",
+    ),
+    ("companion-relation-vanishes", "companion_relation_vanishes", {(5, 1), (6, 0)}, "n=5, k=1"),
+    ("companion-relation-log-match", "companion_relation_is_log_component", {(4,), (6,)}, "n=4"),
+    ("step-down-identity", "step_down_identity_holds", {(5, 2), (6, 1)}, "n=5, k=2"),
+    ("coefficient-recurrences", "coefficient_recurrences_hold", {(6, 1), (6, 2)}, "n=6, k=1"),
+    ("kinematic-step-up", "step_up_identity_holds", {(3,), (5,)}, "n=3"),
+    ("annihilator-congruence", "annihilator_congruence_holds", {(2, 3), (3, 0)}, "n=2, k=3"),
+]
+
+
+@pytest.mark.parametrize(("entry", "predicate", "failing_cases", "counterexample"), _SWEEPS)
+def test_swept_entries_report_their_first_failing_case(
+    monkeypatch, entry, predicate, failing_cases, counterexample
+):
+    real = getattr(suite, predicate)
+
+    def failing(*case):
+        if case not in failing_cases:
+            return real(*case)
+        if predicate == "kinematic_annihilator_block":
+            raise unival.StructureViolation(f"injected at {case}")
+        return False
+
+    monkeypatch.setattr(suite, predicate, failing)
+    report = run_suite(6)
+    failed = {e.name: e.counterexample for e in report.entries if not e.passed}
+    assert failed == {entry: counterexample}
+    assert len(report.entries) == 24
