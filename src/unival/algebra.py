@@ -193,20 +193,19 @@ class AlgebraElement:
 class _Model:
     """Per-degree monomial bases and integer reduction tables: what both models share."""
 
-    __slots__ = ("n", "top_degree", "_basis", "_basis_index", "_table")
+    __slots__ = ("n", "top_degree", "_basis", "_table")
 
     def __init__(self, n: int, top_degree: int, bases: dict[int, tuple[Monomial, ...]]):
         self.n = n
         self.top_degree = top_degree
         self._basis = bases
-        self._basis_index = {d: {m: i for i, m in enumerate(b)} for d, b in bases.items()}
         self._table: list[_Table] = [(1, ())] * (n + 1)
 
     def basis(self, d: int) -> tuple[Monomial, ...]:
         return self._basis.get(d, ())
 
     def basis_index(self, d: int) -> dict[Monomial, int]:
-        return self._basis_index.get(d, {})
+        return {m: i for i, m in enumerate(self.basis(d))}
 
     def dim(self, d: int) -> int:
         return len(self.basis(d))
@@ -331,8 +330,6 @@ def build_algebra(n: int) -> UnitaryAlgebra:
     Threads racing on a missing n may each construct it, but ``setdefault``
     keeps the first instance stored and every caller gets that one.
     """
-    if n < 1:
-        raise DegreeOutOfRange("complex dimension n must be >= 1")
     alg = _BUILD_CACHE.get(n)
     if alg is None:
         alg = _BUILD_CACHE.setdefault(n, UnitaryAlgebra(n))

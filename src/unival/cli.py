@@ -96,7 +96,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True, help="real dimension")
     p.add_argument("--k", type=int, required=True, help="power of t")
 
-    p = command("check", _cmd_check, "run the identity suite")
+    p = command("check", _cmd_check, "run the identity suite", ("plain", "json"))
     p.add_argument("--n-max", type=int, default=12, help="largest complex dimension to sweep")
 
     p = command("positivity", _cmd_positivity, "positive-definiteness scan", ("plain", "json", "csv"))
@@ -171,7 +171,7 @@ def _cmd_check(args) -> int:
     if args.n_max < 1:
         raise UnivalError("--n-max must be >= 1")
     report = run_suite(args.n_max)
-    print(format_report(report, "json" if args.format == "json" else "plain"))
+    print(format_report(report, args.format))
     return 0 if report.ok else 2
 
 
@@ -190,10 +190,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except UnivalError as exc:
+    except (ValueError, UnivalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,7 +23,7 @@ from .algebra import (
 )
 from .duality import kinematic_matrix
 from .errors import AlgebraMismatch, DegreeOutOfRange, NotInSpan
-from .exact import ExactMatrix, _integer_rows, solve_in_span
+from .exact import ExactMatrix, solve_in_span
 from .poly import GradedPoly, S
 
 _ZERO = Fraction(0)
@@ -83,40 +83,42 @@ class TensorElement:
     def sorted_blocks(self) -> list[tuple[tuple[int, int], ExactMatrix]]:
         return sorted(self.blocks.items())
 
-    def map_left(self, fn, new_left) -> "TensorElement":
-        """Apply a linear map (given on basis monomials) to the left factors."""
-        images = cache(lambda d: _image_matrices(fn, self.left.basis(d), new_left))
-        return _map_factor(self, images, new_left, left=True)
+    def map_left(self, phi: AlgebraElement) -> "TensorElement":
+        """Multiply the left factors by phi and read them in phi's model."""
+        return _map_factor(self, _product_images(phi, self.left), phi.algebra, left=True)
 
-    def map_right(self, fn, new_right) -> "TensorElement":
-        """Apply a linear map (given on basis monomials) to the right factors."""
-        images = cache(lambda d: _image_matrices(fn, self.right.basis(d), new_right))
-        return _map_factor(self, images, new_right, left=False)
+    def map_right(self, phi: AlgebraElement) -> "TensorElement":
+        """Multiply the right factors by phi and read them in phi's model."""
+        return _map_factor(self, _product_images(phi, self.right), phi.algebra, left=False)
 
     def multiply_left(self, phi: AlgebraElement) -> "TensorElement":
         if phi.algebra != self.left:
             raise AlgebraMismatch(f"factor lives in {phi.algebra!r}, the left factor in {self.left!r}")
-        return _map_factor(self, _product_images(phi), self.left, left=True)
+        return self.map_left(phi)
 
     def multiply_right(self, phi: AlgebraElement) -> "TensorElement":
         if phi.algebra != self.right:
             raise AlgebraMismatch(f"factor lives in {phi.algebra!r}, the right factor in {self.right!r}")
-        return _map_factor(self, _product_images(phi), self.right, left=False)
+        return self.map_right(phi)
 
 
-def _product_images(phi: AlgebraElement):
-    """Multiplication by phi as integer matrices read off the reduction tables.
+def _product_images(phi: AlgebraElement, source):
+    """Multiplication by phi from ``source`` into phi's model, read off its reduction tables.
 
     Maps a source degree d, once per d, to ``{d2: (M, den_phi * D_d2)}``: column
-    j of M is ``_accumulate`` of phi times the j-th basis monomial.  All-zero
-    groups are left out.
+    j of M is ``_accumulate`` of phi times the j-th basis monomial of
+    ``source``.  All-zero groups are left out.  With phi = 1 from a larger
+    unitary model this is restriction, with phi = s from a smaller one the
+    s-step.
     """
     alg = phi.algebra
+    if type(alg) is not type(source):
+        raise AlgebraMismatch(f"cannot map {source!r} into {alg!r}")
     terms, den = _numerators(phi.poly)
 
     @cache
     def images(d: int) -> dict[int, tuple[list[list[int]], int]]:
-        columns = [alg._accumulate(((p + a, q + b), c) for (a, b), c in terms) for p, q in alg.basis(d)]
+        columns = [alg._accumulate(((p + a, q + b), c) for (a, b), c in terms) for p, q in source.basis(d)]
         out = {}
         for d2 in {d2 for column in columns for d2 in column}:
             rows = [list(row) for row in zip(*(column.get(d2) or [0] * alg.dim(d2) for column in columns))]
@@ -127,33 +129,13 @@ def _product_images(phi: AlgebraElement):
     return images
 
 
-def _image_matrices(fn, basis, target) -> dict[int, tuple[list[list[int]], int]]:
-    """Images of ``basis`` under ``fn``, grouped by target degree.
-
-    Each group is an integer matrix over one denominator: row i holds the
-    coefficients of the i-th target basis monomial, one column per source
-    monomial.
-    """
-    groups: dict[int, list[list[Fraction]]] = {}
-    for p, mono in enumerate(basis):
-        image = fn(mono)
-        if not image:
-            continue
-        for m2, c2 in image.poly.terms.items():
-            d2 = 2 * m2[0] + m2[1]
-            if d2 not in groups:
-                groups[d2] = [[_ZERO] * len(basis) for _ in range(target.dim(d2))]
-            groups[d2][target.basis_index(d2)[m2]][p] = c2
-    return {d2: _integer_rows(rows) for d2, rows in groups.items()}
-
-
 def _map_factor(tensor: TensorElement, images, new_model, left: bool) -> TensorElement:
-    """The fraction-free kernel behind ``map_left``, ``map_right`` and the products.
+    """The fraction-free kernel behind ``map_left`` and ``map_right``.
 
     ``images`` maps a source degree to integer image matrices ``{d2: (M, den)}``
-    (``_image_matrices`` or ``_product_images``).  With K a block's integer
-    rows (``ExactMatrix._integers``, scaled once per matrix), the new block is
-    M K on the left and K M^T = (M K^T)^T on the right: each a plain integer
+    (``_product_images``).  With K a block's integer rows
+    (``ExactMatrix._integers``, scaled once per matrix), the new block is M K
+    on the left and K M^T = (M K^T)^T on the right: each a plain integer
     product, with one Fraction per entry built at the end.  Products landing
     on the same bidegree are summed over a common denominator.
     """
@@ -275,10 +257,6 @@ def step_up_identity_holds(n: int) -> bool:
     """
     small = build_algebra(n)
     big = build_algebra(n + 1)
-    lhs = kinematic_unit(n + 1).map_right(
-        lambda mono: small.normal_form(GradedPoly.monomial(*mono)), small
-    ).scale(n + 1)
-    rhs = kinematic_unit(n).map_left(
-        lambda mono: big.normal_form(S * GradedPoly.monomial(*mono)), big
-    ).scale(2 * (2 * n + 1))
+    lhs = kinematic_unit(n + 1).map_right(small.one()).scale(n + 1)
+    rhs = kinematic_unit(n).map_left(big.normal_form(S)).scale(2 * (2 * n + 1))
     return lhs == rhs

@@ -234,6 +234,7 @@ def test_models_compare_by_kind_and_dimension():
     assert unitary != SOAlgebra(3) and SOAlgebra(3) != unitary
     assert SOAlgebra(3) == SOAlgebra(3) and unitary != UnitaryAlgebra(4)
     assert (repr(unitary), repr(SOAlgebra(3))) == ("UnitaryAlgebra(n=3)", "SOAlgebra(n=3)")
+    assert unitary.basis_index(4) == {(0, 4): 0, (1, 2): 1}
     so4 = SOAlgebra(4)
     assert so4.basis_index(2) == {(0, 2): 0}
     assert so4.basis_index(-1) == so4.basis_index(5) == {}

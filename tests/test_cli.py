@@ -191,9 +191,10 @@ _NON_CSV_COMMANDS = [
 
 
 def test_csv_limited_to_positivity(capsys):
-    """Each command takes only its own formats: csv is positivity's alone, which has no latex."""
+    """Each command takes only its own formats: csv is positivity's alone; positivity and check have no latex."""
     cases = [argv + ["--format", "csv"] for argv in _NON_CSV_COMMANDS]
     cases.append(["positivity", "--n-max", "2", "--format", "latex"])
+    cases.append(["check", "--n-max", "2", "--format", "latex"])
     for argv in cases:
         code, out, err = _capture(capsys, argv)
         assert (code, out) == (1, ""), argv

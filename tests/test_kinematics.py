@@ -29,7 +29,8 @@ from unival import (
     step_up_identity_holds,
 )
 from unival import algebra
-from unival.kinematics import _image_matrices, _product_images
+from unival.exact import _integer_rows
+from unival.kinematics import _product_images
 from unival.poly import GradedPoly, S
 from unival.suite import _pairing_formula_tensor
 
@@ -242,8 +243,8 @@ def test_kernel_matches_oracle_for_random_factors(case):
     unit = kinematic_unit(n)
     alg = build_algebra(n)
     left = oracle_map_left(unit, times(phi), alg)
-    assert unit.map_left(times(phi), alg) == left
-    assert unit.map_right(times(phi), alg) == oracle_map_right(unit, times(phi), alg)
+    assert unit.map_left(phi) == left
+    assert unit.map_right(phi) == oracle_map_right(unit, times(phi), alg)
     assert kinematic_of(n, phi) == left  # kinematic_of is the left placement
     # a second factor on a tensor with several blocks per bidegree row/column
     # makes products from different blocks land on one bidegree
@@ -269,6 +270,22 @@ def test_kinematic_of_matches_pairing_formula_at_n20():
     assert len(tensor.blocks) == 2 * 20 - 2  # degree 3: one block per (2n-A, A+3), A <= 2n-3
 
 
+def _image_matrices(fn, basis, target):
+    """Slow reference: images of ``basis`` under ``fn`` through normal forms,
+    grouped by target degree as integer rows over one denominator."""
+    groups = {}
+    for p, mono in enumerate(basis):
+        image = fn(mono)
+        if not image:
+            continue
+        for m2, c2 in image.poly.terms.items():
+            d2 = 2 * m2[0] + m2[1]
+            if d2 not in groups:
+                groups[d2] = [[F(0)] * len(basis) for _ in range(target.dim(d2))]
+            groups[d2][target.basis_index(d2)[m2]][p] = c2
+    return {d2: _integer_rows(rows) for d2, rows in groups.items()}
+
+
 def _as_fractions(images):
     return {d2: [[F(x, den) for x in row] for row in rows] for d2, (rows, den) in images.items()}
 
@@ -284,7 +301,7 @@ def test_product_images_match_the_slow_products(case):
     # normal_form, one Fraction per coefficient
     n, phi = case
     alg = build_algebra(n)
-    images = _product_images(phi)
+    images = _product_images(phi, alg)
     for d in range(2 * n + 1):
         expected = _image_matrices(times(phi), alg.basis(d), alg)
         assert _as_fractions(images(d)) == _as_fractions(expected), d
@@ -305,17 +322,20 @@ def test_kinematic_of_reads_the_tables_without_products(monkeypatch):
 
 
 def test_kinematic_of_places_the_factor_once(monkeypatch):
-    def forbidden(self, fn, new_right):
+    def forbidden(self, phi):
         raise AssertionError("kinematic_of called map_right")
 
     monkeypatch.setattr(TensorElement, "map_right", forbidden)
     alg = build_algebra(4)
     for text in ("1", "s*t + 2*t^3", "t^8"):
         phi = alg.normal_form(text)
-        assert kinematic_of(4, phi) == kinematic_unit(4).map_left(times(phi), alg)
+        assert kinematic_of(4, phi) == oracle_map_left(kinematic_unit(4), times(phi), alg)
 
 
 def test_kernel_matches_oracle_for_step_up_maps():
+    # restriction is phi = 1 read in the smaller model, the s-step phi = s
+    # read in the larger one: table-read images and tensors against the
+    # slow normal forms
     for n in range(1, 9):
         small, big = build_algebra(n), build_algebra(n + 1)
 
@@ -325,9 +345,25 @@ def test_kernel_matches_oracle_for_step_up_maps():
         def step(mono):
             return big.normal_form(S * GradedPoly.monomial(*mono))
 
+        restriction = _product_images(small.one(), big)
+        step_up = _product_images(big.normal_form(S), small)
+        for d in range(2 * n + 3):
+            expected = _image_matrices(restrict, big.basis(d), small)
+            assert _as_fractions(restriction(d)) == _as_fractions(expected), (n, d)
+        for d in range(2 * n + 1):
+            expected = _image_matrices(step, small.basis(d), big)
+            assert _as_fractions(step_up(d)) == _as_fractions(expected), (n, d)
         upper, lower = kinematic_unit(n + 1), kinematic_unit(n)
-        assert upper.map_right(restrict, small) == oracle_map_right(upper, restrict, small), n
-        assert lower.map_left(step, big) == oracle_map_left(lower, step, big), n
+        assert upper.map_right(small.one()) == oracle_map_right(upper, restrict, small), n
+        assert lower.map_left(big.normal_form(S)) == oracle_map_left(lower, step, big), n
+
+
+def test_map_across_model_kinds_is_refused():
+    unitary, orthogonal = kinematic_unit(3), so_kinematic(4, 0)
+    with pytest.raises(AlgebraMismatch):
+        unitary.map_left(SOAlgebra(4).normal_form("t"))
+    with pytest.raises(AlgebraMismatch):
+        orthogonal.map_left(build_algebra(3).normal_form("t"))
 
 
 def test_build_algebra_shares_one_instance_across_threads(monkeypatch, fresh_matrix_caches):

@@ -71,7 +71,7 @@ def test_suite_catches_corrupted_reduction_kernel(monkeypatch, fresh_matrix_cach
     assert not report.ok
     failing = {entry.name: entry.counterexample for entry in report.entries if not entry.passed}
     assert all(failing.values())
-    assert {"ring-axioms", "pairing-structure", "kinematic-step-up"} <= set(failing)
+    assert {"ring-axioms", "pairing-structure", "restriction-homomorphism"} <= set(failing)
 
 
 def test_suite_catches_corrupted_elimination(monkeypatch, fresh_matrix_caches):
@@ -183,12 +183,13 @@ def test_suite_catches_tensor_kernel_corrupted_on_both_sides(monkeypatch):
 
 def test_suite_catches_corrupted_tensor_images(monkeypatch):
     # Both placements share the images phi * b, so only the pairing formula
-    # (and the annihilator congruence) can see a wrong image.
+    # (and the annihilator congruence) can see a wrong image; restriction and
+    # the s-step are images too, so the step-up identity breaks as well.
     real_product_images = kinematics._product_images
 
-    def corrupted(phi):
+    def corrupted(phi, source):
         """Adds t^(2n) to the image of 1 under multiplication by phi."""
-        images = real_product_images(phi)
+        images = real_product_images(phi, source)
         top = phi.algebra.top_degree
 
         def corrupted_images(d):
@@ -203,7 +204,7 @@ def test_suite_catches_corrupted_tensor_images(monkeypatch):
     monkeypatch.setattr(kinematics, "_product_images", corrupted)
     report = run_suite(6)
     failing = {entry.name: entry.counterexample for entry in report.entries if not entry.passed}
-    assert {"kinematic-cocommutativity", "annihilator-congruence"} <= set(failing)
+    assert {"kinematic-cocommutativity", "annihilator-congruence", "kinematic-step-up"} <= set(failing)
     assert "differs from the pairing formula" in failing["kinematic-cocommutativity"]
 
 
