@@ -32,6 +32,7 @@ from .duality import (
     kinematic_annihilator_block,
     kinematic_matrix,
     pairing_matrix,
+    pairing_pivots,
     pairing_value,
     positivity_scan,
     step_down_identity_holds,
@@ -124,6 +125,7 @@ __all__ = [
     "log_components",
     "log_recursion_holds",
     "pairing_matrix",
+    "pairing_pivots",
     "pairing_value",
     "poly_format",
     "poly_parse",

@@ -36,7 +36,7 @@ from typing import Iterable
 
 from .errors import AlgebraMismatch, DegreeOutOfRange, InternalInconsistency
 from .exact import _exact
-from .poly import GradedPoly, Monomial, S, log_component, poly_parse
+from .poly import GradedPoly, Monomial, log_component, poly_parse
 
 
 def basis_monomials(n: int, d: int) -> tuple[Monomial, ...]:
@@ -176,12 +176,6 @@ class AlgebraElement:
         if not 1 <= m <= self.algebra.n:
             raise DegreeOutOfRange(f"restriction target must satisfy 1 <= m <= {self.algebra.n}")
         return build_algebra(m).normal_form(self.poly)
-
-    def step_up(self) -> "AlgebraElement":
-        """Multiplication by s after inclusion into the next unitary model."""
-        if not isinstance(self.algebra, UnitaryAlgebra):
-            raise AlgebraMismatch("step-up is defined on the unitary model")
-        return build_algebra(self.algebra.n + 1)._multiply(S, self.poly)
 
     def __str__(self) -> str:
         return str(self.poly)

@@ -13,7 +13,7 @@ import sys
 from functools import reduce
 from operator import mul
 
-from .algebra import SOAlgebra, build_algebra
+from .algebra import SOAlgebra, basis_monomials, build_algebra
 from .duality import (
     annihilator_change_of_basis,
     companion_data,
@@ -106,10 +106,12 @@ def build_parser() -> _Parser:
 
 
 def _cmd_basis(args) -> int:
-    alg = build_algebra(args.n)
-    if not 0 <= args.degree <= alg.top_degree:
-        raise DegreeOutOfRange(f"degree must lie in 0..{alg.top_degree}, got {args.degree}")
-    monomials = alg.basis(args.degree)
+    """Reads the closed-form basis rule; the algebra is never built."""
+    if args.n < 1:
+        raise DegreeOutOfRange("complex dimension n must be >= 1")
+    if not 0 <= args.degree <= 2 * args.n:
+        raise DegreeOutOfRange(f"degree must lie in 0..{2 * args.n}, got {args.degree}")
+    monomials = basis_monomials(args.n, args.degree)
     if args.format == "json":
         payload = {"n": args.n, "degree": args.degree, "basis": json.loads(format_basis(monomials, "json"))}
         print(json.dumps(payload, indent=2))

@@ -15,6 +15,8 @@ the reduction engine (entry "pairing-structure").
 
   * pairing_value(n, m)             the closed form h(n, m)
   * pairing_matrix(n, k)            the (k+1)x(k+1) Hankel matrix of h
+  * pairing_pivots(n, k)            the LDL^T pivots of that matrix in
+                                    reversed order, in closed form
   * kinematic_matrix(n, k)          its inverse: one coefficient block of the
                                     kinematic tensor
   * annihilator_change_of_basis     rewrites monomial coordinates in the
@@ -37,7 +39,7 @@ from math import comb
 
 from .algebra import build_algebra
 from .errors import IndexOutOfRange, InternalInconsistency, StructureViolation
-from .exact import ExactMatrix, _row_reduce, is_positive_definite
+from .exact import ExactMatrix, _row_reduce
 from .poly import GradedPoly, log_component
 
 
@@ -66,6 +68,42 @@ def pairing_matrix(n: int, k: int) -> ExactMatrix:
         raise IndexOutOfRange(f"pairing matrix requires 0 <= 2k <= n, got n={n}, k={k}")
     h = [pairing_value(n, m) for m in range(2 * k + 1)]
     return ExactMatrix([[h[i + j] for j in range(k + 1)] for i in range(k + 1)])
+
+
+def _pivot_ratio(big_n: int, i: int) -> tuple[int, int]:
+    """d_i / d_(i-1) for the pivots of J P(n, k) J with N = n - 2k, as (numerator, denominator).
+
+    4i (2N+2i-1) (2i-1) (i+N-1) / ((2i+N-2) (2i+N-1)^2 (2i+N)); at N = 0, i = 1
+    the factor (i+N-1) / (2i+N-2) is 0/0 and equals 1.
+    """
+    c = 2 * i + big_n
+    up = 4 * i * (2 * big_n + 2 * i - 1) * (2 * i - 1) * ((i + big_n - 1) or 1)
+    return up, ((c - 2) or 1) * (c - 1) ** 2 * c
+
+
+def pairing_pivots(n: int, k: int) -> tuple[Fraction, ...]:
+    """Exact LDL^T pivots d_0..d_k of J P(n, k) J, where J reverses the order.
+
+    P is the Hankel matrix of a moment sequence of the beta weight
+    u^(N-1/2) (1-u)^(-1/2) on [0, 1], N = n - 2k, so its pivots are the
+    norms of the monic shifted Jacobi polynomials of that weight (Szego,
+    Orthogonal Polynomials; Koekoek-Lesky-Swarttouw, Hypergeometric
+    Orthogonal Polynomials): d_0 = h(n, 2k) = C(2N, N) / C(2n, n), then one
+    integer term ratio per step (``_pivot_ratio``).  Every factor is
+    positive, so every P(n, k), hence every kinematic matrix Q(n, k), with
+    2k <= n is positive definite.  The identity suite checks the pivots
+    against elimination (entry "kinematic-positive-definite").
+    """
+    if not 0 <= 2 * k <= n:
+        raise IndexOutOfRange(f"pairing pivots require 0 <= 2k <= n, got n={n}, k={k}")
+    big_n = n - 2 * k
+    num, den = comb(2 * big_n, big_n), comb(2 * n, n)
+    pivots = [Fraction(num, den)]
+    for i in range(1, k + 1):
+        up, down = _pivot_ratio(big_n, i)
+        num, den = num * up, den * down
+        pivots.append(Fraction(num, den))
+    return tuple(pivots)
 
 
 @lru_cache(maxsize=None)
@@ -293,15 +331,16 @@ def coefficient_recurrences_hold(n: int, k: int) -> bool:
 def positivity_scan(n_max: int) -> list[tuple[int, int, bool]]:
     """Positive definiteness of every kinematic matrix with 2k <= n <= n_max.
 
-    Q(n, k) is the inverse of the pairing matrix P(n, k), and the inverse of
-    a nonsingular symmetric matrix is positive definite exactly when the
-    matrix is, so P is tested and nothing is inverted.  Reports only; draws no conclusion
-    beyond the scanned range.
+    Every Q(n, k) with 2k <= n is positive definite: Q is the inverse of the
+    pairing matrix P(n, k), which is positive definite exactly when it is,
+    and the closed-form pivots of P (``pairing_pivots``) are products of
+    positive factors.  The scan reports the sign of those exact pivots; it
+    builds no matrix and inverts nothing.
     """
     if n_max < 1:
         raise IndexOutOfRange("n_max must be >= 1")
     return [
-        (n, k, is_positive_definite(pairing_matrix(n, k)))
+        (n, k, all(d > 0 for d in pairing_pivots(n, k)))
         for n in range(1, n_max + 1)
         for k in range(n // 2 + 1)
     ]

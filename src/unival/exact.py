@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NotInSpan, NotSymmetric, SingularMatrix
 
@@ -257,30 +257,33 @@ def solve_in_span(generators: Sequence[Sequence], target: Sequence) -> tuple[Fra
     return tuple(lam)
 
 
+def _leading_minors(a: list[list[int]]) -> Iterator[int]:
+    """Leading principal minors of an integer matrix, by one fraction-free (Bareiss) pass without pivoting.
+
+    After k steps the diagonal entry ``a[k][k]`` is the (k+1)-th minor; it is
+    yielded before the next step divides by it.  Works on ``a`` in place.
+    """
+    previous = 1
+    for k, lead in enumerate(a):
+        pivot = lead[k]
+        yield pivot
+        for row in a[k + 1:]:
+            factor = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = (pivot * row[j] - factor * lead[j]) // previous
+        previous = pivot
+
+
 def is_positive_definite(m: ExactMatrix) -> bool:
     """Sylvester test: every leading principal minor is strictly positive.
 
-    One fraction-free Bareiss pass without pivoting over the matrix scaled to
-    integers (a positive scale keeps the sign of every minor): after k steps
-    the diagonal entry ``a[k][k]`` is the (k+1)-th leading principal minor,
-    so the pass stops at the first one that is not positive.  Cubic in the
-    size, where a determinant per minor would be quartic.
+    One Bareiss pass (``_leading_minors``) over the matrix scaled to integers
+    (a positive scale keeps the sign of every minor) that stops at the first
+    minor that is not positive.  Cubic in the size, where a determinant per
+    minor would be quartic.
     """
     if not m.is_square():
         raise NotSymmetric("matrix is not square")
     if not m.is_symmetric():
         raise NotSymmetric("matrix is not symmetric")
-    a, _ = _integer_rows(m._data)
-    size = m.rows
-    previous = 1
-    for k in range(size):
-        pivot = a[k][k]
-        if pivot <= 0:
-            return False
-        lead = a[k]
-        for i in range(k + 1, size):
-            row, factor = a[i], a[i][k]
-            for j in range(k + 1, size):
-                row[j] = (pivot * row[j] - factor * lead[j]) // previous
-        previous = pivot
-    return True
+    return all(minor > 0 for minor in _leading_minors(_integer_rows(m._data)[0]))

@@ -124,20 +124,11 @@ class GradedPoly:
             return -1
         return max(2 * p + q for p, q in self._terms)
 
-    def homogeneous_component(self, degree: int) -> "GradedPoly":
-        return GradedPoly(
-            {mono: c for mono, c in self._terms.items() if 2 * mono[0] + mono[1] == degree}
-        )
-
     def homogeneous_components(self) -> dict[int, "GradedPoly"]:
         split: dict[int, dict[Monomial, Fraction]] = {}
         for mono, c in self._terms.items():
             split.setdefault(2 * mono[0] + mono[1], {})[mono] = c
         return {d: GradedPoly(terms) for d, terms in sorted(split.items())}
-
-    def is_homogeneous(self) -> bool:
-        degrees = {2 * p + q for p, q in self._terms}
-        return len(degrees) <= 1
 
     def truncated(self, max_degree: int) -> "GradedPoly":
         return GradedPoly(
@@ -404,10 +395,6 @@ class UniPoly:
     @classmethod
     def constant(cls, c) -> "UniPoly":
         return cls((c,))
-
-    @classmethod
-    def variable(cls) -> "UniPoly":
-        return cls((0, 1))
 
     def degree(self) -> int:
         return len(self.coeffs) - 1

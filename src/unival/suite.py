@@ -30,12 +30,13 @@ from .duality import (
     kinematic_annihilator_block,
     kinematic_matrix,
     pairing_matrix,
+    pairing_pivots,
     pairing_value,
     step_down_identity_holds,
     top_coefficient,
 )
 from .errors import InternalInconsistency
-from .exact import ExactMatrix, _integer_rows, _row_reduce, is_positive_definite, solve_in_span
+from .exact import ExactMatrix, _integer_rows, _leading_minors, _row_reduce, is_positive_definite, solve_in_span
 from .kinematics import (
     TensorElement,
     annihilator_congruence_holds,
@@ -441,11 +442,26 @@ def _check_so_unit_coefficients(n_max: int) -> Optional[str]:
     return None
 
 
+def _elimination_pivots(rows: list[list[Fraction]]) -> tuple[Fraction, ...]:
+    """The D of A = L D L^T: ratios of leading principal minors, by elimination without row exchanges."""
+    a, den = _integer_rows(rows)
+    minors = [1, *_leading_minors(a)]  # of den * A, so the i-th pivot carries one more factor den
+    return tuple(Fraction(minors[i + 1], minors[i] * den) for i in range(len(a)))
+
+
 def _check_kinematic_positivity(n_max: int) -> Optional[str]:
+    """Sylvester's test on each Q(n, k), and the closed-form pivots of J P(n, k) J against elimination."""
     for n in range(1, min(n_max, 12) + 1):
         for k in range(n // 2 + 1):
             if not is_positive_definite(kinematic_matrix(n, k)):
                 return f"n={n}, k={k}: kinematic matrix is not positive definite"
+            expected = _elimination_pivots([row[::-1] for row in reversed(pairing_matrix(n, k).to_rows())])
+            pivots = pairing_pivots(n, k)
+            if pivots != expected:
+                return (
+                    f"n={n}, k={k}: closed-form pairing pivots {[str(d) for d in pivots]} differ from "
+                    f"elimination of the reversed pairing matrix {[str(d) for d in expected]}"
+                )
     return None
 
 

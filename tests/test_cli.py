@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import unival
-from unival import ExactMatrix, kinematic_matrix, poly_parse
+from unival import ExactMatrix, algebra, cli, kinematic_matrix, poly_parse
 from unival.cli import run
 
 
@@ -34,6 +34,26 @@ def test_basis_degree_out_of_range_exits_1(capsys):
         assert err == f"error: degree must lie in 0..{2 * n}, got {degree}\n"
     code, out, _ = _capture(capsys, ["basis", "--n", "3", "--degree", "6"])
     assert (code, out) == (0, "t^6\n")
+
+
+def test_basis_builds_no_algebra(capsys, monkeypatch):
+    """The range checks fire, and the basis prints, before any model could be built."""
+
+    def forbidden(n):
+        raise AssertionError(f"basis built the algebra for n={n}")
+
+    monkeypatch.setattr(cli, "build_algebra", forbidden)
+    monkeypatch.setattr(algebra, "build_algebra", forbidden)
+    monkeypatch.setattr(algebra, "UnitaryAlgebra", forbidden)
+    cases = {
+        ("0", "0"): (1, "", "error: complex dimension n must be >= 1\n"),
+        ("-3", "1"): (1, "", "error: complex dimension n must be >= 1\n"),
+        ("100000", "200001"): (1, "", "error: degree must lie in 0..200000, got 200001\n"),
+        ("100000", "-1"): (1, "", "error: degree must lie in 0..200000, got -1\n"),
+        ("100000", "3"): (0, "t^3, s*t\n", ""),
+    }
+    for (n, degree), expected in cases.items():
+        assert _capture(capsys, ["basis", "--n", n, "--degree", degree]) == expected, (n, degree)
 
 
 def test_basis_below_first_relation(capsys):

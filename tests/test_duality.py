@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from unival import algebra
+from unival import algebra, duality, exact
 from unival import (
     ExactMatrix,
     GradedPoly,
@@ -27,6 +27,7 @@ from unival import (
     kinematic_matrix,
     log_component,
     pairing_matrix,
+    pairing_pivots,
     pairing_value,
     poly_parse,
     positivity_scan,
@@ -229,15 +230,55 @@ def test_positivity_of_pairing_and_kinematic_matrices_agree():
 
 def test_positivity_scan_builds_no_algebra_and_inverts_nothing(monkeypatch, fresh_matrix_caches):
     monkeypatch.setattr(algebra, "_BUILD_CACHE", {})
-    inversions = []
-    real_inverse = ExactMatrix.inverse
+    calls = []
 
-    def counting_inverse(self):
-        inversions.append(self)
-        return real_inverse(self)
+    def recording(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
 
-    monkeypatch.setattr(ExactMatrix, "inverse", counting_inverse)
+        return wrapper
+
+    monkeypatch.setattr(ExactMatrix, "inverse", recording("inverse", ExactMatrix.inverse))
+    monkeypatch.setattr(duality, "pairing_matrix", recording("pairing_matrix", duality.pairing_matrix))
+    monkeypatch.setattr(exact, "is_positive_definite", recording("is_positive_definite", is_positive_definite))
+    assert not hasattr(duality, "is_positive_definite")
     rows = positivity_scan(20)
     assert len(rows) == sum(n // 2 + 1 for n in range(1, 21))
+    assert all(flag for _, _, flag in rows)
     assert algebra._BUILD_CACHE == {}
-    assert inversions == []
+    assert calls == []
+    assert pairing_matrix.cache_info().currsize == 0
+
+
+def _ldl_pivots(n, k):
+    """Oracle: the D of J P J = L D L^T by plain Fraction elimination, J the order reversal."""
+    size = k + 1
+    p = pairing_matrix(n, k)
+    a = [[p[size - 1 - i, size - 1 - j] for j in range(size)] for i in range(size)]
+    pivots = []
+    for i in range(size):
+        pivots.append(a[i][i])
+        for r in range(i + 1, size):
+            factor = a[r][i] / a[i][i]
+            for c in range(i + 1, size):
+                a[r][c] -= factor * a[i][c]
+    return tuple(pivots)
+
+
+def test_pairing_pivots_match_fraction_ldl():
+    for n in range(41):
+        for k in range(n // 2 + 1):
+            pivots = pairing_pivots(n, k)
+            assert pivots == _ldl_pivots(n, k), (n, k)
+            assert all(type(d) is Fraction and d > 0 for d in pivots), (n, k)
+
+
+def test_pairing_pivots_reference_values_and_range():
+    # J P(2, 1) J = [[1/6, 1/3], [1/3, 1]]: N = 0, so the first ratio is the 0/0 case
+    assert pairing_pivots(2, 1) == (F(1, 6), F(1, 3))
+    assert pairing_pivots(3, 1) == (F(1, 10), F(1, 10))
+    assert pairing_pivots(4, 0) == (F(1),)
+    for n, k in ((3, 2), (4, -1), (-1, 0)):
+        with pytest.raises(IndexOutOfRange):
+            pairing_pivots(n, k)

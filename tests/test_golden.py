@@ -77,6 +77,8 @@ def _cases() -> dict[str, list[list[str]]]:
             cases.setdefault("son", []).append(["son", "--n", str(n), "--k", str(k), *flag])
     cases["check"] = [["check", "--n-max", "4", "--format", fmt] for fmt in ("plain", "json")]
     cases["positivity"] = [["positivity", "--n-max", "6", "--format", fmt] for fmt in ("plain", "json", "csv")]
+    # n = 40 pins the scan far past the range the suite re-checks by elimination
+    cases["positivity"].append(["positivity", "--n-max", "40", "--format", "csv"])
     return cases
 
 
@@ -274,6 +276,7 @@ GOLDEN: dict[str, str] = {
     'positivity --n-max 6 --format plain': 'b53cb7b792e99924a6894e539b9998b3331df7e8326f3cffb95299d2874eff67',
     'positivity --n-max 6 --format json': 'f74ae5acbe69a59410d46d374b526bf7298cb8210c383bdb6c8462371a5fd3e6',
     'positivity --n-max 6 --format csv': 'f97fae030340927a60561802c904791e6f3c170daa455ce9cf33da22719b80f5',
+    'positivity --n-max 40 --format csv': '556d7977e47950dad5da91eff4a1c6b9f321d2b6d8e53cb853369ddc0b8cf3fd',
 }
 
 

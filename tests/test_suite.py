@@ -208,6 +208,22 @@ def test_suite_catches_corrupted_tensor_images(monkeypatch):
     assert "differs from the pairing formula" in failing["kinematic-cocommutativity"]
 
 
+def test_suite_catches_corrupted_pivot_ratio(monkeypatch):
+    real_ratio = duality._pivot_ratio
+
+    def corrupted(big_n, i):
+        """Drops the square from the (2i+N-1)^2 factor of the denominator."""
+        up, down = real_ratio(big_n, i)
+        return up, down // (2 * i + big_n - 1)
+
+    monkeypatch.setattr(duality, "_pivot_ratio", corrupted)
+    # every pivot stays positive, so the scan alone cannot see the fault
+    assert all(flag for _, _, flag in duality.positivity_scan(4))
+    failing = _failing_entries(run_suite(3))
+    assert set(failing) == {"kinematic-positive-definite"}
+    assert failing["kinematic-positive-definite"].startswith("n=3, k=1: closed-form pairing pivots")
+
+
 def _patch_every_binding(monkeypatch, name, replacement):
     """Replace ``name`` in every unival module that binds it."""
     for module in (unival, algebra, duality, kinematics, suite, cli):
