@@ -58,7 +58,6 @@ from .kinematics import (
     kinematic_of,
     kinematic_unit,
     so_kinematic,
-    so_kinematic_of,
     step_up_identity_holds,
 )
 from .poly import (
@@ -133,7 +132,6 @@ __all__ = [
     "run_suite",
     "series_dimension",
     "so_kinematic",
-    "so_kinematic_of",
     "solve_in_span",
     "step_down_identity_holds",
     "step_down_matrix",

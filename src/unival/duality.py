@@ -48,6 +48,16 @@ def top_coefficient(element) -> Fraction:
     return element.poly.coefficient(0, element.algebra.top_degree)
 
 
+def _product_gram(model, d: int) -> ExactMatrix:
+    """Gram matrix top(b_v * b_u) of any model, read from its own product.
+
+    b_v runs over the basis of degree top-d (rows) and b_u over degree d.
+    On the unitary model it is ``pairing_matrix`` (entry "pairing-structure").
+    """
+    lower, upper = ([GradedPoly.monomial(*m) for m in model.basis(e)] for e in (d, model.top_degree - d))
+    return ExactMatrix([[top_coefficient(model._multiply(v, u)) for u in lower] for v in upper])
+
+
 def pairing_value(n: int, m: int) -> Fraction:
     """Top coefficient of s^m t^(2n-2m) in the unitary model: C(2n-2m, n-m) / C(2n, n)."""
     if not 0 <= m <= n:

@@ -2,26 +2,29 @@
 
 A tensor lives in (left model) x (right model) and is stored as one exact
 coefficient matrix per bidegree, indexed by the ordered monomial bases of the
-two factors.  The unit kinematic tensor of the unitary model packs one
-kinematic matrix per bidegree (i, 2n-i); multiplying a factor in, restricting
-a factor, or stepping a factor up are all linear block operations.
+two factors.  The unit kinematic tensor of a model with top degree top has
+one block per bidegree (d, top-d): the inverse of the product pairing's Gram
+matrix, in closed form for the unitary model (``kinematic_matrix``) and read
+from its own product for any other.  Multiplying a factor in, restricting a
+factor, or stepping a factor up are all linear block operations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import lcm
 from operator import mul
 
 from .algebra import (
     AlgebraElement,
     SOAlgebra,
+    UnitaryAlgebra,
     _numerators,
     annihilator_basis,
     build_algebra,
 )
-from .duality import kinematic_matrix
+from .duality import _product_gram, kinematic_matrix
 from .errors import AlgebraMismatch, DegreeOutOfRange, NotInSpan
 from .exact import ExactMatrix, solve_in_span
 from .poly import GradedPoly, S
@@ -176,39 +179,38 @@ def _dot_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 def kinematic_unit(n: int) -> TensorElement:
-    """The unit kinematic tensor: one kinematic matrix per bidegree (i, 2n-i)."""
+    """The unitary unit kinematic tensor: the closed-form kinematic matrix per bidegree (d, 2n-d)."""
     alg = build_algebra(n)
-    blocks = {}
-    for i in range(2 * n + 1):
-        blocks[(i, 2 * n - i)] = kinematic_matrix(n, min(i // 2, (2 * n - i) // 2))
+    blocks = {(d, 2 * n - d): kinematic_matrix(n, min(d, 2 * n - d) // 2) for d in range(2 * n + 1)}
     return TensorElement(alg, alg, blocks)
+
+
+@lru_cache(maxsize=16)  # sweeps read one model at a time; the bound keeps large units from piling up
+def _product_pairing_unit(model) -> TensorElement:
+    """The unit kinematic tensor of any model: block (d, top-d) inverts its product Gram matrix."""
+    top = model.top_degree
+    return TensorElement(model, model, {(d, top - d): _product_gram(model, d).inverse() for d in range(top + 1)})
 
 
 def kinematic_of(n: int, phi: AlgebraElement) -> TensorElement:
-    """Kinematic tensor of an element: the unit tensor with the factor absorbed on the left.
+    """Kinematic tensor of an element of either model: its unit tensor with phi absorbed on the left.
 
-    Integer work from the reduction tables to the final entries
-    (``_product_images``).  Absorbing it on the right gives the same tensor,
-    and both equal the pairing formula; the identity suite checks both
-    (entry "kinematic-cocommutativity").
+    The unitary unit is the closed form, any other model's is read from its
+    own product pairing.  Absorbing phi is integer work from the reduction
+    tables (``_product_images``); on the right it gives the same tensor, and
+    both equal the pairing formula (suite entry "kinematic-cocommutativity").
     """
-    return kinematic_unit(n).multiply_left(phi)
+    model = phi.algebra  # its kind; ``multiply_left`` refuses it unless its dimension is n
+    unit = kinematic_unit(n) if isinstance(model, UnitaryAlgebra) else _product_pairing_unit(type(model)(n))
+    return unit.multiply_left(phi)
 
 
 def so_kinematic(n_real: int, k: int) -> TensorElement:
-    """Kinematic tensor of t^k in the orthogonal model: all-ones over i+j = n+k."""
+    """Kinematic tensor of t^k in the orthogonal model, through ``kinematic_of``."""
     alg = SOAlgebra(n_real)
     if not 0 <= k <= n_real:
         raise DegreeOutOfRange(f"power must satisfy 0 <= k <= {n_real}, got {k}")
-    blocks = {
-        (i, n_real + k - i): ExactMatrix([[1]]) for i in range(k, n_real + 1)
-    }
-    return TensorElement(alg, alg, blocks)
-
-
-def so_kinematic_of(n_real: int, phi: AlgebraElement) -> TensorElement:
-    """Kinematic tensor of an orthogonal-model element: k(1) with the factor absorbed on the left."""
-    return so_kinematic(n_real, 0).multiply_left(phi)
+    return kinematic_of(n_real, alg.normal_form(GradedPoly.monomial(0, k)))
 
 
 def annihilator_congruence_holds(n: int, k: int) -> bool:

@@ -22,6 +22,7 @@ from .algebra import (
     series_dimension,
 )
 from .duality import (
+    _product_gram,
     coefficient_recurrences_hold,
     companion_coefficient,
     companion_data,
@@ -322,11 +323,8 @@ def _check_pairing_reference_values(n_max: int) -> Optional[str]:
 def _check_pairing_structure(n_max: int) -> Optional[str]:
     for n in range(1, n_max + 1):
         alg = build_algebra(n)
-
-        def normal_forms(degree: int, count: int) -> list:
-            return [alg.normal_form(GradedPoly.monomial(i, degree - 2 * i)) for i in range(count)]
-
-        for m, direct in enumerate(normal_forms(2 * n, n + 1)):
+        for m in range(n + 1):
+            direct = alg.normal_form(GradedPoly.monomial(m, 2 * n - 2 * m))
             if top_coefficient(direct) != pairing_value(n, m):
                 return (
                     f"n={n}, m={m}: s^{m} t^{2 * n - 2 * m} reduces to top coefficient "
@@ -341,20 +339,9 @@ def _check_pairing_structure(n_max: int) -> Optional[str]:
                 return f"n={n}, k={k}: kinematic * pairing != identity"
             if not q.is_symmetric():
                 return f"n={n}, k={k}: kinematic matrix is not symmetric"
-            routes = [("<a,b>", normal_forms(2 * k, k + 1), normal_forms(2 * n - 2 * k, k + 1))]
-            if 2 * k + 1 <= n:
-                routes.append(
-                    ("<<a,b>>", normal_forms(2 * k + 1, k + 1), normal_forms(2 * n - 2 * k - 1, k + 1))
-                )
-            for label, a, b in routes:
-                for i in range(k + 1):
-                    for j in range(k + 1):
-                        value = top_coefficient(a[i] * b[j])
-                        if value != p[i, j]:
-                            return (
-                                f"n={n}, k={k}, ({i},{j}): product pairing {label} = {value}, "
-                                f"pairing matrix entry = {p[i, j]}"
-                            )
+            for label, d in (("<a,b>", 2 * k), ("<<a,b>>", 2 * k + 1)):
+                if d <= n and _product_gram(alg, d) != p:
+                    return f"n={n}, k={k}: product pairing {label} is {_product_gram(alg, d)!r}, not {p!r}"
     return None
 
 
@@ -431,14 +418,12 @@ def _check_cocommutativity(n_max: int) -> Optional[str]:
 def _check_so_unit_coefficients(n_max: int) -> Optional[str]:
     one = ExactMatrix([[1]])
     for n_real in range(1, n_max + 1):
+        alg = SOAlgebra(n_real)
         for k in range(n_real + 1):
+            ones = TensorElement(alg, alg, {(i, n_real + k - i): one for i in range(k, n_real + 1)})
             tensor = so_kinematic(n_real, k)
-            expected_keys = {(i, n_real + k - i) for i in range(k, n_real + 1)}
-            if set(tensor.blocks) != expected_keys:
-                return f"n={n_real}, k={k}: blocks {sorted(tensor.blocks)} != {sorted(expected_keys)}"
-            for key, matrix in tensor.blocks.items():
-                if matrix != one:
-                    return f"n={n_real}, k={k}: block {key} = {matrix!r} is not 1"
+            if tensor != ones:
+                return f"n={n_real}, k={k}: kinematic tensor {tensor.sorted_blocks()} is not all-ones"
     return None
 
 

@@ -5,12 +5,14 @@ from __future__ import annotations
 import pytest
 
 from unival.duality import kinematic_matrix, pairing_matrix
+from unival.kinematics import _product_pairing_unit
 
 
 @pytest.fixture
 def fresh_matrix_caches():
-    pairing_matrix.cache_clear()
-    kinematic_matrix.cache_clear()
+    caches = (pairing_matrix, kinematic_matrix, _product_pairing_unit)
+    for cached in caches:
+        cached.cache_clear()
     yield
-    pairing_matrix.cache_clear()
-    kinematic_matrix.cache_clear()
+    for cached in caches:
+        cached.cache_clear()

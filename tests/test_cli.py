@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import unival
-from unival import ExactMatrix, algebra, cli, kinematic_matrix, poly_parse
+from unival import ExactMatrix, algebra, cli, kinematic_matrix, kinematics, poly_parse
 from unival.cli import run
 
 
@@ -189,6 +189,36 @@ def test_usage_error_exit_code(capsys):
     code, out, err = _capture(capsys, ["mul", "--n", "2", "s"])
     assert (code, out) == (1, "")
     assert "required" in err
+
+
+def test_orthogonal_errors_are_unchanged(capsys):
+    cases = {
+        ("son", "--n", "3", "--k", "-1"): "error: power must satisfy 0 <= k <= 3, got -1\n",
+        ("son", "--n", "0", "--k", "0"): "error: real dimension n must be >= 1\n",
+        ("kinematic", "--so", "3", "--phi", "s"): "error: the orthogonal model is generated by t alone\n",
+        ("kinematic", "--n", "2", "--so", "3"): (
+            "error: exactly one of --n (unitary) or --so (orthogonal) is required\n"
+        ),
+    }
+    for argv, err in cases.items():
+        assert _capture(capsys, list(argv)) == (1, "", err), argv
+
+
+def test_orthogonal_ceiling_fires_before_any_build(capsys, monkeypatch):
+    """Past ``SO_CEILING`` both commands exit 1 naming it; at the ceiling the build is reached."""
+
+    def forbidden(n):
+        raise AssertionError(f"built the orthogonal model for n={n}")
+
+    for module in (cli, algebra, kinematics):
+        monkeypatch.setattr(module, "SOAlgebra", forbidden)
+    above = str(cli.SO_CEILING + 1)
+    err = f"error: real dimension must be <= {cli.SO_CEILING} (the orthogonal ceiling), got {above}\n"
+    for argv in (["son", "--n", above, "--k", "0"], ["kinematic", "--so", above, "--phi", "t"]):
+        assert _capture(capsys, argv) == (1, "", err), argv
+    for argv in (["son", "--n", str(cli.SO_CEILING), "--k", "0"], ["kinematic", "--so", str(cli.SO_CEILING)]):
+        with pytest.raises(AssertionError, match="built the orthogonal model"):
+            run(argv)
 
 
 def test_kinematic_mode_flags_are_exclusive(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from random import Random
 from threading import Barrier
 import sys
 import time
@@ -25,12 +26,11 @@ from unival import (
     kinematic_of,
     kinematic_unit,
     so_kinematic,
-    so_kinematic_of,
     step_up_identity_holds,
 )
 from unival import algebra
 from unival.exact import _integer_rows
-from unival.kinematics import _product_images
+from unival.kinematics import _product_images, _product_pairing_unit
 from unival.poly import GradedPoly, S
 from unival.suite import _pairing_formula_tensor
 
@@ -175,17 +175,35 @@ def test_so_kinematic_examples():
         so_kinematic(2, 3)
 
 
-def test_so_kinematic_of_linearity():
+def test_kinematic_of_orthogonal_linearity():
     so4 = SOAlgebra(4)
-    assert so_kinematic_of(4, so4.normal_form("t")) == so_kinematic(4, 1)
-    combined = so_kinematic_of(4, so4.normal_form("t + 2*t^3"))
+    assert kinematic_of(4, so4.normal_form("t")) == so_kinematic(4, 1)
+    combined = kinematic_of(4, so4.normal_form("t + 2*t^3"))
     assert combined == so_kinematic(4, 1) + so_kinematic(4, 3).scale(2)
 
 
-def test_so_kinematic_of_rejects_foreign_element():
+def test_kinematic_of_rejects_foreign_orthogonal_element():
+    """An element of another dimension, of either model, is refused."""
     for phi in (SOAlgebra(3).normal_form("t"), build_algebra(2).normal_form("t")):
         with pytest.raises(AlgebraMismatch):
-            so_kinematic_of(4, phi)
+            kinematic_of(4, phi)
+
+
+def test_product_pairing_unit_is_the_closed_form(fresh_matrix_caches):
+    """The theorem on the unitary model: inverting its own product Gram matrices gives kinematic_unit."""
+    for n in range(1, 7):
+        assert _product_pairing_unit(build_algebra(n)) == kinematic_unit(n), n
+
+
+def test_orthogonal_placements_agree():
+    """kinematic_of (left placement) equals the orthogonal unit with phi absorbed on the right."""
+    rng = Random(20120527)
+    for n in range(1, 7):
+        model = SOAlgebra(n)
+        for _ in range(3):
+            terms = {(0, q): F(rng.randint(-3, 3), rng.randint(1, 3)) for q in range(n + 1)}
+            phi = model.normal_form(GradedPoly(terms))
+            assert kinematic_of(n, phi) == so_kinematic(n, 0).multiply_right(phi), (n, phi)
 
 
 def test_multiplying_orthogonal_tensors():

@@ -17,7 +17,7 @@ from unival import (
     run_suite,
     suite,
 )
-from unival.algebra import AlgebraElement, UnitaryAlgebra, _BUILD_CACHE, build_algebra
+from unival.algebra import AlgebraElement, SOAlgebra, UnitaryAlgebra, _BUILD_CACHE, build_algebra
 from unival.cli import run
 from unival.poly import GradedPoly
 
@@ -222,6 +222,20 @@ def test_suite_catches_corrupted_pivot_ratio(monkeypatch):
     failing = _failing_entries(run_suite(3))
     assert set(failing) == {"kinematic-positive-definite"}
     assert failing["kinematic-positive-definite"].startswith("n=3, k=1: closed-form pairing pivots")
+
+
+def test_suite_catches_corrupted_orthogonal_product(monkeypatch, fresh_matrix_caches):
+    real_multiply = SOAlgebra._multiply
+
+    def corrupted(self, a, b):
+        """Doubles the top coefficient of every orthogonal product."""
+        product = real_multiply(self, a, b)
+        return AlgebraElement(self, product.poly + GradedPoly.monomial(0, self.n, duality.top_coefficient(product)))
+
+    monkeypatch.setattr(SOAlgebra, "_multiply", corrupted)
+    failing = _failing_entries(run_suite(3))
+    assert set(failing) == {"so-unit-coefficients"}
+    assert failing["so-unit-coefficients"].startswith("n=1, k=0: kinematic tensor")
 
 
 def _patch_every_binding(monkeypatch, name, replacement):
