@@ -72,11 +72,7 @@ class TensorElement:
         return TensorElement(self.left, self.right, merged)
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
-        self._require_same(other)
-        merged = dict(self.blocks)
-        for key, matrix in other.blocks.items():
-            merged[key] = merged[key] - matrix if key in merged else -matrix
-        return TensorElement(self.left, self.right, merged)
+        return self + other.scale(-1)
 
     def scale(self, c) -> "TensorElement":
         return TensorElement(
@@ -200,8 +196,10 @@ def kinematic_of(n: int, phi: AlgebraElement) -> TensorElement:
     tables (``_product_images``); on the right it gives the same tensor, and
     both equal the pairing formula (suite entry "kinematic-cocommutativity").
     """
-    model = phi.algebra  # its kind; ``multiply_left`` refuses it unless its dimension is n
-    unit = kinematic_unit(n) if isinstance(model, UnitaryAlgebra) else _product_pairing_unit(type(model)(n))
+    model = phi.algebra
+    if model.n != n:
+        raise AlgebraMismatch(f"factor lives in {model!r}, not in dimension {n}")
+    unit = kinematic_unit(n) if isinstance(model, UnitaryAlgebra) else _product_pairing_unit(model)
     return unit.multiply_left(phi)
 
 
