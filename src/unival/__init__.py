@@ -62,7 +62,6 @@ from .kinematics import (
 )
 from .poly import (
     GradedPoly,
-    UniPoly,
     difference_identity_holds,
     falling_factorial,
     forward_difference,
@@ -95,7 +94,6 @@ __all__ = [
     "SuiteEntry",
     "SuiteReport",
     "TensorElement",
-    "UniPoly",
     "UnitaryAlgebra",
     "UnivalError",
     "annihilator_basis",

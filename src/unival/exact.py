@@ -156,12 +156,6 @@ class ExactMatrix:
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._data, other._data)]
         )
 
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._require_same_shape(other)
-        return ExactMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._data, other._data)]
-        )
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")

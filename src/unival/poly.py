@@ -14,16 +14,16 @@ then s^2*t^(d-4), ...), matching the ordered monomial bases used everywhere
 else in the package.
 
 The module also provides the homogeneous components of log(1 + s + t), which
-generate the relation ideals of the unitary quotient models, and a small
-univariate polynomial type for the forward-difference identity.
+generate the relation ideals of the unitary quotient models, and the forward
+difference on polynomials in t alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import ParseError
 from .exact import _exact, _integer_rows
@@ -378,115 +378,55 @@ def log_recursion_holds(k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials and the forward difference
+# the forward difference on polynomials in t
 
 
-class UniPoly:
-    """Dense univariate polynomial in a formal variable z over Q."""
+def _shift(p: GradedPoly, offset: int) -> GradedPoly:
+    """p(t + offset) for p in t alone, expanded exactly by one integer Taylor shift.
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterator | list | tuple = ()):  # coeffs[i] multiplies z^i
-        cleaned = [_exact(c) for c in coeffs]
-        while cleaned and cleaned[-1] == 0:
-            cleaned.pop()
-        self.coeffs = tuple(cleaned)
-
-    @classmethod
-    def constant(cls, c) -> "UniPoly":
-        return cls((c,))
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        size = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(size)
-            ]
-        )
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + UniPoly([-c for c in other.coeffs])
-
-    def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, UniPoly):
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return UniPoly(out)
-        scalar = _exact(other)
-        return UniPoly([scalar * c for c in self.coeffs])
-
-    def __rmul__(self, other) -> "UniPoly":
-        return self.__mul__(other)
-
-    def shifted(self, offset) -> "UniPoly":
-        """p(z + offset), expanded exactly by one integer Taylor shift.
-
-        With p = P/den for an integer P of degree m and offset = u/v, the
-        integer polynomial R(z) = v^m P(z/v) satisfies R(vz + u) =
-        v^m P(z + u/v).  So R is shifted by u in place over the integers,
-        coefficient j is multiplied by v^j, and everything is divided by
-        v^m den once at the end.
-        """
-        offset = _exact(offset)
-        if not self.coeffs:
-            return self
-        u, v = offset.numerator, offset.denominator
-        m = self.degree()
-        (ints,), den = _integer_rows([self.coeffs])
-        c = [x * v ** (m - j) for j, x in enumerate(ints)]
-        for i in range(m):
-            for j in range(m - 1, i - 1, -1):
-                c[j] += u * c[j + 1]
-        scale = v**m * den
-        return UniPoly([Fraction(x * v**j, scale) for j, x in enumerate(c)])
-
-    def __repr__(self) -> str:
-        return f"UniPoly({list(self.coeffs)!r})"
+    With p = P/den for an integer P, P is shifted in place over the integers
+    and divided by den once at the end.
+    """
+    if not isinstance(offset, int):
+        raise TypeError(f"shift offsets must be integers: {offset!r}")
+    if any(s_power for s_power, _ in p._terms):
+        raise ValueError("only polynomials in t alone can be shifted")
+    m = p.total_degree()
+    (c,), den = _integer_rows([[p.coefficient(0, j) for j in range(m + 1)]])
+    for i in range(m):
+        for j in range(m - 1, i - 1, -1):
+            c[j] += offset * c[j + 1]
+    return GradedPoly._trusted({(0, j): Fraction(x, den) for j, x in enumerate(c)})
 
 
-def falling_factorial(k: int) -> UniPoly:
-    """z(z-1)...(z-k+1); the empty product for k == 0."""
-    out = UniPoly.constant(1)
+def falling_factorial(k: int) -> GradedPoly:
+    """t(t-1)...(t-k+1); the empty product for k == 0."""
+    out = GradedPoly.one()
     for j in range(k):
-        out = out * UniPoly((-j, 1))
+        out = out * GradedPoly({(0, 1): 1, (0, 0): -j})
     return out
 
 
-def forward_difference(p: UniPoly) -> UniPoly:
-    """p(z) - p(z-1)."""
-    return p - p.shifted(-1)
+def forward_difference(p: GradedPoly) -> GradedPoly:
+    """p(t) - p(t-1) for p in t alone."""
+    return p - _shift(p, -1)
 
 
 def difference_identity_holds(k: int) -> bool:
-    """Whether k+1 forward differences kill the k-factor falling factorial.
+    """Whether k forward differences take t(t-1)...(t-k+1) to k! and one more kills it.
 
-    Checks both the iterated-difference form and its binomial expansion
-    sum_i (-1)^i C(k+1, i) (z-i)(z-i-1)...(z-i-k+1) == 0.
+    Checks the vanishing both in the iterated-difference form and in its
+    binomial expansion sum_i (-1)^i C(k+1, i) (t-i)(t-i-1)...(t-i-k+1) == 0.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     base = falling_factorial(k)
     iterated = base
-    for _ in range(k + 1):
+    for _ in range(k):
         iterated = forward_difference(iterated)
-    if iterated:
+    if iterated != GradedPoly.constant(factorial(k)) or forward_difference(iterated):
         return False
-    expanded = UniPoly()
+    expanded = GradedPoly.zero()
     for i in range(k + 2):
-        expanded = expanded + (-1) ** i * comb(k + 1, i) * base.shifted(-i)
+        expanded = expanded + (-1) ** i * comb(k + 1, i) * _shift(base, -i)
     return not expanded

@@ -166,6 +166,8 @@ def test_restriction_examples():
     assert element.restrict(2) == element
     with pytest.raises(DegreeOutOfRange):
         element.restrict(3)
+    with pytest.raises(AlgebraMismatch):
+        SOAlgebra(4).normal_form("t").restrict(2)
 
 
 @given(polys, polys, st.integers(2, 5))
@@ -185,6 +187,8 @@ def test_ring_axioms(p, q, r, n):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert alg.one() * a == a
+    assert not -p + p
+    assert not -a + a
 
 
 def _step_up(x):

@@ -384,6 +384,19 @@ def test_map_across_model_kinds_is_refused():
         orthogonal.map_left(build_algebra(3).normal_form("t"))
 
 
+def test_multiplying_by_a_factor_from_another_model_is_refused():
+    unitary, orthogonal = kinematic_unit(3), so_kinematic(4, 0)
+    for tensor, foreign in (
+        (unitary, build_algebra(2).normal_form("t")),
+        (unitary, SOAlgebra(3).normal_form("t")),
+        (orthogonal, SOAlgebra(5).normal_form("t")),
+    ):
+        with pytest.raises(AlgebraMismatch):
+            tensor.multiply_left(foreign)
+        with pytest.raises(AlgebraMismatch):
+            tensor.multiply_right(foreign)
+
+
 def test_build_algebra_shares_one_instance_across_threads(monkeypatch, fresh_matrix_caches):
     class SlowAlgebra(UnitaryAlgebra):
         def __init__(self, n):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from unival import (
     GradedPoly,
     ParseError,
-    UniPoly,
     difference_identity_holds,
     falling_factorial,
     forward_difference,
@@ -22,13 +21,14 @@ from unival import (
     poly_format,
     poly_parse,
 )
+from unival.poly import _shift
 
 F = Fraction
 
 monomials = st.tuples(st.integers(0, 4), st.integers(0, 6))
 coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 polys = st.dictionaries(monomials, coefficients, max_size=6).map(GradedPoly)
-Z = UniPoly((0, 1))
+T = GradedPoly.monomial(0, 1)
 
 
 def _component(p: GradedPoly, degree: int) -> GradedPoly:
@@ -116,12 +116,12 @@ def test_scalar_multiplication_rejects_floats():
     assert GradedPoly.one() * Fraction(1, 2) == GradedPoly.constant(Fraction(1, 2))
 
 
-def test_unipoly_rejects_floats():
+def test_t_polynomials_reject_floats():
     with pytest.raises(TypeError):
-        UniPoly([0.1])
+        GradedPoly({(0, 1): 0.1})
     with pytest.raises(TypeError):
-        Z * 0.5
-    assert Z * Fraction(1, 2) == UniPoly((0, Fraction(1, 2)))
+        T * 0.5
+    assert T * Fraction(1, 2) == GradedPoly.monomial(0, 1, Fraction(1, 2))
 
 
 def test_homogeneous_components():
@@ -185,46 +185,49 @@ def test_homogeneous_multiplication_adds_degrees(p, q):
         assert prod.total_degree() == 5
 
 
-def test_unipoly_shift():
-    # (z)(z-1) shifted by -1 is (z-1)(z-2)
-    shifted = falling_factorial(2).shifted(-1)
-    expected = UniPoly((-1, 1)) * UniPoly((-2, 1))
-    assert shifted == expected
-    assert falling_factorial(0) == UniPoly.constant(1)
+def test_shift():
+    # t(t-1) shifted by -1 is (t-1)(t-2)
+    assert _shift(falling_factorial(2), -1) == (T - GradedPoly.one()) * (T - GradedPoly.constant(2))
+    assert falling_factorial(0) == GradedPoly.one()
+    assert falling_factorial(3) == poly_parse("t^3 - 3*t^2 + 2*t")
 
 
-def _horner_shifted(p: UniPoly, offset) -> UniPoly:
-    """Oracle: p(z + offset) by Horner in z + offset, one UniPoly product per step."""
-    base = UniPoly((offset, 1))
-    result = UniPoly()
-    for c in reversed(p.coeffs):
-        result = result * base + UniPoly.constant(c)
+def _horner_shifted(p: GradedPoly, offset: int) -> GradedPoly:
+    """Oracle: p(t + offset) by Horner in t + offset, one GradedPoly product per step."""
+    base = T + GradedPoly.constant(offset)
+    result = GradedPoly.zero()
+    for j in range(p.total_degree(), -1, -1):
+        result = result * base + GradedPoly.constant(p.coefficient(0, j))
     return result
 
 
-rational_offsets = st.one_of(
-    st.integers(-6, 6), st.fractions(min_value=-7, max_value=7, max_denominator=12)
-)
-
-
-@given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=40), max_size=9), rational_offsets)
+@given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=40), max_size=9), st.integers(-7, 7))
 @settings(max_examples=150)
-def test_unipoly_shift_matches_horner_oracle(coeffs, offset):
-    p = UniPoly(coeffs)
-    shifted = p.shifted(offset)
+def test_shift_matches_horner_oracle(coeffs, offset):
+    p = GradedPoly({(0, j): c for j, c in enumerate(coeffs)})
+    shifted = _shift(p, offset)
     assert shifted == _horner_shifted(p, offset)
-    assert all(type(c) is Fraction for c in shifted.coeffs)
-    assert shifted.shifted(-Fraction(offset)) == p
+    assert all(type(c) is Fraction for c in shifted.terms.values())
+    assert _shift(shifted, -offset) == p
 
 
-def test_unipoly_shift_rejects_float_offsets():
-    with pytest.raises(TypeError):
-        Z.shifted(0.5)
+def test_shift_rejects_non_integer_offsets():
+    for offset in (0.5, 1.0, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            _shift(T, offset)
+
+
+def test_shift_rejects_s_terms():
+    with pytest.raises(ValueError):
+        _shift(poly_parse("s + t"), 1)
+    with pytest.raises(ValueError):
+        forward_difference(poly_parse("s"))
 
 
 def test_forward_difference_kills_constants():
-    assert not forward_difference(UniPoly.constant(7))
-    assert forward_difference(Z) == UniPoly.constant(1)
+    assert not forward_difference(GradedPoly.constant(7))
+    assert forward_difference(T) == GradedPoly.one()
+    assert forward_difference(falling_factorial(3)) == poly_parse("3*t^2 - 9*t + 6")  # 3(t-1)(t-2)
 
 
 def test_difference_identity():

@@ -14,6 +14,7 @@ from unival import (
     duality,
     exact,
     kinematics,
+    poly,
     run_suite,
     suite,
 )
@@ -236,6 +237,15 @@ def test_suite_catches_corrupted_orthogonal_product(monkeypatch, fresh_matrix_ca
     failing = _failing_entries(run_suite(3))
     assert set(failing) == {"so-unit-coefficients"}
     assert failing["so-unit-coefficients"].startswith("n=1, k=0: kinematic tensor")
+
+
+def test_suite_catches_a_shift_that_does_nothing(monkeypatch):
+    # Delta p becomes 0 and the binomial sum of equal terms is 0, so only the
+    # constant k! left by k differences can see the fault.
+    monkeypatch.setattr(poly, "_shift", lambda p, offset: p)
+    failing = _failing_entries(run_suite(3))
+    assert set(failing) == {"difference-operator"}
+    assert failing["difference-operator"] == "k=1"
 
 
 def _patch_every_binding(monkeypatch, name, replacement):
