@@ -17,8 +17,11 @@ the reduction engine (entry "pairing-structure").
   * pairing_matrix(n, k)            the (k+1)x(k+1) Hankel matrix of h
   * pairing_pivots(n, k)            the LDL^T pivots of that matrix in
                                     reversed order, in closed form
-  * kinematic_matrix(n, k)          its inverse: one coefficient block of the
-                                    kinematic tensor
+  * kinematic_matrix(n, k)          the inverse of the pairing matrix, in
+                                    closed form from those pivots and the
+                                    rows of L^-1 (shifted Jacobi
+                                    polynomials): one coefficient block of
+                                    the kinematic tensor
   * annihilator_change_of_basis     rewrites monomial coordinates in the
                                     basis (t^j, annihilator elements)
   * companion_data(n, k)            the scaled product of a kinematic matrix
@@ -35,10 +38,11 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm, prod
+from operator import mul
 
 from .algebra import build_algebra
-from .errors import IndexOutOfRange, InternalInconsistency, StructureViolation
+from .errors import IndexOutOfRange, StructureViolation
 from .exact import ExactMatrix, _row_reduce
 from .poly import GradedPoly, log_component
 
@@ -116,13 +120,63 @@ def pairing_pivots(n: int, k: int) -> tuple[Fraction, ...]:
     return tuple(pivots)
 
 
+def _row_ratio(big_n: int, i: int, j: int) -> tuple[int, int]:
+    """e_i[j-1] / e_i[j] as (numerator, denominator), e_i row i of L^-1 in J P(n, k) J = L D L^T.
+
+    2j (2j+2N-1) / ((j-1-i) (j-1+i+N)) with N = n - 2k, for 1 <= j <= i,
+    where the denominator is never 0.
+    """
+    return 2 * j * (2 * j + 2 * big_n - 1), (j - 1 - i) * (j - 1 + i + big_n)
+
+
+def _jacobi_row(big_n: int, i: int) -> tuple[list[int], int]:
+    """Row i of L^-1 as primitive integers c over their lcm g, so that e_i = c / g.
+
+    e_i[i] = 1 and e_i[j-1] = e_i[j] * _row_ratio(N, i, j) going down in j.
+    Over the product of the ratios' denominators every entry is an integer
+    and each step divides exactly; one gcd then makes the row primitive.
+    """
+    ratios = [_row_ratio(big_n, i, j) for j in range(i, 0, -1)]
+    row = [prod(down for _, down in ratios)]
+    for up, down in ratios:
+        row.append(row[-1] * up // down)
+    g = gcd(*row)
+    return [x // g for x in reversed(row)], abs(row[0]) // g
+
+
 @lru_cache(maxsize=None)
 def kinematic_matrix(n: int, k: int) -> ExactMatrix:
-    """Inverse of the pairing matrix: the degree-(2k, 2n-2k) kinematic block."""
-    inv = pairing_matrix(n, k).inverse()
-    if not inv.is_symmetric():
-        raise InternalInconsistency(f"inverse of the symmetric pairing matrix n={n}, k={k} is not symmetric")
-    return inv
+    """Inverse of the pairing matrix: the degree-(2k, 2n-2k) kinematic block, in closed form.
+
+    With J P(n, k) J = L D L^T, D the closed-form pivots (``pairing_pivots``)
+    and e_i the rows of L^-1, the monic shifted Jacobi polynomials of the
+    weight u^(N-1/2) (1-u)^(-1/2), N = n - 2k (``_jacobi_row``):
+
+        Q(n, k) = P(n, k)^-1 = J (sum_i e_i e_i^T / d_i) J.
+
+    The work is in integers: each row over its own lcm g_i, the weights
+    1 / (g_i^2 d_i) over one common denominator, one triangle summed and
+    mirrored, and one Fraction per entry at the end.  No elimination runs
+    and no pairing matrix is built.  The tests check Q against the
+    Gauss-Jordan ``pairing_matrix(n, k).inverse()``, and the identity suite
+    checks Q P = I (entry "pairing-structure").
+    """
+    pivots = pairing_pivots(n, k)
+    big_n = n - 2 * k
+    rows, weights = [], []
+    for i, d in enumerate(pivots):
+        row, g = _jacobi_row(big_n, i)
+        rows.append(row + [0] * (k - i))
+        weights.append(Fraction(d.denominator, d.numerator * g * g))
+    common = lcm(*(w.denominator for w in weights))
+    weighted = [[x * (w.numerator * (common // w.denominator)) for x in row] for row, w in zip(rows, weights)]
+    cols, weighted_cols = list(zip(*rows)), list(zip(*weighted))
+    out = [[None] * (k + 1) for _ in range(k + 1)]
+    for a in range(k + 1):
+        for b in range(a, k + 1):
+            entry = Fraction(sum(map(mul, weighted_cols[a][b:], cols[b][b:])), common)
+            out[k - a][k - b] = out[k - b][k - a] = entry
+    return ExactMatrix._trusted(out)
 
 
 def annihilator_change_of_basis(n: int, k: int) -> ExactMatrix:

@@ -36,7 +36,7 @@ from .duality import (
     step_down_identity_holds,
     top_coefficient,
 )
-from .errors import InternalInconsistency
+from .errors import InternalInconsistency, NotInSpan
 from .exact import ExactMatrix, _integer_rows, _leading_minors, _row_reduce, is_positive_definite, solve_in_span
 from .kinematics import (
     TensorElement,
@@ -301,7 +301,7 @@ def _check_annihilator(n_max: int) -> Optional[str]:
                     target = [shifted.poly.coefficient(*m) for m in alg.basis(j + 1)]
                     try:
                         solve_in_span(next_vectors, target)
-                    except Exception:
+                    except NotInSpan:
                         return f"n={n}, j={j}, element {idx}: t*alpha is outside the next annihilator"
     return None
 

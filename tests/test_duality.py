@@ -25,6 +25,7 @@ from unival import (
     is_positive_definite,
     kinematic_annihilator_block,
     kinematic_matrix,
+    kinematic_unit,
     log_component,
     pairing_matrix,
     pairing_pivots,
@@ -76,6 +77,8 @@ def test_pairing_matrix_index_range():
         pairing_value(2, -1)
     with pytest.raises(IndexOutOfRange):
         kinematic_matrix(3, -1)
+    with pytest.raises(IndexOutOfRange):
+        kinematic_matrix(3, 2)
 
 
 def test_pairing_and_kinematic_structure():
@@ -86,6 +89,31 @@ def test_pairing_and_kinematic_structure():
             assert p.is_symmetric()
             assert q.is_symmetric()
             assert q @ p == ExactMatrix.identity(k + 1)
+
+
+def test_kinematic_matrix_matches_gauss_jordan_inverse(fresh_matrix_caches):
+    for n in range(31):
+        for k in range(n // 2 + 1):
+            assert kinematic_matrix(n, k) == pairing_matrix(n, k).inverse(), (n, k)
+
+
+def test_kinematic_unit_inverts_nothing(monkeypatch, fresh_matrix_caches):
+    calls = []
+
+    def recording(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(ExactMatrix, "inverse", recording("inverse", ExactMatrix.inverse))
+    monkeypatch.setattr(duality, "pairing_matrix", recording("pairing_matrix", duality.pairing_matrix))
+    unit = kinematic_unit(32)
+    assert len(unit.blocks) == 65
+    assert kinematic_matrix.cache_info().currsize == 17
+    assert calls == []
+    assert pairing_matrix.cache_info().currsize == 0
 
 
 def test_annihilator_change_of_basis_values():

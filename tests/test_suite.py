@@ -209,7 +209,7 @@ def test_suite_catches_corrupted_tensor_images(monkeypatch):
     assert "differs from the pairing formula" in failing["kinematic-cocommutativity"]
 
 
-def test_suite_catches_corrupted_pivot_ratio(monkeypatch):
+def test_suite_catches_corrupted_pivot_ratio(monkeypatch, fresh_matrix_caches):
     real_ratio = duality._pivot_ratio
 
     def corrupted(big_n, i):
@@ -221,8 +221,44 @@ def test_suite_catches_corrupted_pivot_ratio(monkeypatch):
     # every pivot stays positive, so the scan alone cannot see the fault
     assert all(flag for _, _, flag in duality.positivity_scan(4))
     failing = _failing_entries(run_suite(3))
-    assert set(failing) == {"kinematic-positive-definite"}
+    # the kinematic matrices read the pivots, so every entry built on Q(3, 1) goes red too
+    assert set(failing) == {
+        "kinematic-positive-definite",
+        "pairing-structure",
+        "pairing-reference-values",
+        "annihilator-block",
+        "companion-closed-form",
+        "step-down-identity",
+        "kinematic-step-up",
+        "kinematic-cocommutativity",
+        "annihilator-congruence",
+    }
     assert failing["kinematic-positive-definite"].startswith("n=3, k=1: closed-form pairing pivots")
+    assert failing["pairing-structure"] == "n=3, k=1: kinematic * pairing != identity"
+
+
+def test_suite_catches_corrupted_row_ratio(monkeypatch, fresh_matrix_caches):
+    real_ratio = duality._row_ratio
+
+    def corrupted(big_n, i, j):
+        """Drops the factor 2 from the numerator."""
+        up, down = real_ratio(big_n, i, j)
+        return up // 2, down
+
+    monkeypatch.setattr(duality, "_row_ratio", corrupted)
+    failing = _failing_entries(run_suite(3))
+    assert "kinematic-positive-definite" not in failing
+    assert failing["pairing-structure"] == "n=2, k=1: kinematic * pairing != identity"
+
+
+def test_annihilator_entry_reports_internal_faults(monkeypatch):
+    def broken(generators, target):
+        raise TypeError("broken span solver")
+
+    monkeypatch.setattr(suite, "solve_in_span", broken)
+    failing = _failing_entries(run_suite(3))
+    assert set(failing) == {"annihilator"}
+    assert failing["annihilator"].startswith("TypeError:")
 
 
 def test_suite_catches_corrupted_orthogonal_product(monkeypatch, fresh_matrix_caches):
