@@ -129,28 +129,14 @@ def _row_ratio(big_n: int, i: int, j: int) -> tuple[int, int]:
     return 2 * j * (2 * j + 2 * big_n - 1), (j - 1 - i) * (j - 1 + i + big_n)
 
 
-def _jacobi_row(big_n: int, i: int) -> tuple[list[int], int]:
-    """Row i of L^-1 as primitive integers c over their lcm g, so that e_i = c / g.
-
-    e_i[i] = 1 and e_i[j-1] = e_i[j] * _row_ratio(N, i, j) going down in j.
-    Over the product of the ratios' denominators every entry is an integer
-    and each step divides exactly; one gcd then makes the row primitive.
-    """
-    ratios = [_row_ratio(big_n, i, j) for j in range(i, 0, -1)]
-    row = [prod(down for _, down in ratios)]
-    for up, down in ratios:
-        row.append(row[-1] * up // down)
-    g = gcd(*row)
-    return [x // g for x in reversed(row)], abs(row[0]) // g
-
-
 @lru_cache(maxsize=None)
 def kinematic_matrix(n: int, k: int) -> ExactMatrix:
     """Inverse of the pairing matrix: the degree-(2k, 2n-2k) kinematic block, in closed form.
 
     With J P(n, k) J = L D L^T, D the closed-form pivots (``pairing_pivots``)
     and e_i the rows of L^-1, the monic shifted Jacobi polynomials of the
-    weight u^(N-1/2) (1-u)^(-1/2), N = n - 2k (``_jacobi_row``):
+    weight u^(N-1/2) (1-u)^(-1/2), N = n - 2k (e_i[i] = 1, then
+    ``_row_ratio`` going down):
 
         Q(n, k) = P(n, k)^-1 = J (sum_i e_i e_i^T / d_i) J.
 
@@ -165,9 +151,16 @@ def kinematic_matrix(n: int, k: int) -> ExactMatrix:
     big_n = n - 2 * k
     rows, weights = [], []
     for i, d in enumerate(pivots):
-        row, g = _jacobi_row(big_n, i)
-        rows.append(row + [0] * (k - i))
-        weights.append(Fraction(d.denominator, d.numerator * g * g))
+        # e_i times the product of the ratios' denominators is an integer
+        # vector, and each step down divides exactly.
+        ratios = [_row_ratio(big_n, i, j) for j in range(i, 0, -1)]
+        row = [prod(down for _, down in ratios)]
+        for up, down in ratios:
+            row.append(row[-1] * up // down)
+        g = gcd(*row)
+        rows.append([x // g for x in reversed(row)] + [0] * (k - i))
+        scale = row[0] // g  # the row's lcm, up to sign
+        weights.append(Fraction(d.denominator, d.numerator * scale * scale))
     common = lcm(*(w.denominator for w in weights))
     weighted = [[x * (w.numerator * (common // w.denominator)) for x in row] for row, w in zip(rows, weights)]
     cols, weighted_cols = list(zip(*rows)), list(zip(*weighted))
