@@ -198,9 +198,6 @@ class _Model:
     def basis(self, d: int) -> tuple[Monomial, ...]:
         return self._basis.get(d, ())
 
-    def basis_index(self, d: int) -> dict[Monomial, int]:
-        return {m: i for i, m in enumerate(self.basis(d))}
-
     def dim(self, d: int) -> int:
         return len(self.basis(d))
 

@@ -107,11 +107,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _unitary_dimension(n: int) -> int:
+    """``n``, refused below 1 as ``build_algebra`` refuses it, for commands that build no algebra."""
+    if n < 1:
+        raise DegreeOutOfRange("complex dimension n must be >= 1")
+    return n
+
+
 def _cmd_basis(args) -> int:
     """Reads the closed-form basis rule; the algebra is never built."""
-    if args.n < 1:
-        raise DegreeOutOfRange("complex dimension n must be >= 1")
-    if not 0 <= args.degree <= 2 * args.n:
+    if not 0 <= args.degree <= 2 * _unitary_dimension(args.n):
         raise DegreeOutOfRange(f"degree must lie in 0..{2 * args.n}, got {args.degree}")
     monomials = basis_monomials(args.n, args.degree)
     if args.format == "json":
@@ -134,6 +139,7 @@ def _cmd_normal_form(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
+    _unitary_dimension(args.n)
     if args.which == "companion":
         data = companion_data(args.n, args.k)
         if args.format == "json":

@@ -207,7 +207,7 @@ def kinematic_annihilator_block(n: int, k: int) -> ExactMatrix:
     block = m.block(1, k + 1, 1, k + 1)
     if not block.is_symmetric():
         raise StructureViolation(f"annihilator block n={n}, k={k} is not symmetric")
-    if len(_row_reduce(block.to_rows(), k)) < k:
+    if len(_row_reduce(list(block._integers()[0]), k)) < k:
         raise StructureViolation(f"annihilator block n={n}, k={k} is singular")
     return block
 

@@ -1,11 +1,14 @@
 """Exact dense linear algebra over the rationals.
 
-Scalars are ``fractions.Fraction`` at every interface: arbitrary precision,
-always in lowest terms with positive denominator.  Inside, elimination is
-fraction-free: one integer Gauss-Jordan kernel (``_row_reduce``) serves slice
-elimination, inversion and span solving, and the positive-definiteness test
-is one Bareiss pass over integers.  Pivots are always the first nonzero entry
-in column order, which keeps every reduction deterministic.
+Scalars are ``fractions.Fraction`` at every public interface: arbitrary
+precision, always in lowest terms with positive denominator.  Inside,
+elimination is fraction-free: one integer Gauss-Jordan kernel
+(``_row_reduce``) takes integer rows and returns them reduced, and it serves
+slice elimination, inversion, span solving and the annihilator rank test.  Each
+caller scales its rows to integers once (``_integer_rows``) and reads a rational
+pivot row as ``Fraction(x, pivot)``.  The positive-definiteness test is one
+Bareiss pass over integers.  Pivots are always the first nonzero entry in
+column order, which keeps every reduction deterministic.
 """
 
 from __future__ import annotations
@@ -29,60 +32,42 @@ def _integer_rows(rows: Iterable[Iterable[Fraction]]) -> tuple[list[list[int]], 
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
-def _row_reduce(rows: list[list[Fraction]], pivot_cols: int) -> list[int]:
-    """Gauss-Jordan in place over the first ``pivot_cols`` columns.
+def _row_reduce(rows: list[Sequence[int]], pivot_cols: int) -> list[int]:
+    """Fraction-free Gauss-Jordan on integer rows, in place, over the first ``pivot_cols`` columns.
 
-    Each pivot is normalized to 1 and its column cleared above and below.
-    Entries beyond ``pivot_cols`` ride along in every row operation.
-    Returns the pivot column indices in order.
+    The pivot of each column is the first nonzero entry at or below the next
+    pivot row.  Clearing its column above and below replaces a row by
+    ``p * row - a * lead`` divided by the gcd of its entries, where ``lead`` is
+    the pivot row, ``p`` its pivot and ``a`` the row's entry in that column.
+    Entries beyond ``pivot_cols`` ride along in every row operation.  Rows of
+    ``rows`` are swapped and replaced, never written into, and every entry
+    stays an ``int``.  Returns the pivot column indices in order.
 
-    The work is fraction-free.  Each row is scaled once to a primitive
-    integer row; clearing a column replaces a row by ``p * row - a * lead``
-    divided by the gcd of its entries; the rows go back to ``Fraction`` only
-    at the end, each pivot row divided by its pivot.  Every integer row is a
-    nonzero multiple of the row that rational elimination holds at the same
-    step, so the zero tests, the pivots and the final rows are the same.
-    ``scale`` tracks that multiple, which gives back the exact values of the
-    rows past the rank (nonzero only beyond ``pivot_cols``).
+    Every row is a nonzero multiple of the row that rational elimination holds
+    at the same step, so the zero tests and the pivots are the same.  Pivot
+    row r divided by its pivot ``rows[r][pivots[r]]`` is the rational pivot
+    row (pivot normalized to 1), and a row past the rank is zero exactly where
+    the rational one is.
     """
-    ints: list[list[int]] = []
-    scale: list[Fraction] = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        irow = [x.numerator * (den // x.denominator) for x in row]
-        g = gcd(*irow) or 1
-        ints.append([x // g for x in irow] if g != 1 else irow)
-        scale.append(Fraction(den, g))
     pivots: list[int] = []
     target = 0
     for col in range(pivot_cols):
-        hit = next((r for r in range(target, len(ints)) if ints[r][col]), None)
+        hit = next((r for r in range(target, len(rows)) if rows[r][col]), None)
         if hit is None:
             continue
-        ints[target], ints[hit] = ints[hit], ints[target]
-        scale[target], scale[hit] = scale[hit], scale[target]
-        lead = ints[target]
+        rows[target], rows[hit] = rows[hit], rows[target]
+        lead = rows[target]
         p = lead[col]
-        for r in range(len(ints)):
-            a = ints[r][col]
+        for r, row in enumerate(rows):
+            a = row[col]
             if r != target and a:
-                new = [p * x - a * y for x, y in zip(ints[r], lead)]
+                new = [p * x - a * y for x, y in zip(row, lead)]
                 g = gcd(*new) or 1
-                ints[r] = [x // g for x in new] if g != 1 else new
-                if r > target:  # rows above are settled pivot rows
-                    scale[r] *= Fraction(p, g)
+                rows[r] = [x // g for x in new] if g != 1 else new
         pivots.append(col)
         target += 1
-        if target == len(ints):
+        if target == len(rows):
             break
-    zero = Fraction(0)
-    for r, irow in enumerate(ints):
-        if r < len(pivots):
-            p = irow[pivots[r]]
-            rows[r] = [Fraction(x, p) if x else zero for x in irow]
-        else:
-            num, den = scale[r].numerator, scale[r].denominator
-            rows[r] = [Fraction(x * den, num) if x else zero for x in irow]
     return pivots
 
 
@@ -213,11 +198,12 @@ class ExactMatrix:
         if not self.is_square():
             raise ValueError("only square matrices can be inverted")
         n = self.rows
-        aug = [list(self._data[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        k_rows, den = self._integers()
+        aug = [[*row, *(den * (i == j) for j in range(n))] for i, row in enumerate(k_rows)]
         pivots = _row_reduce(aug, n)
         if len(pivots) != n:
             raise SingularMatrix(f"{n}x{n} matrix has rank {len(pivots)}")
-        return ExactMatrix([row[n:] for row in aug])
+        return ExactMatrix._trusted([Fraction(x, row[r]) for x in row[n:]] for r, row in enumerate(aug))
 
     def _require_same_shape(self, other: "ExactMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -237,14 +223,13 @@ def solve_in_span(generators: Sequence[Sequence], target: Sequence) -> tuple[Fra
     if any(len(g) != length for g in gens):
         raise ValueError("generators and target must share one vector length")
     m = len(gens)
-    rows = [[gens[j][i] for j in range(m)] + [tgt[i]] for i in range(length)]
+    rows, _ = _integer_rows([*(g[i] for g in gens), tgt[i]] for i in range(length))
     pivots = _row_reduce(rows, m)
-    for row in rows[len(pivots):]:
-        if row[m] != 0:
-            raise NotInSpan("target is independent of the generators")
+    if any(row[m] for row in rows[len(pivots):]):
+        raise NotInSpan("target is independent of the generators")
     lam = [Fraction(0)] * m
     for r, col in enumerate(pivots):
-        lam[col] = rows[r][m]
+        lam[col] = Fraction(rows[r][m], rows[r][col])
     return tuple(lam)
 
 

@@ -70,18 +70,8 @@ class SuiteEntry(
         return self._asdict()
 
 
-class SuiteReport:
-    def __init__(self, n_max: int, entries: Optional[list[SuiteEntry]] = None):
-        self.n_max = n_max
-        self.entries = [] if entries is None else entries
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SuiteReport):
-            return NotImplemented
-        return (self.n_max, self.entries) == (other.n_max, other.entries)
-
-    def __repr__(self) -> str:
-        return f"SuiteReport(n_max={self.n_max!r}, entries={self.entries!r})"
+class SuiteReport(namedtuple("SuiteReport", "n_max entries")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -188,13 +178,16 @@ def _elimination_table(n: int, d: int) -> tuple[int, tuple[tuple[int, ...], ...]
             for (p, q), c in g.terms.items():
                 row[index[(p + a, q + shift - 2 * a)]] = c
             rows.append(row)
-    pivots = _row_reduce(rows, len(cols))
+    ints, _ = _integer_rows(rows)
+    pivots = _row_reduce(ints, len(cols))
     if pivots != list(range(len(nonbasis))):
         raise InternalInconsistency(
             f"n={n}: degree-{d} ideal slice pivots {pivots} do not match "
             f"the {len(nonbasis)} non-basis monomials"
         )
-    rewrites, den = _integer_rows(rows[r][len(nonbasis):] for r in reversed(range(len(nonbasis))))
+    rewrites, den = _integer_rows(
+        [Fraction(x, ints[r][r]) for x in ints[r][len(nonbasis):]] for r in reversed(range(len(nonbasis)))
+    )
     return den, tuple(tuple(-x for x in row) for row in rewrites)
 
 
@@ -632,7 +625,7 @@ def run_suite(n_max: int) -> SuiteReport:
     """Run every identity check up to the bound; never raises on failures."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    report = SuiteReport(n_max=n_max)
+    report = SuiteReport(n_max, [])
     for name, statement, scope, check in _catalogue(n_max):
         try:
             counterexample = check(n_max)

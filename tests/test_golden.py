@@ -33,6 +33,8 @@ ERRORS: dict[str, tuple[int, str]] = {
         "error: position 3: unexpected character '.' (expected a digit, 's', 't', or an operator)\n",
     ),
     "basis --n 3 --degree 99": (1, "error: degree must lie in 0..6, got 99\n"),
+    "matrix --n 0 --k 0 --which P": (1, "error: complex dimension n must be >= 1\n"),
+    "matrix --n 0 --k 0 --which Q": (1, "error: complex dimension n must be >= 1\n"),
     "check --n-max 0": (1, "error: --n-max must be >= 1\n"),
     "positivity --n-max 0": (1, "error: --n-max must be >= 1\n"),
 }

@@ -50,7 +50,7 @@ def oracle_map_left(tensor, fn, new_left):
                 continue
             for m2, c2 in image.poly.terms.items():
                 d2 = 2 * m2[0] + m2[1]
-                i2 = new_left.basis_index(d2)[m2]
+                i2 = new_left.basis(d2).index(m2)
                 bucket = acc.setdefault((d2, dr), {})
                 for q in range(matrix.cols):
                     if matrix[p, q]:
@@ -67,7 +67,7 @@ def oracle_map_right(tensor, fn, new_right):
                 continue
             for m2, c2 in image.poly.terms.items():
                 d2 = 2 * m2[0] + m2[1]
-                j2 = new_right.basis_index(d2)[m2]
+                j2 = new_right.basis(d2).index(m2)
                 bucket = acc.setdefault((dl, d2), {})
                 for p in range(matrix.rows):
                     if matrix[p, q]:
@@ -300,7 +300,7 @@ def _image_matrices(fn, basis, target):
             d2 = 2 * m2[0] + m2[1]
             if d2 not in groups:
                 groups[d2] = [[F(0)] * len(basis) for _ in range(target.dim(d2))]
-            groups[d2][target.basis_index(d2)[m2]][p] = c2
+            groups[d2][target.basis(d2).index(m2)][p] = c2
     return {d2: _integer_rows(rows) for d2, rows in groups.items()}
 
 
