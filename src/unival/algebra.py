@@ -15,9 +15,11 @@ ideal.
 
 The tables are integers: degree d keeps one denominator D_d and, for each
 non-basis monomial, integer coefficients on the degree-d basis.  Normal forms
-and products run through one integer kernel (``UnitaryAlgebra._reduce``)
-that builds one ``Fraction`` per output coefficient; kinematic tensors read
-its integer rows (``_accumulate``) with no ``Fraction`` at all.
+and products run through one integer kernel (``UnitaryAlgebra._reduce``):
+the integer numerators of a ``GradedPoly`` go in, ``_accumulate``'s integer
+rows come out and are put over one denominator, which is ``GradedPoly``'s
+own storage, so no ``Fraction`` is built.  Kinematic tensors read those
+integer rows directly.
 
 The orthogonal model in real dimension n is the truncated polynomial ring
 Q[t]/(t^(n+1)), which doubles as a tiny independent oracle for the unitary
@@ -30,8 +32,8 @@ equality and hashing; each model keeps its own normal form and product.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 from typing import Iterable
 
 from .errors import AlgebraMismatch, DegreeOutOfRange, InternalInconsistency
@@ -54,17 +56,17 @@ def series_dimension(n: int, d: int) -> int:
     sum_m (floor(m/2)+1) x^m and distributes the numerator.
     """
 
+    n, d = index(n), index(d)
+
     def g(m: int) -> int:
         return m // 2 + 1 if m >= 0 else 0
 
     return g(d) - g(d - n - 1) - g(d - n - 2) + g(d - 2 * n - 3)
 
 
-def _numerators(poly: GradedPoly) -> tuple[list[tuple[Monomial, int]], int]:
-    """The terms of ``poly`` as integer numerators over the lcm of their denominators."""
-    terms = poly.terms
-    den = lcm(*[c.denominator for c in terms.values()])
-    return [(mono, c.numerator * (den // c.denominator)) for mono, c in terms.items()], den
+def _numerators(poly: GradedPoly) -> tuple[Iterable[tuple[Monomial, int]], int]:
+    """The terms of ``poly`` as integer numerators over its one denominator: a read of its storage."""
+    return poly._num.items(), poly._den
 
 
 _Table = tuple[int, tuple[tuple[int, ...], ...]]
@@ -246,6 +248,7 @@ class UnitaryAlgebra(_Model):
     __slots__ = ()
 
     def __init__(self, n: int):
+        n = index(n)
         if n < 1:
             raise DegreeOutOfRange("complex dimension n must be >= 1")
         super().__init__(n, 2 * n, {d: basis_monomials(n, d) for d in range(2 * n + 1)})
@@ -261,15 +264,14 @@ class UnitaryAlgebra(_Model):
     def _reduce(self, terms: Iterable[tuple[Monomial, int]], den: int) -> AlgebraElement:
         """The integer reduction kernel: normal form of sum(c * s^p t^q) / den.
 
-        One Fraction per nonzero entry of ``_accumulate``'s rows, over den * D_d.
+        ``_accumulate``'s row of degree d, over den * D_d, is scaled to the
+        common denominator den * lcm(D_d) and read in degree and basis order.
         """
-        out: dict[Monomial, Fraction] = {}
-        for d, row in self._accumulate(terms).items():
-            full = den * self._table[d][0]
-            for mono, x in zip(self._basis[d], row):
-                if x:
-                    out[mono] = Fraction(x, full)
-        return AlgebraElement(self, GradedPoly._trusted(out))
+        rows = self._accumulate(terms)
+        common = lcm(*(self._table[d][0] for d in rows))
+        num = {mono: x * scale for d in sorted(rows) for scale in (common // self._table[d][0],)
+               for mono, x in zip(self._basis[d], rows[d]) if x}
+        return AlgebraElement(self, GradedPoly._lowest(num, den * common))
 
     def normal_form(self, poly: GradedPoly | str) -> AlgebraElement:
         """Linear extension of the reduction tables; total on all of Q[s,t]."""
@@ -293,6 +295,7 @@ class SOAlgebra(_Model):
     __slots__ = ()
 
     def __init__(self, n: int):
+        n = index(n)
         if n < 1:
             raise DegreeOutOfRange("real dimension n must be >= 1")
         super().__init__(n, n, {d: ((0, d),) for d in range(n + 1)})  # every t^d is basis, over D_d = 1
@@ -300,13 +303,14 @@ class SOAlgebra(_Model):
     def normal_form(self, poly: GradedPoly | str) -> AlgebraElement:
         if isinstance(poly, str):
             poly = poly_parse(poly)
-        acc: dict[Monomial, Fraction] = {}
-        for (p, q), c in poly.terms.items():
+        terms, den = _numerators(poly)
+        num: dict[Monomial, int] = {}
+        for (p, q), x in terms:
             if p:
                 raise ValueError("the orthogonal model is generated by t alone")
             if q <= self.n:
-                acc[(0, q)] = acc.get((0, q), Fraction(0)) + c
-        return AlgebraElement(self, GradedPoly(acc))
+                num[(0, q)] = x
+        return AlgebraElement(self, GradedPoly._lowest(num, den))
 
     def _multiply(self, a: GradedPoly, b: GradedPoly) -> AlgebraElement:
         return self.normal_form(a * b)
@@ -321,6 +325,7 @@ def build_algebra(n: int) -> UnitaryAlgebra:
     Threads racing on a missing n may each construct it, but ``setdefault``
     keeps the first instance stored and every caller gets that one.
     """
+    n = index(n)
     alg = _BUILD_CACHE.get(n)
     if alg is None:
         alg = _BUILD_CACHE.setdefault(n, UnitaryAlgebra(n))

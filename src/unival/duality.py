@@ -39,7 +39,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, prod
-from operator import mul
+from operator import index, mul
 
 from .algebra import build_algebra
 from .errors import IndexOutOfRange, StructureViolation
@@ -178,6 +178,7 @@ def annihilator_change_of_basis(n: int, k: int) -> ExactMatrix:
     Row 0 selects t^j; row r has (n-r+1) in column r-1 and -2(2n-2r+1) on the
     diagonal, matching the annihilator basis elements degree by degree.
     """
+    n, k = index(n), index(k)
     if not 2 * k + 1 <= n:
         raise IndexOutOfRange(f"requires 2k+1 <= n, got n={n}, k={k}")
     size = k + 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import SOAlgebra
 from .exact import ExactMatrix
@@ -32,6 +33,7 @@ def _power_latex(symbol: str, exponent: int) -> str:
     return f"{symbol}^{exponent}" if exponent < 10 else f"{symbol}^{{{exponent}}}"
 
 
+@lru_cache(maxsize=4096)
 def monomial_latex(mono: Monomial) -> str:
     p, q = mono
     pieces = []
@@ -42,13 +44,13 @@ def monomial_latex(mono: Monomial) -> str:
     return "".join(pieces) if pieces else "1"
 
 
+def _latex_key(mono: Monomial) -> tuple[int, int]:
+    """Typeset order: ascending degree, then descending power of s."""
+    return 2 * mono[0] + mono[1], -mono[0]
+
+
 def poly_latex(poly: GradedPoly) -> str:
-    ordered = sorted(poly.terms.items(), key=lambda item: (2 * item[0][0] + item[0][1], -item[0][0]))
-    return join_signed(
-        ((coeff, None if mono == (0, 0) else monomial_latex(mono)) for mono, coeff in ordered),
-        latex_magnitude,
-        times="",
-    )
+    return join_signed(poly._labelled(monomial_latex, _latex_key), latex_magnitude, times="")
 
 
 def matrix_plain(m: ExactMatrix) -> str:
@@ -108,7 +110,7 @@ def _block_sums(tensor, label, pair: str, magnitude, times: str) -> list[tuple[t
         rows = [label(m) for m in tensor.left.basis(dl)]
         cols = [label(m) for m in tensor.right.basis(dr)]
         terms = (
-            (coeff, f"{row}{pair}{col}")
+            (coeff.numerator, coeff.denominator, f"{row}{pair}{col}")
             for row, entries in zip(rows, matrix.to_rows())
             for col, coeff in zip(cols, entries)
             if coeff

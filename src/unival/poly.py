@@ -13,6 +13,12 @@ terms of each degree by descending power of t (t^d first, then s*t^(d-2),
 then s^2*t^(d-4), ...), matching the ordered monomial bases used everywhere
 else in the package.
 
+A ``GradedPoly`` holds integer numerators over one denominator in lowest
+terms, its support in plain order, so the plain formatter walks it as
+stored and reads each coefficient as a lowest-terms (numerator, denominator)
+pair with one gcd; ``Fraction``s appear only at the public ``terms`` and
+``coefficient``.
+
 The module also provides the homogeneous components of log(1 + s + t), which
 generate the relation ideals of the unitary quotient models, and the forward
 difference on polynomials in t alone.
@@ -21,23 +27,36 @@ difference on polynomials in t alone.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import ParseError
-from .exact import _exact, _integer_rows
+from .exact import _exact
 
 Monomial = tuple[int, int]  # (power of s, power of t); grade = 2*s_power + t_power
 
 
-class GradedPoly:
-    """Finitely supported rational combination of monomials s^i t^j."""
+def _plain_key(mono: Monomial) -> tuple[int, int]:
+    """Plain order: ascending degree, then ascending power of s (descending power of t)."""
+    return 2 * mono[0] + mono[1], mono[0]
 
-    __slots__ = ("_terms",)
+
+class GradedPoly:
+    """Finitely supported rational combination of monomials s^i t^j.
+
+    The one storage is a canonical integer form: ``_num`` maps each monomial
+    of the support to a nonzero integer numerator, in plain order, over one
+    positive denominator ``_den``, and the gcd of ``_den`` and all numerators
+    is 1.  Equal polynomials therefore have equal storage.  ``Fraction``s are
+    built only by ``terms`` and ``coefficient``.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[Monomial, object] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+        coeffs: dict[Monomial, int | Fraction] = {}
         for mono, value in (terms or {}).items():
             p, q = mono
             if not (isinstance(p, int) and isinstance(q, int)):
@@ -46,16 +65,23 @@ class GradedPoly:
                 raise ValueError(f"negative exponents are not allowed: {mono}")
             if isinstance(value, float):
                 raise TypeError("floating-point coefficients are not allowed")
-            coeff = Fraction(value)
-            if coeff:
-                clean[mono] = coeff
-        self._terms = clean
+            coeffs[mono] = value if isinstance(value, (int, Fraction)) else Fraction(value)
+        den = lcm(*[c.denominator for c in coeffs.values()])
+        form = GradedPoly._canonical({m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}, den)
+        self._num, self._den = form._num, form._den
 
     @classmethod
-    def _trusted(cls, terms: dict[Monomial, Fraction]) -> "GradedPoly":
-        """Wrap a package-built dict of Fraction coefficients: drops zeros, skips the checks."""
+    def _canonical(cls, num: dict[Monomial, int], den: int) -> "GradedPoly":
+        """sum(num[m] * m) / den for den > 0: zeros dropped, support in plain order, then ``_lowest``."""
+        return cls._lowest({m: num[m] for m in sorted(num, key=_plain_key) if num[m]}, den)
+
+    @classmethod
+    def _lowest(cls, num: dict[Monomial, int], den: int) -> "GradedPoly":
+        """Wrap nonzero numerators in plain order over den > 0, cut down by their gcd with den."""
+        g = gcd(den, *num.values())
         poly = cls.__new__(cls)
-        poly._terms = {mono: c for mono, c in terms.items() if c}
+        poly._num = {m: x // g for m, x in num.items()} if g != 1 else num
+        poly._den = den // g
         return poly
 
     @classmethod
@@ -76,68 +102,79 @@ class GradedPoly:
 
     @property
     def terms(self) -> Mapping[Monomial, Fraction]:
-        return MappingProxyType(self._terms)
+        den = self._den
+        return MappingProxyType({mono: Fraction(x, den) for mono, x in self._num.items()})
 
     def coefficient(self, s_power: int, t_power: int) -> Fraction:
-        return self._terms.get((s_power, t_power), Fraction(0))
+        return Fraction(self._num.get((s_power, t_power), 0), self._den)
+
+    def _labelled(self, label, key=None) -> list[tuple[int, int, str | None]]:
+        """Each term as ``(numerator, denominator, label(monomial))`` in lowest terms.
+
+        The constant's label is None.  Terms come in plain order, or sorted by
+        ``key`` on their monomials.  One gcd per term.
+        """
+        den = self._den
+        items = self._num.items() if key is None else sorted(self._num.items(), key=lambda item: key(item[0]))
+        return [(x // (g := gcd(x, den)), den // g, None if m == (0, 0) else label(m)) for m, x in items]
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
+
+    def _combine(self, other: "GradedPoly", sign: int) -> "GradedPoly":
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, sign * (den // other._den)
+        out = {mono: x * a for mono, x in self._num.items()}
+        for mono, y in other._num.items():
+            out[mono] = out.get(mono, 0) + y * b
+        return GradedPoly._canonical(out, den)
 
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
-        out = dict(self._terms)
-        for mono, c in other._terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return GradedPoly._trusted(out)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
-        out = dict(self._terms)
-        for mono, c in other._terms.items():
-            out[mono] = out.get(mono, Fraction(0)) - c
-        return GradedPoly._trusted(out)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly({mono: -c for mono, c in self._terms.items()})
+        return GradedPoly._lowest({mono: -x for mono, x in self._num.items()}, self._den)
 
     def __mul__(self, other) -> "GradedPoly":
         if isinstance(other, GradedPoly):
-            out: dict[Monomial, Fraction] = {}
-            for (p1, q1), c1 in self._terms.items():
-                for (p2, q2), c2 in other._terms.items():
+            out: dict[Monomial, int] = {}
+            for (p1, q1), x in self._num.items():
+                for (p2, q2), y in other._num.items():
                     mono = (p1 + p2, q1 + q2)
-                    out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-            return GradedPoly._trusted(out)
+                    out[mono] = out.get(mono, 0) + x * y
+            return GradedPoly._canonical(out, self._den * other._den)
         scalar = _exact(other)
-        return GradedPoly({mono: c * scalar for mono, c in self._terms.items()})
+        c, d = scalar.numerator, scalar.denominator
+        return GradedPoly._canonical({mono: x * c for mono, x in self._num.items()}, self._den * d)
 
     def __rmul__(self, other) -> "GradedPoly":
         return self.__mul__(other)
 
     def total_degree(self) -> int:
         """Largest grade 2i+j with a nonzero coefficient; -1 for the zero polynomial."""
-        if not self._terms:
+        if not self._num:
             return -1
-        return max(2 * p + q for p, q in self._terms)
+        p, q = next(reversed(self._num))  # plain order puts a top-degree monomial last
+        return 2 * p + q
 
     def homogeneous_components(self) -> dict[int, "GradedPoly"]:
-        split: dict[int, dict[Monomial, Fraction]] = {}
-        for mono, c in self._terms.items():
-            split.setdefault(2 * mono[0] + mono[1], {})[mono] = c
-        return {d: GradedPoly(terms) for d, terms in sorted(split.items())}
+        split: dict[int, dict[Monomial, int]] = {}
+        for mono, x in self._num.items():
+            split.setdefault(2 * mono[0] + mono[1], {})[mono] = x
+        return {d: GradedPoly._lowest(num, self._den) for d, num in split.items()}
 
     def truncated(self, max_degree: int) -> "GradedPoly":
-        return GradedPoly(
-            {mono: c for mono, c in self._terms.items() if 2 * mono[0] + mono[1] <= max_degree}
+        return GradedPoly._lowest(
+            {mono: x for mono, x in self._num.items() if 2 * mono[0] + mono[1] <= max_degree}, self._den
         )
-
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms by ascending degree, then descending power of t within a degree."""
-        return sorted(self._terms.items(), key=lambda item: (2 * item[0][0] + item[0][1], item[0][0]))
 
     def __str__(self) -> str:
         return poly_format(self)
@@ -154,6 +191,7 @@ T = GradedPoly.monomial(0, 1)
 # text format
 
 
+@lru_cache(maxsize=4096)
 def format_monomial(mono: Monomial) -> str:
     p, q = mono
     pieces = []
@@ -169,19 +207,18 @@ def plain_magnitude(numerator: int, denominator: int) -> str:
 
 
 def join_signed(
-    terms: Iterable[tuple[Fraction, str | None]], magnitude=plain_magnitude, times: str = "*"
+    terms: Iterable[tuple[int, int, str | None]], magnitude=plain_magnitude, times: str = "*"
 ) -> str:
-    """Signed sum of ``(coefficient, body)`` terms, e.g. ``-2*t^2 + s - 1/3*s*t``.
+    """Signed sum of ``(numerator, denominator, body)`` terms, e.g. ``-2*t^2 + s - 1/3*s*t``.
 
-    The first sign is attached, later ones stand between spaces.  A
-    coefficient of magnitude 1 is left out unless the body is None, which
-    marks a constant.  Sign and magnitude are read off the numerator and
-    denominator; ``magnitude(numerator, denominator)`` formats a positive
+    Each coefficient comes in lowest terms with a positive denominator.  The
+    first sign is attached, later ones stand between spaces.  A coefficient
+    of magnitude 1 is left out unless the body is None, which marks a
+    constant.  ``magnitude(numerator, denominator)`` formats a positive
     magnitude and ``times`` joins it to the body.  The empty sum is "0".
     """
     chunks: list[str] = []
-    for coeff, body in terms:
-        num, den = coeff.numerator, coeff.denominator
+    for num, den, body in terms:
         negative = num < 0
         if negative:
             num = -num
@@ -199,9 +236,7 @@ def join_signed(
 
 
 def poly_format(poly: GradedPoly) -> str:
-    return join_signed(
-        (coeff, None if mono == (0, 0) else format_monomial(mono)) for mono, coeff in poly.sorted_terms()
-    )
+    return join_signed(poly._labelled(format_monomial))
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -384,19 +419,19 @@ def log_recursion_holds(k: int) -> bool:
 def _shift(p: GradedPoly, offset: int) -> GradedPoly:
     """p(t + offset) for p in t alone, expanded exactly by one integer Taylor shift.
 
-    With p = P/den for an integer P, P is shifted in place over the integers
-    and divided by den once at the end.
+    p's integer numerators are shifted in place and stay over p's one
+    denominator.
     """
     if not isinstance(offset, int):
         raise TypeError(f"shift offsets must be integers: {offset!r}")
-    if any(s_power for s_power, _ in p._terms):
+    if any(s_power for s_power, _ in p._num):
         raise ValueError("only polynomials in t alone can be shifted")
     m = p.total_degree()
-    (c,), den = _integer_rows([[p.coefficient(0, j) for j in range(m + 1)]])
+    c = [p._num.get((0, j), 0) for j in range(m + 1)]
     for i in range(m):
         for j in range(m - 1, i - 1, -1):
             c[j] += offset * c[j + 1]
-    return GradedPoly._trusted({(0, j): Fraction(x, den) for j, x in enumerate(c)})
+    return GradedPoly._canonical({(0, j): x for j, x in enumerate(c)}, p._den)
 
 
 def falling_factorial(k: int) -> GradedPoly:

@@ -235,9 +235,7 @@ def _check_ring_axioms(n_max: int) -> Optional[str]:
                 for m1 in alg.basis(d1):
                     for m2 in alg.basis(d2):
                         prod = alg.normal_form(GradedPoly.monomial(*m1) * GradedPoly.monomial(*m2))
-                        if prod.poly and not all(
-                            2 * p + q == d1 + d2 for p, q in prod.poly.terms
-                        ):
+                        if prod and prod.poly.homogeneous_components().keys() != {d1 + d2}:
                             return f"n={n}: grading broken at {m1} * {m2}"
     return None
 

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unival import algebra
+from unival.emit import format_tensor
 from unival import (
     AlgebraMismatch,
     DegreeOutOfRange,
@@ -19,6 +21,7 @@ from unival import (
     annihilator_basis,
     basis_monomials,
     build_algebra,
+    kinematic_unit,
     log_component,
     poly_parse,
     series_dimension,
@@ -74,6 +77,37 @@ def algebra_and_polys(draw):
 def test_build_rejects_nonpositive_dimension():
     with pytest.raises(DegreeOutOfRange):
         build_algebra(0)
+
+
+def test_build_algebra_takes_a_bool_dimension_as_an_int(monkeypatch):
+    monkeypatch.setattr(algebra, "_BUILD_CACHE", {})
+    alg = build_algebra(True)
+    assert type(alg.n) is int and alg.n == 1
+    assert [type(key) for key in algebra._BUILD_CACHE] == [int]
+    assert build_algebra(1) is alg
+    assert '"n": 1' in format_tensor(kinematic_unit(1), "json")
+    assert type(UnitaryAlgebra(True).n) is int and type(SOAlgebra(True).n) is int
+
+
+def test_build_algebra_rejects_a_float_dimension_from_a_warm_or_cold_cache(monkeypatch):
+    build_algebra(3)
+    with pytest.raises(TypeError):
+        build_algebra(3.0)
+    monkeypatch.setattr(algebra, "_BUILD_CACHE", {})
+    with pytest.raises(TypeError):
+        build_algebra(3.0)
+    assert algebra._BUILD_CACHE == {}
+    for model in (UnitaryAlgebra, SOAlgebra):
+        with pytest.raises(TypeError):
+            model(3.0)
+
+
+def test_series_dimension_rejects_float_arguments():
+    with pytest.raises(TypeError):
+        series_dimension(3, 2.0)
+    with pytest.raises(TypeError):
+        series_dimension(3.0, 2)
+    assert type(series_dimension(True, True)) is int
 
 
 def test_dimension_one_reduction_table():

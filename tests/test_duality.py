@@ -116,6 +116,13 @@ def test_kinematic_unit_inverts_nothing(monkeypatch, fresh_matrix_caches):
     assert pairing_matrix.cache_info().currsize == 0
 
 
+def test_annihilator_change_of_basis_rejects_float_arguments():
+    for n, k in ((5.0, 1), (5, 1.0)):
+        with pytest.raises(TypeError):
+            annihilator_change_of_basis(n, k)
+    assert annihilator_change_of_basis(5, True) == annihilator_change_of_basis(5, 1)
+
+
 def test_annihilator_change_of_basis_values():
     assert annihilator_change_of_basis(1, 0) == ExactMatrix([[1]])
     assert annihilator_change_of_basis(3, 1) == ExactMatrix([[1, 0], [3, -10]])

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +23,9 @@ from unival import (
     poly_format,
     poly_parse,
 )
-from unival.poly import _shift
+from unival.algebra import build_algebra
+from unival.emit import format_poly, latex_magnitude, monomial_latex
+from unival.poly import _shift, format_monomial, plain_magnitude
 
 F = Fraction
 
@@ -235,3 +239,120 @@ def test_difference_identity():
         assert difference_identity_holds(k)
     with pytest.raises(ValueError):
         difference_identity_holds(0)
+
+
+# ---------------------------------------------------------------------------
+# the canonical integer form and the formatters that read it
+
+
+def _oracle_join(terms, magnitude, times: str) -> str:
+    """The Fraction-reading join that the (numerator, denominator) join replaced."""
+    chunks = []
+    for coeff, body in terms:
+        num, den = coeff.numerator, coeff.denominator
+        negative = num < 0
+        if negative:
+            num = -num
+        if body is None:
+            text = magnitude(num, den)
+        elif num == 1 and den == 1:
+            text = body
+        else:
+            text = f"{magnitude(num, den)}{times}{body}"
+        if chunks:
+            chunks.append(f"- {text}" if negative else f"+ {text}")
+        else:
+            chunks.append(f"-{text}" if negative else text)
+    return " ".join(chunks) if chunks else "0"
+
+
+def _oracle_format(p: GradedPoly, fmt: str) -> str:
+    """Oracle: sort the Fraction terms, then join them, as the formatters did before the integer form."""
+    if fmt == "latex":
+        ordered = sorted(p.terms.items(), key=lambda item: (2 * item[0][0] + item[0][1], -item[0][0]))
+        return _oracle_join(
+            ((c, None if m == (0, 0) else monomial_latex(m)) for m, c in ordered), latex_magnitude, ""
+        )
+    ordered = sorted(p.terms.items(), key=lambda item: (2 * item[0][0] + item[0][1], item[0][0]))
+    plain = _oracle_join(
+        ((c, None if m == (0, 0) else format_monomial(m)) for m, c in ordered), plain_magnitude, "*"
+    )
+    return json.dumps(plain) if fmt == "json" else plain
+
+
+def _assert_canonical(p: GradedPoly) -> None:
+    num, den = p._num, p._den
+    assert type(den) is int and den > 0
+    assert all(type(x) is int and x for x in num.values())
+    assert gcd(den, *num.values()) == 1
+    assert list(num) == sorted(num, key=lambda m: (2 * m[0] + m[1], m[0]))
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert all(type(p.coefficient(*m)) is Fraction for m in (*num, (99, 99)))
+
+
+def _same_storage(p: GradedPoly, q: GradedPoly) -> bool:
+    return p._den == q._den and list(p._num.items()) == list(q._num.items())
+
+
+huge_coefficients = st.one_of(
+    st.just(F(0)),
+    st.integers(-(10**15), 10**15).map(F),
+    st.builds(F, st.integers(-(10**15), 10**15), st.integers(1, 10**15)),
+)
+# exponents reach degree 150, above 2n for every n the engine is run at here
+huge_monomials = st.one_of(st.just((0, 0)), st.tuples(st.integers(0, 50), st.integers(0, 50)))
+huge_polys = st.dictionaries(huge_monomials, huge_coefficients, max_size=10).map(GradedPoly)
+
+
+@given(huge_polys)
+@settings(max_examples=200)
+@example(GradedPoly.zero())
+@example(GradedPoly.one())
+@example(GradedPoly.constant(F(-7, 3)))
+@example(GradedPoly({(0, 0): -1, (1, 0): -1, (0, 1): F(-1, 10**15), (3, 70): 10**15}))
+def test_format_poly_matches_fraction_oracle(p):
+    for fmt in ("plain", "json", "latex"):
+        assert format_poly(p, fmt) == _oracle_format(p, fmt)
+
+
+@given(st.integers(1, 8), huge_polys, huge_polys)
+@settings(max_examples=60)
+def test_format_of_normal_forms_and_products_matches_fraction_oracle(n, p, q):
+    alg = build_algebra(n)
+    x, y = alg.normal_form(p), alg.normal_form(q)
+    for element in (x, x * y):
+        _assert_canonical(element.poly)
+        for fmt in ("plain", "json", "latex"):
+            assert format_poly(element.poly, fmt) == _oracle_format(element.poly, fmt)
+
+
+@given(huge_polys, st.integers(1, 10**15), st.randoms(use_true_random=False))
+@settings(max_examples=150)
+def test_integer_form_is_canonical(p, scale, rng):
+    _assert_canonical(p)
+    items = list(p.terms.items())
+    rng.shuffle(items)
+    rebuilt = [
+        GradedPoly(dict(items)),
+        GradedPoly({m: F(c.numerator * scale, c.denominator * scale) for m, c in items}),
+        (p * scale) * F(1, scale),
+        (p + p) - p,
+        sum((GradedPoly.monomial(*m, c) for m, c in items), GradedPoly.zero()),
+        poly_parse(poly_format(p)),
+    ]
+    for q in rebuilt:
+        _assert_canonical(q)
+        assert q == p and _same_storage(q, p)
+    assert not (p - p)._num and (p - p)._den == 1
+
+
+def test_coefficients_stay_fractions_and_floats_raise():
+    p = GradedPoly({(0, 1): F(2, 4), (1, 0): 3})
+    assert p._num == {(0, 1): 1, (1, 0): 6} and p._den == 2
+    assert p.coefficient(0, 1) == F(1, 2) and type(p.coefficient(1, 0)) is Fraction
+    assert type(GradedPoly.zero().coefficient(0, 0)) is Fraction
+    assert dict(p.terms) == {(0, 1): F(1, 2), (1, 0): F(3)}
+    with pytest.raises(TypeError):
+        GradedPoly({(0, 1): 1.0})
+    with pytest.raises(TypeError):
+        p * 2.0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 import pytest
 
 import unival
@@ -382,3 +384,50 @@ def test_swept_entries_report_their_first_failing_case(
     failed = {e.name: e.counterexample for e in report.entries if not e.passed}
     assert failed == {entry: counterexample}
     assert len(report.entries) == 24
+
+
+def test_suite_catches_an_off_by_one_product_numerator(monkeypatch, fresh_matrix_caches):
+    def corrupted(self, a, b):
+        """The integer product with its first convolved numerator off by one."""
+        right = b._num.items()
+        terms = [((p1 + p2, q1 + q2), c1 * c2) for (p1, q1), c1 in a._num.items() for (p2, q2), c2 in right]
+        if terms:
+            terms[0] = (terms[0][0], terms[0][1] + 1)
+        return self._reduce(terms, a._den * b._den)
+
+    monkeypatch.setattr(UnitaryAlgebra, "_multiply", corrupted)
+    failing = _failing_entries(run_suite(4))
+    assert failing["ring-axioms"] == "n=1, trial 0: associativity fails"
+    assert failing["pairing-structure"].startswith("n=1, k=0: product pairing")
+
+
+def test_suite_catches_products_left_out_of_lowest_terms(monkeypatch, fresh_matrix_caches):
+    def unreduced(self, terms, den):
+        """The integer kernel with the final cut by the gcd left out."""
+        rows = self._accumulate(terms)
+        common = lcm(*(self._table[d][0] for d in rows))
+        poly = GradedPoly.__new__(GradedPoly)
+        poly._num = {
+            m: x * (common // self._table[d][0])
+            for d in sorted(rows)
+            for m, x in zip(self._basis[d], rows[d])
+            if x
+        }
+        poly._den = den * common
+        return AlgebraElement(self, poly)
+
+    monkeypatch.setattr(UnitaryAlgebra, "_reduce", unreduced)
+    failing = _failing_entries(run_suite(4))
+    assert failing["ring-axioms"] == "n=1, trial 0: unit fails"
+
+
+def test_suite_catches_a_corrupted_pair_formatter(monkeypatch):
+    def corrupted(self, label, key=None):
+        """Cuts each denominator by the gcd but leaves its numerator whole."""
+        den = self._den
+        return [(x, den // gcd(x, den), None if m == (0, 0) else label(m)) for m, x in self._num.items()]
+
+    monkeypatch.setattr(GradedPoly, "_labelled", corrupted)
+    failing = _failing_entries(run_suite(4))
+    assert set(failing) == {"poly-roundtrip"}
+    assert failing["poly-roundtrip"] == "k=2: '-1/2*t^2 + 2*s' does not round-trip"
