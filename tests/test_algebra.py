@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unival import algebra
-from unival.emit import format_tensor
 from unival import (
     AlgebraMismatch,
     DegreeOutOfRange,
@@ -27,6 +26,7 @@ from unival import (
     series_dimension,
     top_coefficient,
 )
+from unival.emit import format_tensor
 from unival.poly import GradedPoly, Monomial, S
 
 F = Fraction
