@@ -141,8 +141,8 @@ def kinematic_matrix(n: int, k: int) -> ExactMatrix:
         Q(n, k) = P(n, k)^-1 = J (sum_i e_i e_i^T / d_i) J.
 
     The work is in integers: each row over its own lcm g_i, the weights
-    1 / (g_i^2 d_i) over one common denominator, one triangle summed and
-    mirrored, and one Fraction per entry at the end.  No elimination runs
+    1 / (g_i^2 d_i) over one common denominator, and one triangle summed and
+    mirrored, which is the matrix's integer storage.  No elimination runs
     and no pairing matrix is built.  The tests check Q against the
     Gauss-Jordan ``pairing_matrix(n, k).inverse()``, and the identity suite
     checks Q P = I (entry "pairing-structure").
@@ -164,12 +164,11 @@ def kinematic_matrix(n: int, k: int) -> ExactMatrix:
     common = lcm(*(w.denominator for w in weights))
     weighted = [[x * (w.numerator * (common // w.denominator)) for x in row] for row, w in zip(rows, weights)]
     cols, weighted_cols = list(zip(*rows)), list(zip(*weighted))
-    out = [[None] * (k + 1) for _ in range(k + 1)]
+    out = [[0] * (k + 1) for _ in range(k + 1)]
     for a in range(k + 1):
         for b in range(a, k + 1):
-            entry = Fraction(sum(map(mul, weighted_cols[a][b:], cols[b][b:])), common)
-            out[k - a][k - b] = out[k - b][k - a] = entry
-    return ExactMatrix._trusted(out)
+            out[k - a][k - b] = out[k - b][k - a] = sum(map(mul, weighted_cols[a][b:], cols[b][b:]))
+    return ExactMatrix._lowest(out, common)
 
 
 def annihilator_change_of_basis(n: int, k: int) -> ExactMatrix:

@@ -9,7 +9,6 @@ All emitters are deterministic: identical inputs produce identical bytes.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import SOAlgebra
@@ -22,9 +21,9 @@ def latex_magnitude(numerator: int, denominator: int) -> str:
     return str(numerator) if denominator == 1 else f"\\frac{{{numerator}}}{{{denominator}}}"
 
 
-def rational_latex(x: Fraction) -> str:
-    sign = "-" if x.numerator < 0 else ""
-    return sign + latex_magnitude(abs(x.numerator), x.denominator)
+def rational_latex(numerator: int, denominator: int) -> str:
+    sign = "-" if numerator < 0 else ""
+    return sign + latex_magnitude(abs(numerator), denominator)
 
 
 def _power_latex(symbol: str, exponent: int) -> str:
@@ -54,7 +53,7 @@ def poly_latex(poly: GradedPoly) -> str:
 
 
 def matrix_plain(m: ExactMatrix) -> str:
-    cells = [[str(x) for x in m.row(i)] for i in range(m.rows)]
+    cells = m.to_json()
     widths = [max(len(cells[i][j]) for i in range(m.rows)) for j in range(m.cols)]
     return "\n".join(
         "  ".join(cell.rjust(width) for cell, width in zip(row, widths)) for row in cells
@@ -62,9 +61,7 @@ def matrix_plain(m: ExactMatrix) -> str:
 
 
 def matrix_latex(m: ExactMatrix) -> str:
-    body = " \\\\\n".join(
-        " & ".join(rational_latex(x) for x in m.row(i)) for i in range(m.rows)
-    )
+    body = " \\\\\n".join(" & ".join(rational_latex(*pair) for pair in row) for row in m._pairs())
     return f"\\begin{{bmatrix}}\n{body}\n\\end{{bmatrix}}"
 
 
@@ -110,10 +107,10 @@ def _block_sums(tensor, label, pair: str, magnitude, times: str) -> list[tuple[t
         rows = [label(m) for m in tensor.left.basis(dl)]
         cols = [label(m) for m in tensor.right.basis(dr)]
         terms = (
-            (coeff.numerator, coeff.denominator, f"{row}{pair}{col}")
-            for row, entries in zip(rows, matrix.to_rows())
-            for col, coeff in zip(cols, entries)
-            if coeff
+            (num, den, f"{row}{pair}{col}")
+            for row, entries in zip(rows, matrix._pairs())
+            for col, (num, den) in zip(cols, entries)
+            if num
         )
         lines.append(((dl, dr), join_signed(terms, magnitude, times)))
     return lines

@@ -1,20 +1,25 @@
 """Exact dense linear algebra over the rationals.
 
 Scalars are ``fractions.Fraction`` at every public interface: arbitrary
-precision, always in lowest terms with positive denominator.  Inside,
-elimination is fraction-free: one integer Gauss-Jordan kernel
-(``_row_reduce``) takes integer rows and returns them reduced, and it serves
-slice elimination, inversion, span solving and the annihilator rank test.  Each
-caller scales its rows to integers once (``_integer_rows``) and reads a rational
-pivot row as ``Fraction(x, pivot)``.  The positive-definiteness test is one
-Bareiss pass over integers.  Pivots are always the first nonzero entry in
-column order, which keeps every reduction deterministic.
+precision, always in lowest terms with positive denominator.  Inside, the
+work is in integers.  An ``ExactMatrix`` stores integer rows over one
+denominator in lowest terms, so its arithmetic, its comparisons and the
+emitters that read it build no ``Fraction``.  Elimination is fraction-free:
+one integer Gauss-Jordan kernel (``_row_reduce``) takes integer rows and
+returns them reduced, and it serves slice elimination, inversion, span
+solving and the annihilator rank test.  A caller holding Fractions scales its
+rows to integers once (``_integer_rows``).  The determinant and the
+positive-definiteness test are Bareiss passes over integers.  Pivots are
+always the first nonzero entry in column order, which keeps every reduction
+deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotInSpan, NotSymmetric, SingularMatrix
@@ -25,8 +30,18 @@ def _exact(value) -> Fraction:
     return Fraction(value)
 
 
+def _rational(value) -> int | Fraction:
+    """An ``int`` or ``Fraction`` as it is, anything else through ``_exact``."""
+    return value if isinstance(value, (int, Fraction)) else _exact(value)
+
+
+def plain_magnitude(numerator: int, denominator: int) -> str:
+    """A lowest-terms (numerator, denominator) pair as ``str`` of its Fraction prints it."""
+    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+
+
 def _integer_rows(rows: Iterable[Iterable[Fraction]]) -> tuple[list[list[int]], int]:
-    """Rows of Fractions as integer rows over the lcm of their denominators."""
+    """Rows of ints and Fractions as integer rows over the lcm of their denominators."""
     rows = [list(row) for row in rows]
     den = lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
@@ -72,138 +87,151 @@ def _row_reduce(rows: list[Sequence[int]], pivot_cols: int) -> list[int]:
 
 
 class ExactMatrix:
-    """Immutable dense matrix with Fraction entries."""
+    """Immutable dense matrix over the rationals, stored as integer rows over one denominator.
 
-    __slots__ = ("rows", "cols", "_data", "_ints")
+    The one storage is a canonical integer form: ``_ints`` holds the rows as
+    tuples of integers over one positive denominator ``_den``, and the gcd of
+    ``_den`` and all entries is 1, so equal matrices have equal storage.
+    ``Fraction``s are built only by ``row``, ``to_rows`` and ``__getitem__``.
+    """
+
+    __slots__ = ("rows", "cols", "_ints", "_den")
 
     def __init__(self, entries: Iterable[Iterable]):
-        data = tuple(tuple(_exact(x) for x in row) for row in entries)
-        if not data or not data[0]:
+        rows, den = _integer_rows([_rational(x) for x in row] for row in entries)
+        if not rows or not rows[0]:
             raise ValueError("matrix must have at least one row and one column")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
+        if any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("matrix rows must all have the same length")
-        self.rows = len(data)
-        self.cols = width
-        self._data = data
-        self._ints = None
+        self._store(rows, den)
 
     @classmethod
-    def _trusted(cls, rows: Iterable[Iterable[Fraction]]) -> "ExactMatrix":
-        """Wrap non-empty rectangular rows of Fractions the package built itself; skips the checks."""
+    def _lowest(cls, rows: Iterable[Sequence[int]], den: int) -> "ExactMatrix":
+        """Wrap non-empty rectangular integer rows over den > 0 the package built itself; skips the checks."""
         matrix = cls.__new__(cls)
-        matrix._data = tuple(map(tuple, rows))
-        matrix.rows = len(matrix._data)
-        matrix.cols = len(matrix._data[0])
-        matrix._ints = None
+        matrix._store(rows, den)
         return matrix
+
+    def _store(self, rows: Iterable[Sequence[int]], den: int) -> None:
+        """Keep rows / den, cut down by the gcd of den and every entry."""
+        rows = list(rows)
+        g = gcd(den, *chain.from_iterable(rows)) if den != 1 else 1
+        self._ints = tuple(map(tuple, rows)) if g == 1 else tuple(tuple([x // g for x in row]) for row in rows)
+        self._den = den // g
+        self.rows = len(rows)
+        self.cols = len(rows[0])
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_json(cls, data: Sequence[Sequence[str]]) -> "ExactMatrix":
         return cls([[Fraction(x) for x in row] for row in data])
 
     def to_json(self) -> list[list[str]]:
-        return [[str(x) for x in row] for row in self._data]
+        return [[plain_magnitude(*pair) for pair in row] for row in self._pairs()]
 
     def _integers(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The entries as integer rows over one denominator (``_integer_rows``), computed once."""
-        if self._ints is None:
-            rows, den = _integer_rows(self._data)
-            self._ints = tuple(map(tuple, rows)), den
-        return self._ints
+        """The storage: integer rows over one denominator, in lowest terms."""
+        return self._ints, self._den
+
+    def _pairs(self) -> list[list[tuple[int, int]]]:
+        """Each entry as a lowest-terms (numerator, denominator) pair; one gcd per nonzero entry."""
+        den = self._den
+        return [[(x // (g := gcd(x, den)), den // g) if x else (0, 1) for x in row] for row in self._ints]
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._data[i]
+        return tuple(Fraction(x, self._den) for x in self._ints[i])
 
     def to_rows(self) -> list[list[Fraction]]:
-        return [list(row) for row in self._data]
+        return [[Fraction(x, self._den) for x in row] for row in self._ints]
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self._data[i][j]
+        return Fraction(self._ints[i][j], self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self._data == other._data
+        return self._den == other._den and self._ints == other._ints
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._data)
+        body = "; ".join(" ".join(row) for row in self.to_json())
         return f"ExactMatrix[{body}]"
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._require_same_shape(other)
-        return ExactMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._data, other._data)]
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        return ExactMatrix._lowest(
+            ([a * x + b * y for x, y in zip(ra, rb)] for ra, rb in zip(self._ints, other._ints)), den
         )
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = list(zip(*other._data))
-        return ExactMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self._data]
+        cols = list(zip(*other._ints))
+        return ExactMatrix._lowest(
+            ([sum(map(mul, row, col)) for col in cols] for row in self._ints), self._den * other._den
         )
 
     def scale(self, c) -> "ExactMatrix":
-        c = _exact(c)
-        return ExactMatrix([[c * x for x in row] for row in self._data])
+        c = _rational(c)
+        num = c.numerator
+        return ExactMatrix._lowest(([num * x for x in row] for row in self._ints), self._den * c.denominator)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self._data)))
+        return ExactMatrix._lowest(zip(*self._ints), self._den)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_symmetric(self) -> bool:
-        return self.is_square() and all(
-            self._data[i][j] == self._data[j][i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
+        return self.is_square() and self._ints == tuple(zip(*self._ints))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self._data for x in row)
+        return not any(map(any, self._ints))
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "ExactMatrix":
-        return ExactMatrix([row[c0:c1] for row in self._data[r0:r1]])
+        return ExactMatrix._lowest((row[c0:c1] for row in self._ints[r0:r1]), self._den)
 
     def det(self) -> Fraction:
+        """One fraction-free (Bareiss) pass over the integer rows, swapping in the first nonzero pivot."""
         if not self.is_square():
             raise ValueError("determinant requires a square matrix")
-        a = self.to_rows()
+        a = [list(row) for row in self._ints]
         n = self.rows
-        result = Fraction(1)
-        for col in range(n):
-            hit = next((r for r in range(col, n) if a[r][col] != 0), None)
+        sign, previous = 1, 1
+        for k in range(n):
+            hit = next((r for r in range(k, n) if a[r][k]), None)
             if hit is None:
                 return Fraction(0)
-            if hit != col:
-                a[col], a[hit] = a[hit], a[col]
-                result = -result
-            pivot = a[col][col]
-            result *= pivot
-            for r in range(col + 1, n):
-                if a[r][col] != 0:
-                    factor = a[r][col] / pivot
-                    a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-        return result
+            if hit != k:
+                a[k], a[hit] = a[hit], a[k]
+                sign = -sign
+            lead = a[k]
+            for row in a[k + 1:]:
+                factor = row[k]
+                for j in range(k + 1, n):
+                    row[j] = (lead[k] * row[j] - factor * lead[j]) // previous
+            previous = lead[k]
+        return Fraction(sign * previous, self._den**n)
 
     def inverse(self) -> "ExactMatrix":
         """Exact inverse by Gauss-Jordan elimination on [self | I]."""
         if not self.is_square():
             raise ValueError("only square matrices can be inverted")
-        n = self.rows
-        k_rows, den = self._integers()
-        aug = [[*row, *(den * (i == j) for j in range(n))] for i, row in enumerate(k_rows)]
+        n, den = self.rows, self._den
+        aug = [[*row, *(den * (i == j) for j in range(n))] for i, row in enumerate(self._ints)]
         pivots = _row_reduce(aug, n)
         if len(pivots) != n:
             raise SingularMatrix(f"{n}x{n} matrix has rank {len(pivots)}")
-        return ExactMatrix._trusted([Fraction(x, row[r]) for x in row[n:]] for r, row in enumerate(aug))
+        # Row r of the inverse is row r's right half over its pivot; put them over one denominator.
+        common = lcm(*(row[r] for r, row in enumerate(aug)))
+        return ExactMatrix._lowest(
+            [[x * (common // row[r]) for x in row[n:]] for r, row in enumerate(aug)], common
+        )
 
     def _require_same_shape(self, other: "ExactMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -262,4 +290,4 @@ def is_positive_definite(m: ExactMatrix) -> bool:
         raise NotSymmetric("matrix is not square")
     if not m.is_symmetric():
         raise NotSymmetric("matrix is not symmetric")
-    return all(minor > 0 for minor in _leading_minors(_integer_rows(m._data)[0]))
+    return all(minor > 0 for minor in _leading_minors([list(row) for row in m._ints]))

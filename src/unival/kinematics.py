@@ -29,8 +29,6 @@ from .errors import AlgebraMismatch, DegreeOutOfRange, NotInSpan
 from .exact import ExactMatrix, solve_in_span
 from .poly import GradedPoly, S
 
-_ZERO = Fraction(0)
-
 
 class TensorElement:
     """Bidegree-blocked element of a tensor product of two quotient models."""
@@ -132,11 +130,11 @@ def _map_factor(tensor: TensorElement, images, new_model, left: bool) -> TensorE
     """The fraction-free kernel behind ``map_left`` and ``map_right``.
 
     ``images`` maps a source degree to integer image matrices ``{d2: (M, den)}``
-    (``_product_images``).  With K a block's integer rows
-    (``ExactMatrix._integers``, scaled once per matrix), the new block is M K
-    on the left and K M^T = (M K^T)^T on the right: each a plain integer
-    product, with one Fraction per entry built at the end.  Products landing
-    on the same bidegree are summed over a common denominator.
+    (``_product_images``).  With K a block's stored integer rows
+    (``ExactMatrix._integers``), the new block is M K on the left and
+    K M^T = (M K^T)^T on the right: each a plain integer product.  Products
+    landing on the same bidegree are summed over a common denominator, and
+    each sum is wrapped as it is, cut down by one gcd.
     """
     acc: dict[tuple[int, int], tuple[list[list[int]], int]] = {}
     for (dl, dr), matrix in tensor.blocks.items():
@@ -158,12 +156,7 @@ def _map_factor(tensor: TensorElement, images, new_model, left: bool) -> TensorE
                 ]
                 den = common
             acc[key] = (product, den)
-    blocks = {
-        key: ExactMatrix._trusted(
-            [[Fraction(x, den) if x else _ZERO for x in row] for row in rows]
-        )
-        for key, (rows, den) in acc.items()
-    }
+    blocks = {key: ExactMatrix._lowest(rows, den) for key, (rows, den) in acc.items()}
     if left:
         return TensorElement(new_model, tensor.right, blocks)
     return TensorElement(tensor.left, new_model, blocks)

@@ -29,18 +29,38 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
+from operator import index
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import ParseError
-from .exact import _exact
+from .exact import _exact, _rational, plain_magnitude
 
 Monomial = tuple[int, int]  # (power of s, power of t); grade = 2*s_power + t_power
+
+
+def _exponents(mono) -> Monomial:
+    """A monomial key as two ``int`` exponents, through ``operator.index``; both must be nonnegative."""
+    try:
+        p, q = map(index, mono)
+    except TypeError:
+        raise TypeError(f"exponents must be integers: {mono}") from None
+    if p < 0 or q < 0:
+        raise ValueError(f"negative exponents are not allowed: {mono}")
+    return p, q
 
 
 def _plain_key(mono: Monomial) -> tuple[int, int]:
     """Plain order: ascending degree, then ascending power of s (descending power of t)."""
     return 2 * mono[0] + mono[1], mono[0]
+
+
+def _ratio(value) -> tuple[int, int]:
+    """A coefficient as its lowest-terms (numerator, denominator); floats raise ``TypeError``."""
+    if isinstance(value, float):
+        raise TypeError("floating-point coefficients are not allowed")
+    c = _rational(value)
+    return c.numerator, c.denominator
 
 
 class GradedPoly:
@@ -56,19 +76,17 @@ class GradedPoly:
     __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[Monomial, object] | None = None):
-        coeffs: dict[Monomial, int | Fraction] = {}
-        for mono, value in (terms or {}).items():
-            p, q = mono
-            if not (isinstance(p, int) and isinstance(q, int)):
-                raise TypeError(f"exponents must be integers: {mono}")
-            if p < 0 or q < 0:
-                raise ValueError(f"negative exponents are not allowed: {mono}")
-            if isinstance(value, float):
-                raise TypeError("floating-point coefficients are not allowed")
-            coeffs[mono] = value if isinstance(value, (int, Fraction)) else Fraction(value)
-        den = lcm(*[c.denominator for c in coeffs.values()])
-        form = GradedPoly._canonical({m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}, den)
+        form = GradedPoly._sum([(_exponents(mono), *_ratio(value)) for mono, value in (terms or {}).items()])
         self._num, self._den = form._num, form._den
+
+    @classmethod
+    def _sum(cls, terms: list[tuple[Monomial, int, int]]) -> "GradedPoly":
+        """Sum ``(monomial, numerator, denominator)`` terms over one lcm; monomials may repeat."""
+        den = lcm(*(d for _, _, d in terms))
+        num: dict[Monomial, int] = {}
+        for mono, x, d in terms:
+            num[mono] = num.get(mono, 0) + x * (den // d)
+        return cls._canonical(num, den)
 
     @classmethod
     def _canonical(cls, num: dict[Monomial, int], den: int) -> "GradedPoly":
@@ -90,15 +108,19 @@ class GradedPoly:
 
     @classmethod
     def one(cls) -> "GradedPoly":
-        return cls({(0, 0): 1})
+        return cls.monomial(0, 0)
 
     @classmethod
     def constant(cls, c) -> "GradedPoly":
-        return cls({(0, 0): c})
+        return cls.monomial(0, 0, c)
 
     @classmethod
     def monomial(cls, s_power: int, t_power: int, coeff=1) -> "GradedPoly":
-        return cls({(s_power, t_power): coeff})
+        """c * s^s_power * t^t_power, whose canonical form is read straight off c's lowest terms."""
+        mono, (num, den) = _exponents((s_power, t_power)), _ratio(coeff)
+        poly = cls.__new__(cls)
+        poly._num, poly._den = ({mono: num}, den) if num else ({}, 1)
+        return poly
 
     @property
     def terms(self) -> Mapping[Monomial, Fraction]:
@@ -202,10 +224,6 @@ def format_monomial(mono: Monomial) -> str:
     return "*".join(pieces) if pieces else "1"
 
 
-def plain_magnitude(numerator: int, denominator: int) -> str:
-    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
-
-
 def join_signed(
     terms: Iterable[tuple[int, int, str | None]], magnitude=plain_magnitude, times: str = "*"
 ) -> str:
@@ -292,19 +310,19 @@ def poly_parse(text: str) -> GradedPoly:
         advance()
         return value  # type: ignore[return-value]
 
-    def parse_factor(coeff: Fraction, powers: dict[str, int]) -> Fraction:
+    def parse_factor(coeff: tuple[int, int], powers: dict[str, int]) -> tuple[int, int]:
         kind, value, at = peek()
         if kind == "int":
             advance()
-            numerator = value
+            numerator, denominator = coeff
             if peek()[0] == "/":
                 advance()
                 _, _, d_at = peek()
-                denominator = expect_int("a denominator after '/'")
-                if denominator == 0:
+                divisor = expect_int("a denominator after '/'")
+                if divisor == 0:
                     raise ParseError("zero denominator", d_at)
-                return coeff * Fraction(numerator, denominator)
-            return coeff * numerator
+                denominator *= divisor
+            return numerator * value, denominator
         if kind == "sym":
             advance()
             exponent = 1
@@ -315,28 +333,26 @@ def poly_parse(text: str) -> GradedPoly:
             return coeff
         raise ParseError(f"expected a number, 's', or 't', found {_describe(kind, value)}", at)
 
-    def parse_term() -> tuple[Fraction, int, int]:
-        coeff = Fraction(1)
+    def parse_term() -> tuple[tuple[int, int], Monomial]:
         powers = {"s": 0, "t": 0}
-        coeff = parse_factor(coeff, powers)
+        coeff = parse_factor((1, 1), powers)
         while peek()[0] == "*":
             advance()
             coeff = parse_factor(coeff, powers)
-        return coeff, powers["s"], powers["t"]
+        return coeff, (powers["s"], powers["t"])
 
     kind, value, at = peek()
     if kind == "end":
         raise ParseError("empty input (expected a term)", at)
 
-    acc: dict[Monomial, Fraction] = {}
+    terms: list[tuple[Monomial, int, int]] = []  # (monomial, signed numerator, denominator)
     sign = 1
     if kind in ("+", "-"):
         advance()
         sign = -1 if kind == "-" else 1
     while True:
-        coeff, sp, tp = parse_term()
-        mono = (sp, tp)
-        acc[mono] = acc.get(mono, Fraction(0)) + sign * coeff
+        (numerator, denominator), mono = parse_term()
+        terms.append((mono, sign * numerator, denominator))
         kind, value, at = peek()
         if kind == "end":
             break
@@ -345,7 +361,7 @@ def poly_parse(text: str) -> GradedPoly:
             sign = -1 if kind == "-" else 1
             continue
         raise ParseError(f"expected '+' or '-' between terms, found {_describe(kind, value)}", at)
-    return GradedPoly(acc)
+    return GradedPoly._sum(terms)
 
 
 # ---------------------------------------------------------------------------

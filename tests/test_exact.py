@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,7 +17,7 @@ from unival import (
     is_positive_definite,
     solve_in_span,
 )
-from unival import algebra, exact, suite
+from unival import algebra, suite
 from unival.exact import _integer_rows, _row_reduce
 
 F = Fraction
@@ -117,12 +118,14 @@ def _ldlt_positive_definite(m: ExactMatrix) -> bool:
     return True
 
 
-def test_trusted_construction_equals_checked_construction():
-    rows = [[F(1, 3), F(0)], [F(-2), F(22, 7)]]
-    trusted = ExactMatrix._trusted(rows)
-    assert trusted == ExactMatrix(rows)
-    assert (trusted.rows, trusted.cols) == (2, 2)
-    assert trusted.transpose() == ExactMatrix([[F(1, 3), F(-2)], [F(0), F(22, 7)]])
+def test_wrapped_integer_rows_equal_checked_construction():
+    # [[1/3, 0], [-2, 22/7]] as integer rows over 42, not in lowest terms.
+    wrapped = ExactMatrix._lowest([[14, 0], [-84, 132]], 42)
+    assert wrapped == ExactMatrix([[F(1, 3), F(0)], [F(-2), F(22, 7)]])
+    assert wrapped._integers() == (((7, 0), (-42, 66)), 21)
+    assert (wrapped.rows, wrapped.cols) == (2, 2)
+    assert wrapped.transpose() == ExactMatrix([[F(1, 3), F(-2)], [F(0), F(22, 7)]])
+    assert ExactMatrix._lowest([[0, 0]], 12)._integers() == (((0, 0),), 1)
 
 
 def test_identity_inverse():
@@ -243,19 +246,115 @@ def test_reduction_tables_match_fraction_oracle(monkeypatch):
         assert table[n + 1:] == [suite._elimination_table(n, d) for d in range(n + 1, 2 * n + 3)]
 
 
-def test_integer_form_is_computed_once(monkeypatch):
-    calls = []
-
-    def counting(rows):
-        calls.append(1)
-        return _integer_rows(rows)
-
-    monkeypatch.setattr(exact, "_integer_rows", counting)
+def test_integer_form_is_the_storage():
     entries = [[F(1, 2), F(-2, 3), F(0)], [F(5), F(1, 6), F(-7, 4)]]
-    for matrix in (ExactMatrix(entries), ExactMatrix._trusted(entries)):
-        calls.clear()
-        ints = matrix._integers()
-        rows, den = _integer_rows(entries)
-        assert ints == (tuple(map(tuple, rows)), den) == (((6, -8, 0), (60, 2, -21)), 12)
-        assert matrix._integers() is ints
-        assert len(calls) == 1
+    matrix = ExactMatrix(entries)
+    ints, den = matrix._integers()
+    assert (ints, den) == (((6, -8, 0), (60, 2, -21)), 12)
+    assert ints is matrix._ints and matrix._integers()[0] is ints
+    assert all(type(x) is int for row in ints for x in row)
+    # Equal matrices built six ways share one storage.
+    built = [
+        ExactMatrix.from_json(matrix.to_json()),
+        ExactMatrix._lowest([[5 * x for x in row] for row in ints], 5 * den),
+        matrix.transpose().transpose(),
+        matrix + ExactMatrix([[0, 0, 0], [0, 0, 0]]),
+        matrix.scale(3).scale(F(1, 3)),
+        ExactMatrix([[3, -4, 0], [30, 1, F(-21, 2)]]).scale(F(1, 6)),
+    ]
+    assert all(other._integers() == (ints, den) for other in built)
+    # Public scalars are Fractions; booleans come in as ints.
+    assert matrix.row(1) == tuple(entries[1]) and matrix.to_rows() == entries
+    assert all(type(x) is F for x in (*matrix.row(0), matrix[1, 2], *matrix.to_rows()[1]))
+    assert ExactMatrix([[True, 2]])._integers() == (((1, 2),), 1)
+    assert type(ExactMatrix([[True]])._integers()[0][0][0]) is int
+    with pytest.raises(TypeError):
+        matrix.scale(0.5)
+
+
+# ---------------------------------------------------------------------------
+# the integer storage against a Fraction-entry oracle
+
+
+def _oracle_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]] | None:
+    # Slow oracle: rational Gauss-Jordan on [A | I]; None when A is singular.
+    n = len(rows)
+    aug = [[*row, *(F(int(i == j)) for j in range(n))] for i, row in enumerate(rows)]
+    if _fraction_row_reduce(aug, n) != list(range(n)):
+        return None
+    return [row[n:] for row in aug]
+
+
+def _oracle_det(rows: list[list[Fraction]]) -> Fraction:
+    # Slow oracle: Laplace expansion along the first row.
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * x * _oracle_det([row[:j] + row[j + 1:] for row in rows[1:]])
+        for j, x in enumerate(rows[0])
+    )
+
+
+wide_fractions = st.one_of(
+    st.just(F(0)),
+    small_fractions,
+    st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**6),
+)
+
+
+@st.composite
+def matrix_cases(draw):
+    # Two equal-shape matrices (sometimes zero, sometimes equal, sometimes made
+    # symmetric), a third that can multiply the first, a scalar and a block.
+    rows, cols, inner = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def fractions(r, c, zero=False):
+        return [[F(0) if zero else draw(wide_fractions) for _ in range(c)] for _ in range(r)]
+
+    a = fractions(rows, cols, draw(st.integers(0, 9)) == 0)
+    if rows == cols and draw(st.booleans()):
+        a = [[a[i][j] + a[j][i] for j in range(cols)] for i in range(rows)]
+    b = [list(row) for row in a] if draw(st.integers(0, 4)) == 0 else fractions(rows, cols)
+    c = fractions(cols, inner)
+    scalar = draw(st.one_of(st.integers(-5, 5), wide_fractions))
+    r0 = draw(st.integers(0, rows - 1))
+    c0 = draw(st.integers(0, cols - 1))
+    box = (r0, draw(st.integers(r0 + 1, rows)), c0, draw(st.integers(c0 + 1, cols)))
+    return a, b, c, scalar, box
+
+
+def _is_canonical(m: ExactMatrix) -> bool:
+    ints, den = m._integers()
+    return den > 0 and gcd(den, *(x for row in ints for x in row)) == 1
+
+
+@given(matrix_cases())
+@settings(max_examples=150, deadline=None)
+def test_integer_matrices_match_fraction_oracle(case):
+    a, b, c, scalar, (r0, r1, c0, c1) = case
+    ma, mb, mc = ExactMatrix(a), ExactMatrix(b), ExactMatrix(c)
+    assert ma.to_rows() == a and [list(ma.row(i)) for i in range(ma.rows)] == a
+    assert all(ma[i, j] == x for i, row in enumerate(a) for j, x in enumerate(row))
+    results = {
+        "add": (ma + mb, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]),
+        "scale": (ma.scale(scalar), [[scalar * x for x in row] for row in a]),
+        "matmul": (ma @ mc, [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] for row in a]),
+        "transpose": (ma.transpose(), [list(col) for col in zip(*a)]),
+        "block": (ma.block(r0, r1, c0, c1), [row[c0:c1] for row in a[r0:r1]]),
+    }
+    for name, (got, want) in results.items():
+        assert got.to_rows() == want, name
+        assert got == ExactMatrix(want) and _is_canonical(got), name
+    assert (ma == mb) == (a == b)
+    assert ma.is_zero() == all(x == 0 for row in a for x in row)
+    assert ma.is_symmetric() == (len(a) == len(a[0]) and a == [list(col) for col in zip(*a)])
+    assert ma.to_json() == [[str(x) for x in row] for row in a]
+    if len(a) == len(a[0]):
+        assert ma.det() == _oracle_det(a)
+        inverse = _oracle_inverse([list(row) for row in a])
+        if inverse is None:
+            with pytest.raises(SingularMatrix):
+                ma.inverse()
+        else:
+            assert ma.inverse().to_rows() == inverse
+            assert _is_canonical(ma.inverse())

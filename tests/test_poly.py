@@ -25,7 +25,7 @@ from unival import (
 )
 from unival.algebra import build_algebra
 from unival.emit import format_poly, latex_magnitude, monomial_latex
-from unival.poly import _shift, format_monomial, plain_magnitude
+from unival.poly import _describe, _shift, _tokenize, format_monomial, plain_magnitude
 
 F = Fraction
 
@@ -356,3 +356,163 @@ def test_coefficients_stay_fractions_and_floats_raise():
         GradedPoly({(0, 1): 1.0})
     with pytest.raises(TypeError):
         p * 2.0
+
+
+# ---------------------------------------------------------------------------
+# the integer parser against the Fraction parser it replaced
+
+
+def _oracle_parse(text: str) -> GradedPoly:
+    """The parser as it was before it carried integer pairs: one Fraction per factor and per term."""
+    tokens = _tokenize(text)
+    pos = 0
+
+    def take(kind: str, context: str):
+        nonlocal pos
+        got, value, at = tokens[pos]
+        if got != kind:
+            raise ParseError(f"expected {context}, found {_describe(got, value)}", at)
+        pos += 1
+        return value
+
+    def parse_factor(coeff: Fraction, powers: dict[str, int]) -> Fraction:
+        nonlocal pos
+        kind, value, at = tokens[pos]
+        if kind == "int":
+            pos += 1
+            if tokens[pos][0] == "/":
+                pos += 1
+                d_at = tokens[pos][2]
+                denominator = take("int", "a denominator after '/'")
+                if denominator == 0:
+                    raise ParseError("zero denominator", d_at)
+                return coeff * Fraction(value, denominator)
+            return coeff * value
+        if kind == "sym":
+            pos += 1
+            exponent = 1
+            if tokens[pos][0] == "^":
+                pos += 1
+                exponent = take("int", "an exponent after '^'")
+            powers[value] += exponent
+            return coeff
+        raise ParseError(f"expected a number, 's', or 't', found {_describe(kind, value)}", at)
+
+    kind, value, at = tokens[pos]
+    if kind == "end":
+        raise ParseError("empty input (expected a term)", at)
+    acc: dict = {}
+    sign = 1
+    if kind in ("+", "-"):
+        pos += 1
+        sign = -1 if kind == "-" else 1
+    while True:
+        powers = {"s": 0, "t": 0}
+        coeff = parse_factor(Fraction(1), powers)
+        while tokens[pos][0] == "*":
+            pos += 1
+            coeff = parse_factor(coeff, powers)
+        mono = (powers["s"], powers["t"])
+        acc[mono] = acc.get(mono, Fraction(0)) + sign * coeff
+        kind, value, at = tokens[pos]
+        if kind == "end":
+            break
+        if kind in ("+", "-"):
+            pos += 1
+            sign = -1 if kind == "-" else 1
+            continue
+        raise ParseError(f"expected '+' or '-' between terms, found {_describe(kind, value)}", at)
+    return GradedPoly(acc)
+
+
+factor_texts = st.one_of(
+    st.integers(0, 40).map(str),
+    st.builds("{}/{}".format, st.integers(0, 40), st.integers(0, 12)),
+    st.sampled_from(["s", "t", "s^0", "t^2", "s^3", "t^11"]),
+)
+term_texts = st.lists(factor_texts, min_size=1, max_size=4).map("*".join)
+
+
+@st.composite
+def poly_texts(draw):
+    # Chained factors, repeated monomials, terms that cancel, and garbage.
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.text(alphabet="0123456789st+-*/^ x", max_size=14))
+    terms = draw(st.lists(term_texts, min_size=1, max_size=6))
+    signs = draw(st.lists(st.sampled_from(["+", "-"]), min_size=len(terms), max_size=len(terms)))
+    if draw(st.booleans()):
+        terms.append(terms[0])
+        signs.append("-" if signs[0] == "+" else "+")
+    lead = signs[0] if signs[0] == "-" or draw(st.booleans()) else ""
+    return lead + terms[0] + "".join(f" {sign} {term}" for sign, term in zip(signs[1:], terms[1:]))
+
+
+def _parse_outcome(parse, text: str):
+    try:
+        p = parse(text)
+    except ParseError as exc:
+        return "error", str(exc), exc.position
+    return "poly", p._den, list(p._num.items())
+
+
+@given(poly_texts())
+@settings(max_examples=400)
+@example("2/3*3/4*s")
+@example("0/5")
+@example("-0/5*s + 0")
+@example("s - s")
+@example("3*s*t^2 - 3*t^2*s + 1/2 - 2/4")
+@example("t + t + 2*t - 4/1*t + 1/3*t")
+@example("2/0*s")
+@example("1/3*s - ")
+@example("s^*t")
+def test_parser_matches_fraction_oracle(text):
+    assert _parse_outcome(poly_parse, text) == _parse_outcome(_oracle_parse, text)
+
+
+def test_parser_builds_no_fraction(monkeypatch):
+    real_new = Fraction.__new__
+    calls = []
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    p = poly_parse("- 2/3*3/4*s^2*t + 5/6*t - 1/6*t + 7 - 0/5")
+    assert calls == []
+    assert p == GradedPoly({(2, 1): F(-1, 2), (0, 1): F(2, 3), (0, 0): 7})
+
+
+# ---------------------------------------------------------------------------
+# single-term construction
+
+
+def test_monomial_exponents_go_through_index():
+    p = GradedPoly.monomial(True, 2)
+    assert list(p._num) == [(1, 2)] and all(type(e) is int for e in next(iter(p._num)))
+    assert p == GradedPoly.monomial(1, 2) == GradedPoly({(True, 2): 1})
+    assert [type(e) for e in next(iter(GradedPoly({(True, False): 3})._num))] == [int, int]
+
+
+def test_monomial_rejects_float_exponents():
+    for args in ((2.0, 1), (0, 1.5), (F(1, 2), 0)):
+        with pytest.raises(TypeError):
+            GradedPoly.monomial(*args)
+    with pytest.raises(ValueError):
+        GradedPoly.monomial(-1, 0)
+    with pytest.raises(TypeError):
+        GradedPoly.monomial(1, 0, 0.5)
+    with pytest.raises(TypeError):
+        GradedPoly.constant(1.0)
+
+
+@given(huge_monomials, huge_coefficients)
+@settings(max_examples=150)
+def test_single_terms_match_general_construction(mono, c):
+    for built in (GradedPoly.monomial(*mono, c), GradedPoly.monomial(*mono, str(c))):
+        general = GradedPoly({mono: c})
+        _assert_canonical(built)
+        assert built == general and _same_storage(built, general)
+    assert _same_storage(GradedPoly.constant(c), GradedPoly({(0, 0): c}))
+    assert _same_storage(GradedPoly.one(), GradedPoly({(0, 0): 1}))

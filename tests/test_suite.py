@@ -431,3 +431,53 @@ def test_suite_catches_a_corrupted_pair_formatter(monkeypatch):
     failing = _failing_entries(run_suite(4))
     assert set(failing) == {"poly-roundtrip"}
     assert failing["poly-roundtrip"] == "k=2: '-1/2*t^2 + 2*s' does not round-trip"
+
+
+def _off_by_one(matrix: ExactMatrix, i: int, j: int) -> ExactMatrix:
+    """The matrix with integer entry (i, j) of its storage off by one, over the same denominator."""
+    ints, den = matrix._integers()
+    rows = [list(row) for row in ints]
+    rows[i][j] += 1
+    return ExactMatrix._lowest(rows, den)
+
+
+def test_suite_catches_one_corrupted_integer_entry_in_a_mapped_block(monkeypatch, fresh_matrix_caches):
+    real_map_factor = kinematics._map_factor
+
+    def corrupted(tensor, images, new_model, left):
+        """Integer entry (0, 0) of the lowest block mapped into the unitary n = 3 model, off by one."""
+        out = real_map_factor(tensor, images, new_model, left)
+        if not (isinstance(new_model, UnitaryAlgebra) and new_model.n == 3 and out.blocks):
+            return out
+        key = min(out.blocks)
+        return TensorElement(out.left, out.right, {**out.blocks, key: _off_by_one(out.blocks[key], 0, 0)})
+
+    monkeypatch.setattr(kinematics, "_map_factor", corrupted)
+    failing = _failing_entries(run_suite(6))
+    assert set(failing) == {"kinematic-step-up", "kinematic-cocommutativity", "annihilator-congruence"}
+    assert failing["kinematic-step-up"] == "n=2"
+    assert failing["annihilator-congruence"] == "n=3, k=0"
+    assert failing["kinematic-cocommutativity"].startswith("n=3, trial 0: block (3, 6)")
+
+
+def test_suite_catches_one_corrupted_integer_entry_in_a_kinematic_matrix(monkeypatch, fresh_matrix_caches):
+    real_kinematic_matrix = duality.kinematic_matrix
+
+    def corrupted(n, k):
+        """Integer entry (2, 2) of Q(6, 2) off by one; the matrix stays symmetric."""
+        q = real_kinematic_matrix(n, k)
+        return _off_by_one(q, 2, 2) if (n, k) == (6, 2) else q
+
+    _patch_every_binding(monkeypatch, "kinematic_matrix", corrupted)
+    failing = _failing_entries(run_suite(6))
+    assert set(failing) == {
+        "pairing-structure",
+        "annihilator-block",
+        "companion-closed-form",
+        "step-down-identity",
+        "kinematic-step-up",
+        "kinematic-cocommutativity",
+        "annihilator-congruence",
+    }
+    assert failing["pairing-structure"] == "n=6, k=2: kinematic * pairing != identity"
+    assert failing["step-down-identity"] == "n=6, k=2"
