@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from unival.duality import kinematic_matrix, pairing_matrix
@@ -16,3 +18,17 @@ def fresh_matrix_caches():
     yield
     for cached in caches:
         cached.cache_clear()
+
+
+@pytest.fixture
+def fraction_constructions(monkeypatch):
+    """Records the arguments of every ``Fraction`` built until the test undoes its monkeypatches."""
+    real_new = Fraction.__new__
+    calls = []
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return calls

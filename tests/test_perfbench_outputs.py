@@ -15,7 +15,6 @@ import contextlib
 import hashlib
 import io
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -78,16 +77,8 @@ def test_session_digests_match_the_benchmark_record(expected, session_worker, se
     assert all(session_worker["tensor_is_symmetric"](tensor) for tensor in tensors)
 
 
-def test_session_job_builds_no_fraction(monkeypatch, session_worker, session_algebra):
-    inputs = session_worker["make_inputs"](1)
-    real_new = Fraction.__new__
-    calls = []
-
-    def counting(cls, *args, **kwargs):
-        calls.append(args)
-        return real_new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-    session_worker["run_job"](unival, session_algebra, inputs)
+def test_session_job_builds_no_fraction(monkeypatch, session_worker, session_algebra, fraction_constructions):
+    # The module-scoped set-up runs before the function-scoped counter starts.
+    session_worker["run_job"](unival, session_algebra, session_worker["make_inputs"](1))
     monkeypatch.undo()
-    assert len(calls) == 0, calls[:5]
+    assert len(fraction_constructions) == 0, fraction_constructions[:5]

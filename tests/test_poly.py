@@ -470,17 +470,10 @@ def test_parser_matches_fraction_oracle(text):
     assert _parse_outcome(poly_parse, text) == _parse_outcome(_oracle_parse, text)
 
 
-def test_parser_builds_no_fraction(monkeypatch):
-    real_new = Fraction.__new__
-    calls = []
-
-    def counting(cls, *args, **kwargs):
-        calls.append(args)
-        return real_new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+def test_parser_builds_no_fraction(monkeypatch, fraction_constructions):
     p = poly_parse("- 2/3*3/4*s^2*t + 5/6*t - 1/6*t + 7 - 0/5")
-    assert calls == []
+    monkeypatch.undo()
+    assert fraction_constructions == []
     assert p == GradedPoly({(2, 1): F(-1, 2), (0, 1): F(2, 3), (0, 0): 7})
 
 
