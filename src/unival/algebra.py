@@ -15,19 +15,22 @@ ideal.
 
 The tables are integers: degree d keeps one denominator D_d and, for each
 non-basis monomial, integer coefficients on the degree-d basis.  Normal forms
-and products run through one integer kernel (``UnitaryAlgebra._reduce``):
-the integer numerators of a ``GradedPoly`` go in, ``_accumulate``'s integer
-rows come out and are put over one denominator, which is ``GradedPoly``'s
-own storage, so no ``Fraction`` is built.  Kinematic tensors read those
-integer rows directly.
+and products run through one integer kernel (``_Model._reduce``): the
+integer numerators of a ``GradedPoly`` go in, ``_accumulate``'s integer rows
+come out and are put over one denominator, which is ``GradedPoly``'s own
+storage, so no ``Fraction`` is built.  Kinematic tensors read those integer
+rows directly.
 
 The orthogonal model in real dimension n is the truncated polynomial ring
 Q[t]/(t^(n+1)), which doubles as a tiny independent oracle for the unitary
 engine (the n=1 unitary model collapses onto it).
 
 Both models derive from one private base, ``_Model``, which holds the
-per-degree bases and integer tables, the table lookup ``_accumulate``,
-equality and hashing; each model keeps its own normal form and product.
+per-degree bases and integer tables, the table lookup ``_accumulate``, the
+reduction kernel ``_reduce``, the product, equality and hashing.  The
+orthogonal tables are empty (every t^d with d <= n is basis, over D_d = 1),
+so the same kernel truncates there; each model keeps only its own entry to
+``normal_form``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from operator import index
 from typing import Iterable
 
 from .errors import AlgebraMismatch, DegreeOutOfRange, InternalInconsistency
-from .exact import _exact
 from .poly import GradedPoly, Monomial, log_component, poly_parse
 
 
@@ -62,11 +64,6 @@ def series_dimension(n: int, d: int) -> int:
         return m // 2 + 1 if m >= 0 else 0
 
     return g(d) - g(d - n - 1) - g(d - n - 2) + g(d - 2 * n - 3)
-
-
-def _numerators(poly: GradedPoly) -> tuple[Iterable[tuple[Monomial, int]], int]:
-    """The terms of ``poly`` as integer numerators over its one denominator: a read of its storage."""
-    return poly._num.items(), poly._den
 
 
 _Table = tuple[int, tuple[tuple[int, ...], ...]]
@@ -104,7 +101,7 @@ def _shift_degree(n: int, d: int, below: _Table) -> _Table:
     den_below, rows_below = below
     first_below = (2 * n - d + 1) // 2 + 1  # dim(d-1): s-power of its first table row
     relation = [0] * (top + 2)
-    for (p, _), c in _numerators(log_component(d))[0]:
+    for (p, _), c in log_component(d)._num.items():
         if p <= top:
             relation[p] += c * den_below
         elif p == hard:
@@ -166,7 +163,8 @@ class AlgebraElement:
         if isinstance(other, AlgebraElement):
             self._require_same(other)
             return self.algebra._multiply(self.poly, other.poly)
-        return AlgebraElement(self.algebra, self.poly * _exact(other))
+        # A scalar through the one gate: a float or a raw GradedPoly raises TypeError.
+        return AlgebraElement(self.algebra, self.poly * GradedPoly.constant(other))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -227,6 +225,26 @@ class _Model:
                 acc[d] = [x + c * y for x, y in zip(row, table[d][1][k])]
         return acc
 
+    def _reduce(self, terms: Iterable[tuple[Monomial, int]], den: int) -> AlgebraElement:
+        """The integer reduction kernel: normal form of sum(c * s^p t^q) / den.
+
+        ``_accumulate``'s row of degree d, over den * D_d, is scaled to the
+        common denominator den * lcm(D_d) and read in degree and basis order.
+        """
+        rows = self._accumulate(terms)
+        common = lcm(*(self._table[d][0] for d in rows))
+        num = {mono: x * scale for d in sorted(rows) for scale in (common // self._table[d][0],)
+               for mono, x in zip(self._basis[d], rows[d]) if x}
+        return AlgebraElement(self, GradedPoly._lowest(num, den * common))
+
+    def _multiply(self, a: GradedPoly, b: GradedPoly) -> AlgebraElement:
+        """Normal form of a*b: the integer numerators are convolved straight into the kernel."""
+        right = b._num.items()
+        return self._reduce(
+            (((p1 + p2, q1 + q2), c1 * c2) for (p1, q1), c1 in a._num.items() for (p2, q2), c2 in right),
+            a._den * b._den,
+        )
+
     def one(self) -> AlgebraElement:
         return AlgebraElement(self, GradedPoly.one())
 
@@ -261,32 +279,11 @@ class UnitaryAlgebra(_Model):
         """Normal form of a single monomial (zero above degree 2n), read from the tables."""
         return self._reduce([(mono, 1)], 1).poly
 
-    def _reduce(self, terms: Iterable[tuple[Monomial, int]], den: int) -> AlgebraElement:
-        """The integer reduction kernel: normal form of sum(c * s^p t^q) / den.
-
-        ``_accumulate``'s row of degree d, over den * D_d, is scaled to the
-        common denominator den * lcm(D_d) and read in degree and basis order.
-        """
-        rows = self._accumulate(terms)
-        common = lcm(*(self._table[d][0] for d in rows))
-        num = {mono: x * scale for d in sorted(rows) for scale in (common // self._table[d][0],)
-               for mono, x in zip(self._basis[d], rows[d]) if x}
-        return AlgebraElement(self, GradedPoly._lowest(num, den * common))
-
     def normal_form(self, poly: GradedPoly | str) -> AlgebraElement:
         """Linear extension of the reduction tables; total on all of Q[s,t]."""
         if isinstance(poly, str):
             poly = poly_parse(poly)
-        return self._reduce(*_numerators(poly))
-
-    def _multiply(self, a: GradedPoly, b: GradedPoly) -> AlgebraElement:
-        """Normal form of a*b: the integer numerators are convolved straight into the kernel."""
-        left, left_den = _numerators(a)
-        right, right_den = _numerators(b)
-        return self._reduce(
-            (((p1 + p2, q1 + q2), c1 * c2) for (p1, q1), c1 in left for (p2, q2), c2 in right),
-            left_den * right_den,
-        )
+        return self._reduce(poly._num.items(), poly._den)
 
 
 class SOAlgebra(_Model):
@@ -303,17 +300,9 @@ class SOAlgebra(_Model):
     def normal_form(self, poly: GradedPoly | str) -> AlgebraElement:
         if isinstance(poly, str):
             poly = poly_parse(poly)
-        terms, den = _numerators(poly)
-        num: dict[Monomial, int] = {}
-        for (p, q), x in terms:
-            if p:
-                raise ValueError("the orthogonal model is generated by t alone")
-            if q <= self.n:
-                num[(0, q)] = x
-        return AlgebraElement(self, GradedPoly._lowest(num, den))
-
-    def _multiply(self, a: GradedPoly, b: GradedPoly) -> AlgebraElement:
-        return self.normal_form(a * b)
+        if any(p for p, _ in poly._num):
+            raise ValueError("the orthogonal model is generated by t alone")
+        return self._reduce(poly._num.items(), poly._den)
 
 
 _BUILD_CACHE: dict[int, UnitaryAlgebra] = {}

@@ -178,15 +178,15 @@ def annihilator_change_of_basis(n: int, k: int) -> ExactMatrix:
     diagonal, matching the annihilator basis elements degree by degree.
     """
     n, k = index(n), index(k)
-    if not 2 * k + 1 <= n:
-        raise IndexOutOfRange(f"requires 2k+1 <= n, got n={n}, k={k}")
+    if k < 0 or 2 * k + 1 > n:
+        raise IndexOutOfRange(f"requires k >= 0 and 2k+1 <= n, got n={n}, k={k}")
     size = k + 1
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    rows[0][0] = Fraction(1)
+    rows = [[0] * size for _ in range(size)]
+    rows[0][0] = 1
     for r in range(1, size):
-        rows[r][r - 1] = Fraction(n - r + 1)
-        rows[r][r] = Fraction(-2 * (2 * n - 2 * r + 1))
-    return ExactMatrix(rows)
+        rows[r][r - 1] = n - r + 1
+        rows[r][r] = -2 * (2 * n - 2 * r + 1)
+    return ExactMatrix._lowest(rows, 1)
 
 
 def kinematic_annihilator_block(n: int, k: int) -> ExactMatrix:
@@ -200,7 +200,8 @@ def kinematic_annihilator_block(n: int, k: int) -> ExactMatrix:
         raise IndexOutOfRange(f"requires k >= 1 and 2k+1 <= n, got n={n}, k={k}")
     a_inv = annihilator_change_of_basis(n, k).inverse()
     m = a_inv.transpose() @ kinematic_matrix(n, k) @ a_inv
-    if m[0, 0] != 1 or any(m[0, i] != 0 or m[i, 0] != 0 for i in range(1, k + 1)):
+    ints, den = m._integers()
+    if ints[0] != (den, *[0] * k) or any(row[0] for row in ints[1:]):
         raise StructureViolation(
             f"kinematic matrix n={n}, k={k} does not split off the unit block in annihilator coordinates"
         )
@@ -235,9 +236,10 @@ def companion_data(n: int, k: int) -> CompanionData:
     if not 2 * k <= n - 1:
         raise IndexOutOfRange(f"requires 2k <= n-1, got n={n}, k={k}")
     product = (kinematic_matrix(n, k) @ pairing_matrix(n - 1, k)).scale(Fraction(n, 2 * (2 * n - 1)))
+    ints, den = product._integers()
     for i in range(k + 1):
         for j in range(k):
-            if product[i, j] != Fraction(int(i == j + 1)):
+            if ints[i][j] != den * (i == j + 1):
                 raise StructureViolation(
                     f"kinematic/pairing product n={n}, k={k} is not a companion matrix at ({i},{j})"
                 )
@@ -348,16 +350,10 @@ def step_down_identity_holds(n: int, k: int) -> bool:
 
     Also checks the binomial identity used alongside it for i = 0..k-1.
     """
-    product = step_down_matrix(n, k) @ kinematic_matrix(n, k)
-    small = kinematic_matrix(n - 1, k - 1)
-    for i in range(k + 1):
-        for j in range(k + 1):
-            if i == 0 or j == 0:
-                expected = Fraction(int(i == j))
-            else:
-                expected = small[i - 1, j - 1]
-            if product[i, j] != expected:
-                return False
+    small, den = kinematic_matrix(n - 1, k - 1)._integers()
+    expected = ExactMatrix._lowest([[den] + [0] * k, *([0, *row] for row in small)], den)
+    if step_down_matrix(n, k) @ kinematic_matrix(n, k) != expected:
+        return False
     return all(binomial_reduction_identity(n, i) for i in range(k))
 
 

@@ -12,8 +12,8 @@ import json
 from functools import lru_cache
 
 from .algebra import SOAlgebra
-from .exact import ExactMatrix
-from .poly import GradedPoly, Monomial, format_monomial, join_signed, plain_magnitude, poly_format
+from .exact import ExactMatrix, plain_magnitude
+from .poly import GradedPoly, Monomial, format_monomial, join_signed, poly_format
 from .suite import SuiteReport
 
 

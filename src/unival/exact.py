@@ -2,16 +2,16 @@
 
 Scalars are ``fractions.Fraction`` at every public interface: arbitrary
 precision, always in lowest terms with positive denominator.  Inside, the
-work is in integers.  An ``ExactMatrix`` stores integer rows over one
-denominator in lowest terms, so its arithmetic, its comparisons and the
-emitters that read it build no ``Fraction``.  Elimination is fraction-free:
-one integer Gauss-Jordan kernel (``_row_reduce``) takes integer rows and
-returns them reduced, and it serves slice elimination, inversion, span
-solving and the annihilator rank test.  A caller holding Fractions scales its
-rows to integers once (``_integer_rows``).  The determinant and the
-positive-definiteness test are Bareiss passes over integers.  Pivots are
-always the first nonzero entry in column order, which keeps every reduction
-deterministic.
+work is in integers.  Every scalar enters through one gate (``_ratio``),
+which refuses floats and passes ints without building a ``Fraction``.  An
+``ExactMatrix`` stores integer rows over one denominator in lowest terms, so
+its arithmetic, its comparisons and the emitters that read it build no
+``Fraction``; one integer product (``_dot_rows``) serves it and the tensor
+kernel.  Elimination is fraction-free: one integer Gauss-Jordan kernel
+(``_row_reduce``) serves slice elimination, inversion, span solving and the
+annihilator rank test.  The determinant and the positive-definiteness test
+are Bareiss passes over integers.  Pivots are always the first nonzero entry
+in column order, which keeps every reduction deterministic.
 """
 
 from __future__ import annotations
@@ -24,15 +24,13 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import NotInSpan, NotSymmetric, SingularMatrix
 
-def _exact(value) -> Fraction:
+def _ratio(value) -> tuple[int, int]:
+    """An exact scalar as its lowest-terms (numerator, denominator); floats raise ``TypeError``."""
     if isinstance(value, float):
         raise TypeError("floating-point values are not allowed in exact arithmetic")
-    return Fraction(value)
-
-
-def _rational(value) -> int | Fraction:
-    """An ``int`` or ``Fraction`` as it is, anything else through ``_exact``."""
-    return value if isinstance(value, (int, Fraction)) else _exact(value)
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return value.numerator, value.denominator
 
 
 def plain_magnitude(numerator: int, denominator: int) -> str:
@@ -40,11 +38,16 @@ def plain_magnitude(numerator: int, denominator: int) -> str:
     return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
 
 
-def _integer_rows(rows: Iterable[Iterable[Fraction]]) -> tuple[list[list[int]], int]:
-    """Rows of ints and Fractions as integer rows over the lcm of their denominators."""
-    rows = [list(row) for row in rows]
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+def _integer_rows(rows: Iterable[Iterable]) -> tuple[list[list[int]], int]:
+    """Rows of exact scalars as integer rows over the lcm of their denominators."""
+    pairs = [[_ratio(x) for x in row] for row in rows]
+    den = lcm(*(d for row in pairs for _, d in row))
+    return [[x * (den // d) for x, d in row] for row in pairs], den
+
+
+def _dot_rows(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """A B^T over the integers: every row of ``a`` against every row of ``b``."""
+    return [[sum(map(mul, x, y)) for y in b] for x in a]
 
 
 def _row_reduce(rows: list[Sequence[int]], pivot_cols: int) -> list[int]:
@@ -98,7 +101,7 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "_ints", "_den")
 
     def __init__(self, entries: Iterable[Iterable]):
-        rows, den = _integer_rows([_rational(x) for x in row] for row in entries)
+        rows, den = _integer_rows(entries)
         if not rows or not rows[0]:
             raise ValueError("matrix must have at least one row and one column")
         if any(len(row) != len(rows[0]) for row in rows):
@@ -127,7 +130,7 @@ class ExactMatrix:
 
     @classmethod
     def from_json(cls, data: Sequence[Sequence[str]]) -> "ExactMatrix":
-        return cls([[Fraction(x) for x in row] for row in data])
+        return cls(data)
 
     def to_json(self) -> list[list[str]]:
         return [[plain_magnitude(*pair) for pair in row] for row in self._pairs()]
@@ -171,15 +174,11 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = list(zip(*other._ints))
-        return ExactMatrix._lowest(
-            ([sum(map(mul, row, col)) for col in cols] for row in self._ints), self._den * other._den
-        )
+        return ExactMatrix._lowest(_dot_rows(self._ints, list(zip(*other._ints))), self._den * other._den)
 
     def scale(self, c) -> "ExactMatrix":
-        c = _rational(c)
-        num = c.numerator
-        return ExactMatrix._lowest(([num * x for x in row] for row in self._ints), self._den * c.denominator)
+        num, den = _ratio(c)
+        return ExactMatrix._lowest(([num * x for x in row] for row in self._ints), self._den * den)
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix._lowest(zip(*self._ints), self._den)
@@ -243,15 +242,14 @@ def solve_in_span(generators: Sequence[Sequence], target: Sequence) -> tuple[Fra
 
     Returns coefficients lam with sum(lam[i] * generators[i]) == target;
     directions not pinned down by the system get coefficient 0.  Raises
-    NotInSpan when no combination exists.
+    NotInSpan when no combination exists.  Entries are any exact scalars;
+    ints go to the integer kernel as they are.
     """
-    gens = [[_exact(x) for x in g] for g in generators]
-    tgt = [_exact(x) for x in target]
-    length = len(tgt)
-    if any(len(g) != length for g in gens):
+    length = len(target)
+    if any(len(g) != length for g in generators):
         raise ValueError("generators and target must share one vector length")
-    m = len(gens)
-    rows, _ = _integer_rows([*(g[i] for g in gens), tgt[i]] for i in range(length))
+    m = len(generators)
+    rows, _ = _integer_rows([*(g[i] for g in generators), target[i]] for i in range(length))
     pivots = _row_reduce(rows, m)
     if any(row[m] for row in rows[len(pivots):]):
         raise NotInSpan("target is independent of the generators")

@@ -11,22 +11,12 @@ factor, or stepping a factor up are all linear block operations.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, lru_cache
-from math import lcm
-from operator import mul
 
-from .algebra import (
-    AlgebraElement,
-    SOAlgebra,
-    UnitaryAlgebra,
-    _numerators,
-    annihilator_basis,
-    build_algebra,
-)
+from .algebra import AlgebraElement, SOAlgebra, UnitaryAlgebra, annihilator_basis, build_algebra
 from .duality import _product_gram, kinematic_matrix
 from .errors import AlgebraMismatch, DegreeOutOfRange, NotInSpan
-from .exact import ExactMatrix, solve_in_span
+from .exact import ExactMatrix, _dot_rows, solve_in_span
 from .poly import GradedPoly, S
 
 
@@ -111,7 +101,7 @@ def _product_images(phi: AlgebraElement, source):
     alg = phi.algebra
     if type(alg) is not type(source):
         raise AlgebraMismatch(f"cannot map {source!r} into {alg!r}")
-    terms, den = _numerators(phi.poly)
+    terms, den = phi.poly._num.items(), phi.poly._den
 
     @cache
     def images(d: int) -> dict[int, tuple[list[list[int]], int]]:
@@ -132,11 +122,10 @@ def _map_factor(tensor: TensorElement, images, new_model, left: bool) -> TensorE
     ``images`` maps a source degree to integer image matrices ``{d2: (M, den)}``
     (``_product_images``).  With K a block's stored integer rows
     (``ExactMatrix._integers``), the new block is M K on the left and
-    K M^T = (M K^T)^T on the right: each a plain integer product.  Products
-    landing on the same bidegree are summed over a common denominator, and
-    each sum is wrapped as it is, cut down by one gcd.
+    K M^T = (M K^T)^T on the right: each a plain integer product, wrapped in
+    lowest terms.  Products landing on the same bidegree are summed.
     """
-    acc: dict[tuple[int, int], tuple[list[list[int]], int]] = {}
+    blocks: dict[tuple[int, int], ExactMatrix] = {}
     for (dl, dr), matrix in tensor.blocks.items():
         k_rows, k_den = matrix._integers()
         if left:
@@ -146,25 +135,11 @@ def _map_factor(tensor: TensorElement, images, new_model, left: bool) -> TensorE
                 key, product = (d2, dr), _dot_rows(m_rows, k_rows)
             else:
                 key, product = (dl, d2), _dot_rows(k_rows, m_rows)
-            den = m_den * k_den
-            if key in acc:
-                previous, previous_den = acc[key]
-                common = lcm(den, previous_den)
-                a, b = common // previous_den, common // den
-                product = [
-                    [a * x + b * y for x, y in zip(r0, r1)] for r0, r1 in zip(previous, product)
-                ]
-                den = common
-            acc[key] = (product, den)
-    blocks = {key: ExactMatrix._lowest(rows, den) for key, (rows, den) in acc.items()}
+            block = ExactMatrix._lowest(product, m_den * k_den)
+            blocks[key] = blocks[key] + block if key in blocks else block
     if left:
         return TensorElement(new_model, tensor.right, blocks)
     return TensorElement(tensor.left, new_model, blocks)
-
-
-def _dot_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """A B^T over the integers: every row of ``a`` against every row of ``b``."""
-    return [[sum(map(mul, x, y)) for y in b] for x in a]
 
 
 def kinematic_unit(n: int) -> TensorElement:
@@ -210,7 +185,8 @@ def annihilator_congruence_holds(n: int, k: int) -> bool:
 
     Subtracts sum_{i+j = 2n+k} t^i x t^j from the kinematic tensor of t^k and
     solves every remaining block against the products of annihilator basis
-    vectors on both sides.
+    vectors on both sides.  Both are read as stored integer numerators:
+    scaling a generator or the target does not change span membership.
     """
     alg = build_algebra(n)
     if not 0 <= k <= 2 * n:
@@ -224,12 +200,12 @@ def annihilator_congruence_holds(n: int, k: int) -> bool:
     residual = tensor - TensorElement(alg, alg, corners)
 
     @cache
-    def annihilator_vectors(d: int) -> list[list[Fraction]]:
+    def annihilator_vectors(d: int) -> list[list[int]]:
         basis = alg.basis(d)
-        return [[element.poly.coefficient(*mono) for mono in basis] for element in annihilator_basis(alg, d)]
+        return [[element.poly._num.get(mono, 0) for mono in basis] for element in annihilator_basis(alg, d)]
 
     for (dl, dr), matrix in residual.blocks.items():
-        target = [x for row in matrix.to_rows() for x in row]
+        target = [x for row in matrix._integers()[0] for x in row]
         left_vecs = annihilator_vectors(dl)
         right_vecs = annihilator_vectors(dr)
         if not left_vecs or not right_vecs:

@@ -34,7 +34,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import ParseError
-from .exact import _exact, _rational, plain_magnitude
+from .exact import _ratio, plain_magnitude
 
 Monomial = tuple[int, int]  # (power of s, power of t); grade = 2*s_power + t_power
 
@@ -53,14 +53,6 @@ def _exponents(mono) -> Monomial:
 def _plain_key(mono: Monomial) -> tuple[int, int]:
     """Plain order: ascending degree, then ascending power of s (descending power of t)."""
     return 2 * mono[0] + mono[1], mono[0]
-
-
-def _ratio(value) -> tuple[int, int]:
-    """A coefficient as its lowest-terms (numerator, denominator); floats raise ``TypeError``."""
-    if isinstance(value, float):
-        raise TypeError("floating-point coefficients are not allowed")
-    c = _rational(value)
-    return c.numerator, c.denominator
 
 
 class GradedPoly:
@@ -173,8 +165,7 @@ class GradedPoly:
                     mono = (p1 + p2, q1 + q2)
                     out[mono] = out.get(mono, 0) + x * y
             return GradedPoly._canonical(out, self._den * other._den)
-        scalar = _exact(other)
-        c, d = scalar.numerator, scalar.denominator
+        c, d = _ratio(other)
         return GradedPoly._canonical({mono: x * c for mono, x in self._num.items()}, self._den * d)
 
     def __rmul__(self, other) -> "GradedPoly":
@@ -265,9 +256,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # exactly the digits int() reads; superscripts such as '²' are not
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j
@@ -393,10 +384,8 @@ def log_component(k: int) -> GradedPoly:
     if k < 1:
         raise ValueError("k must be >= 1")
     sign = (-1) ** (k + 1)
-    terms: dict[Monomial, Fraction] = {}
-    for i in range(k // 2 + 1):
-        terms[(i, k - 2 * i)] = Fraction(sign * (-1) ** i * comb(k - i, i), k - i)
-    return GradedPoly(terms)
+    terms = [((i, k - 2 * i), sign * (-1) ** i * comb(k - i, i), k - i) for i in range(k // 2 + 1)]
+    return GradedPoly._sum(terms)
 
 
 def log_component_alt(k: int) -> GradedPoly:

@@ -168,17 +168,16 @@ def _elimination_table(n: int, d: int) -> tuple[int, tuple[tuple[int, ...], ...]
     nonbasis = sorted(set(monos) - set(basis), key=lambda m: -m[0])
     cols = nonbasis + list(basis)
     index = {m: c for c, m in enumerate(cols)}
-    rows: list[list[Fraction]] = []
+    ints: list[list[int]] = []  # monomial multiples of f's integer numerators; a row scale moves no pivot
     for g in (log_component(n + 1), log_component(n + 2)):
         shift = d - g.total_degree()
         if shift < 0:
             continue
         for a in range(shift // 2 + 1):
-            row = [Fraction(0)] * len(cols)
-            for (p, q), c in g.terms.items():
+            row = [0] * len(cols)
+            for (p, q), c in g._num.items():
                 row[index[(p + a, q + shift - 2 * a)]] = c
-            rows.append(row)
-    ints, _ = _integer_rows(rows)
+            ints.append(row)
     pivots = _row_reduce(ints, len(cols))
     if pivots != list(range(len(nonbasis))):
         raise InternalInconsistency(
@@ -282,14 +281,15 @@ def _check_annihilator(n_max: int) -> Optional[str]:
                 if killer * alpha:
                     return f"n={n}, j={j}, element {idx}: t^{2 * n - j} * alpha != 0"
             if j <= 2 * n - 3:
+                # Stored numerators: scaling a generator or the target does not change span membership.
                 next_vectors = [
-                    [beta.poly.coefficient(*m) for m in alg.basis(j + 1)]
+                    [beta.poly._num.get(m, 0) for m in alg.basis(j + 1)]
                     for beta in annihilator_basis(alg, j + 1)
                 ]
                 t_elem = alg.normal_form(GradedPoly.monomial(0, 1))
                 for idx, alpha in enumerate(elements):
                     shifted = t_elem * alpha
-                    target = [shifted.poly.coefficient(*m) for m in alg.basis(j + 1)]
+                    target = [shifted.poly._num.get(m, 0) for m in alg.basis(j + 1)]
                     try:
                         solve_in_span(next_vectors, target)
                     except NotInSpan:
@@ -418,9 +418,8 @@ def _check_so_unit_coefficients(n_max: int) -> Optional[str]:
     return None
 
 
-def _elimination_pivots(rows: list[list[Fraction]]) -> tuple[Fraction, ...]:
-    """The D of A = L D L^T: ratios of leading principal minors, by elimination without row exchanges."""
-    a, den = _integer_rows(rows)
+def _elimination_pivots(a: list[list[int]], den: int) -> tuple[Fraction, ...]:
+    """The D of a / den = L D L^T: ratios of leading principal minors, by elimination without row exchanges."""
     minors = [1, *_leading_minors(a)]  # of den * A, so the i-th pivot carries one more factor den
     return tuple(Fraction(minors[i + 1], minors[i] * den) for i in range(len(a)))
 
@@ -431,7 +430,8 @@ def _check_kinematic_positivity(n_max: int) -> Optional[str]:
         for k in range(n // 2 + 1):
             if not is_positive_definite(kinematic_matrix(n, k)):
                 return f"n={n}, k={k}: kinematic matrix is not positive definite"
-            expected = _elimination_pivots([row[::-1] for row in reversed(pairing_matrix(n, k).to_rows())])
+            ints, den = pairing_matrix(n, k)._integers()
+            expected = _elimination_pivots([list(row[::-1]) for row in reversed(ints)], den)
             pivots = pairing_pivots(n, k)
             if pivots != expected:
                 return (

@@ -187,6 +187,12 @@ def test_scalar_multiplication_rejects_floats():
     with pytest.raises(TypeError):
         0.1 * one
     assert (one * Fraction(1, 10)).poly == poly_parse("1/10")
+    # A raw polynomial is not a scalar: multiplied in as one, t^5 would come back unreduced.
+    raw = poly_parse("t^5")
+    with pytest.raises(TypeError):
+        one * raw
+    with pytest.raises(TypeError):
+        raw * one
 
 
 def test_restriction_examples():
@@ -269,6 +275,8 @@ def test_so_algebra_multiplication():
     assert (t2 * t2).poly == poly_parse("t^4")
     with pytest.raises(ValueError):
         so4.normal_form("s")
+    with pytest.raises(ValueError):
+        SOAlgebra(3).normal_form("s*t")
 
 
 def test_models_compare_by_kind_and_dimension():

@@ -12,6 +12,7 @@ from unival import (
     ExactMatrix,
     GradedPoly,
     IndexOutOfRange,
+    StructureViolation,
     annihilator_change_of_basis,
     binomial_reduction_identity,
     build_algebra,
@@ -131,6 +132,8 @@ def test_annihilator_change_of_basis_values():
     )
     with pytest.raises(IndexOutOfRange):
         annihilator_change_of_basis(3, 2)
+    with pytest.raises(IndexOutOfRange):
+        annihilator_change_of_basis(5, -1)
 
 
 def test_kinematic_annihilator_block():
@@ -218,6 +221,29 @@ def test_step_down_identity():
     for n in range(3, 13):
         for k in range(1, (n - 1) // 2 + 1):
             assert step_down_identity_holds(n, k), (n, k)
+
+
+def test_integer_checks_keep_their_counterexamples(monkeypatch, fresh_matrix_caches):
+    real_kinematic_matrix = duality.kinematic_matrix
+
+    def corrupted(n, k):
+        """Integer entry (2, 2) of Q(6, 2) off by one, over the same denominator."""
+        q = real_kinematic_matrix(n, k)
+        if (n, k) != (6, 2):
+            return q
+        ints, den = q._integers()
+        rows = [list(row) for row in ints]
+        rows[2][2] += 1
+        return ExactMatrix._lowest(rows, den)
+
+    monkeypatch.setattr(duality, "kinematic_matrix", corrupted)
+    # Only row 2 of the product moves, and its first entry should be 0.
+    with pytest.raises(StructureViolation, match=r"n=6, k=2 is not a companion matrix at \(2,0\)$"):
+        companion_data(6, 2)
+    # Q(6, 2) on either side of the step-down identity: a mismatch is False, never an exception.
+    assert step_down_identity_holds(6, 2) is False
+    assert step_down_identity_holds(7, 3) is False
+    assert step_down_identity_holds(7, 2) is True
 
 
 def test_binomial_reduction_identity_example():

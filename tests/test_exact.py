@@ -168,6 +168,10 @@ def test_solve_in_span_trivial():
     assert solve_in_span([(1, 0)], (3, 0)) == (F(3),)
     with pytest.raises(NotInSpan):
         solve_in_span([(1, 0)], (0, 1))
+    with pytest.raises(TypeError):
+        solve_in_span([(1.0, 0)], (3, 0))
+    with pytest.raises(TypeError):
+        solve_in_span([(1, 0)], (3, 0.5))
 
 
 def test_solve_in_span_reproduces_combination():

@@ -35,6 +35,11 @@ ERRORS: dict[str, tuple[int, str]] = {
     "basis --n 3 --degree 99": (1, "error: degree must lie in 0..6, got 99\n"),
     "matrix --n 0 --k 0 --which P": (1, "error: complex dimension n must be >= 1\n"),
     "matrix --n 0 --k 0 --which Q": (1, "error: complex dimension n must be >= 1\n"),
+    "matrix --n 5 --k -1 --which A": (1, "error: requires k >= 0 and 2k+1 <= n, got n=5, k=-1\n"),
+    "reduce --n 2 s^²": (
+        1,
+        "error: position 2: unexpected character '²' (expected a digit, 's', 't', or an operator)\n",
+    ),
     "check --n-max 0": (1, "error: --n-max must be >= 1\n"),
     "positivity --n-max 0": (1, "error: --n-max must be >= 1\n"),
 }

@@ -56,6 +56,11 @@ def test_parse_unknown_symbol():
         poly_parse("s^2*q")
     assert excinfo.value.position == 4
     assert "unexpected character 'q'" in str(excinfo.value)
+    # '²'.isdigit() holds but int() refuses it: the tokenizer reads decimal digits only.
+    with pytest.raises(ParseError) as excinfo:
+        poly_parse("s^²")
+    assert excinfo.value.position == 2
+    assert "unexpected character '²'" in str(excinfo.value)
 
 
 @pytest.mark.parametrize(
