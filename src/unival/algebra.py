@@ -16,10 +16,11 @@ ideal.
 The tables are integers: degree d keeps one denominator D_d and, for each
 non-basis monomial, integer coefficients on the degree-d basis.  Normal forms
 and products run through one integer kernel (``_Model._reduce``): the
-integer numerators of a ``GradedPoly`` go in, ``_accumulate``'s integer rows
-come out and are put over one denominator, which is ``GradedPoly``'s own
-storage, so no ``Fraction`` is built.  Kinematic tensors read those integer
-rows directly.
+integer numerators of a ``GradedPoly`` go in, basis terms pass straight
+through, and only the degrees that a non-basis term reaches get an integer
+row from the tables (``_accumulate``).  All of it is put over one
+denominator, which is ``GradedPoly``'s own storage, so no ``Fraction`` is
+built.  Kinematic tensors read ``_accumulate``'s integer rows directly.
 
 The orthogonal model in real dimension n is the truncated polynomial ring
 Q[t]/(t^(n+1)), which doubles as a tiny independent oracle for the unitary
@@ -201,11 +202,16 @@ class _Model:
     def dim(self, d: int) -> int:
         return len(self.basis(d))
 
-    def _accumulate(self, terms: Iterable[tuple[Monomial, int]]) -> dict[int, list[int]]:
+    def _accumulate(
+        self, terms: Iterable[tuple[Monomial, int]], loose: dict[int, dict[int, int]] | None = None
+    ) -> dict[int, list[int]]:
         """The table lookup: sum(c * s^p t^q) as one integer row over D_d per degree d <= top.
 
         Terms may repeat a monomial.  A basis monomial adds c * D_d at its slot
-        (its s-power), a non-basis one adds c times its table row.
+        (its s-power), a non-basis one adds c times its table row.  Given a
+        dict ``loose``, a basis monomial of a degree that has no row yet adds c
+        to ``loose[d][p]`` instead, so that only the degrees a non-basis
+        monomial reaches get a row.
         """
         top = self.top_degree
         table = self._table
@@ -217,6 +223,13 @@ class _Model:
                 continue
             row = acc.get(d)
             if row is None:
+                if loose is not None and p < len(basis[d]):
+                    slots = loose.get(d)
+                    if slots is None:
+                        loose[d] = {p: c}
+                    else:
+                        slots[p] = slots.get(p, 0) + c
+                    continue
                 row = acc[d] = [0] * len(basis[d])
             k = p - len(row)
             if k < 0:
@@ -228,13 +241,30 @@ class _Model:
     def _reduce(self, terms: Iterable[tuple[Monomial, int]], den: int) -> AlgebraElement:
         """The integer reduction kernel: normal form of sum(c * s^p t^q) / den.
 
-        ``_accumulate``'s row of degree d, over den * D_d, is scaled to the
-        common denominator den * lcm(D_d) and read in degree and basis order.
+        Basis terms go straight into the result's numerators (``_accumulate``'s
+        ``loose``); only the degrees that a non-basis term reaches get a row
+        over den * D_d, take in the basis terms of their degree, and enter the
+        common denominator den * lcm(D_d).  The result is read in degree and
+        basis order.
         """
-        rows = self._accumulate(terms)
-        common = lcm(*(self._table[d][0] for d in rows))
-        num = {mono: x * scale for d in sorted(rows) for scale in (common // self._table[d][0],)
-               for mono, x in zip(self._basis[d], rows[d]) if x}
+        loose: dict[int, dict[int, int]] = {}
+        rows = self._accumulate(terms, loose)
+        table, basis = self._table, self._basis
+        common = lcm(*(table[d][0] for d in rows))
+        num = {}
+        for d in sorted(loose.keys() | rows.keys()):
+            row, slots = rows.get(d), loose.get(d, {})
+            if row is None:
+                for p in sorted(slots):
+                    if slots[p]:
+                        num[basis[d][p]] = slots[p] * common
+                continue
+            for p, c in slots.items():
+                row[p] += c * table[d][0]
+            scale = common // table[d][0]
+            for mono, x in zip(basis[d], row):
+                if x:
+                    num[mono] = x * scale
         return AlgebraElement(self, GradedPoly._lowest(num, den * common))
 
     def _multiply(self, a: GradedPoly, b: GradedPoly) -> AlgebraElement:

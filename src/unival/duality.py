@@ -147,6 +147,8 @@ def kinematic_matrix(n: int, k: int) -> ExactMatrix:
     Gauss-Jordan ``pairing_matrix(n, k).inverse()``, and the identity suite
     checks Q P = I (entry "pairing-structure").
     """
+    if not 0 <= 2 * k <= n:
+        raise IndexOutOfRange(f"kinematic matrix requires 0 <= 2k <= n, got n={n}, k={k}")
     pivots = pairing_pivots(n, k)
     big_n = n - 2 * k
     rows, weights = [], []
@@ -233,8 +235,8 @@ def companion_data(n: int, k: int) -> CompanionData:
     the last column, and the negated relation coefficients in the last
     column, which are extracted and returned.
     """
-    if not 2 * k <= n - 1:
-        raise IndexOutOfRange(f"requires 2k <= n-1, got n={n}, k={k}")
+    if not 0 <= 2 * k <= n - 1:
+        raise IndexOutOfRange(f"requires 0 <= 2k <= n-1, got n={n}, k={k}")
     product = (kinematic_matrix(n, k) @ pairing_matrix(n - 1, k)).scale(Fraction(n, 2 * (2 * n - 1)))
     ints, den = product._integers()
     for i in range(k + 1):
@@ -254,8 +256,8 @@ def companion_coefficient(n: int, k: int, i: int) -> Fraction:
           ((2n-2k-2i-1)(2n-2k-2i-3)...(2n-4k-1)), with a_{k+1} = 1 and empty
     products equal to 1.
     """
-    if not 2 * k <= n - 1:
-        raise IndexOutOfRange(f"requires 2k <= n-1, got n={n}, k={k}")
+    if not 0 <= 2 * k <= n - 1:
+        raise IndexOutOfRange(f"requires 0 <= 2k <= n-1, got n={n}, k={k}")
     if not 0 <= i <= k + 1:
         raise IndexOutOfRange(f"coefficient index must lie in 0..{k + 1}, got {i}")
     if i == k + 1:
@@ -276,8 +278,8 @@ def companion_relation_times_t(n: int, k: int) -> GradedPoly:
     Always a polynomial; for odd n at k = (n-1)/2 the bare relation would
     carry t^(-1), so only this product is ever materialized.
     """
-    if not 2 * k <= n - 1:
-        raise IndexOutOfRange(f"requires 2k <= n-1, got n={n}, k={k}")
+    if not 0 <= 2 * k <= n - 1:
+        raise IndexOutOfRange(f"requires 0 <= 2k <= n-1, got n={n}, k={k}")
     return GradedPoly(
         {(i, 2 * n - 2 * k - 2 * i): companion_coefficient(n, k, i) for i in range(k + 2)}
     )
@@ -285,9 +287,9 @@ def companion_relation_times_t(n: int, k: int) -> GradedPoly:
 
 def companion_relation(n: int, k: int) -> GradedPoly:
     """The relation polynomial sum_i a_i s^i t^(2n-2k-2i-1); needs 2k <= n-2."""
-    if not 2 * k <= n - 2:
+    if not 0 <= 2 * k <= n - 2:
         raise IndexOutOfRange(
-            f"requires 2k <= n-2 (only t times the relation is polynomial at 2k = n-1), got n={n}, k={k}"
+            f"requires 0 <= 2k <= n-2 (only t times the relation is polynomial at 2k = n-1), got n={n}, k={k}"
         )
     return GradedPoly({(p, q - 1): c for (p, q), c in companion_relation_times_t(n, k).terms.items()})
 

@@ -4,12 +4,16 @@ Plain output orders terms by descending t-power within each degree, matching
 the ordered monomial bases; the LaTeX emitter uses the conventional
 typeset order (ascending t-power, constants and s-powers first) instead.
 All emitters are deterministic: identical inputs produce identical bytes.
+Tensor and matrix JSON is written straight from the integer storage in the
+layout of ``json.dumps(..., indent=2)``, because ``indent`` sends
+``json.dumps`` to its pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
+from math import gcd
 
 from .algebra import SOAlgebra
 from .exact import ExactMatrix, plain_magnitude
@@ -61,13 +65,31 @@ def matrix_plain(m: ExactMatrix) -> str:
 
 
 def matrix_latex(m: ExactMatrix) -> str:
-    body = " \\\\\n".join(" & ".join(rational_latex(*pair) for pair in row) for row in m._pairs())
+    den = m._den
+    body = " \\\\\n".join(
+        " & ".join(rational_latex(x // (g := gcd(x, den)), den // g) for x in row) for row in m._ints
+    )
     return f"\\begin{{bmatrix}}\n{body}\n\\end{{bmatrix}}"
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """Already-encoded JSON items as a list laid out like ``json.dumps(..., indent=2)`` at ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+
+
+def _json_matrix(m: ExactMatrix, indent: str) -> str:
+    """``json.dumps(m.to_json(), indent=2)`` at ``indent``, written from the storage: one string per entry."""
+    inner, cell = indent + "  ", indent + "    "
+    sep = f'",\n{cell}"'
+    return _json_list([f'[\n{cell}"{sep.join(row)}"\n{inner}]' for row in m._cells()], indent)
 
 
 def format_matrix(m: ExactMatrix, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(m.to_json(), indent=2)
+        return _json_matrix(m, "")
     if fmt == "latex":
         return matrix_latex(m)
     return matrix_plain(m)
@@ -81,23 +103,33 @@ def format_poly(poly: GradedPoly, fmt: str) -> str:
     return poly_format(poly)
 
 
-def _model_json(algebra) -> dict:
+def _model_json(algebra) -> str:
     kind = "SO" if isinstance(algebra, SOAlgebra) else "U"
-    return {"model": kind, "n": algebra.n}
+    return f'{{\n    "model": "{kind}",\n    "n": {algebra.n}\n  }}'
 
 
-def tensor_json(tensor) -> dict:
-    blocks = []
-    for (dl, dr), matrix in tensor.sorted_blocks():
-        blocks.append(
-            {
-                "degrees": [dl, dr],
-                "row_basis": [format_monomial(m) for m in tensor.left.basis(dl)],
-                "col_basis": [format_monomial(m) for m in tensor.right.basis(dr)],
-                "matrix": matrix.to_json(),
-            }
-        )
-    return {"left": _model_json(tensor.left), "right": _model_json(tensor.right), "blocks": blocks}
+def _basis_json(monomials) -> str:
+    return _json_list([f'"{format_monomial(m)}"' for m in monomials], "      ")
+
+
+def _tensor_json(tensor) -> str:
+    """``json.dumps`` of the tensor's document with ``indent=2``, written straight from the blocks' storage.
+
+    ``indent`` sends ``json.dumps`` to its pure-Python encoder, which builds a
+    chunk per token; this writer builds one string per entry.  Monomial labels
+    and rational entries hold no character that JSON escapes.
+    """
+    blocks = [
+        f'{{\n      "degrees": [\n        {dl},\n        {dr}\n      ],\n'
+        f'      "row_basis": {_basis_json(tensor.left.basis(dl))},\n'
+        f'      "col_basis": {_basis_json(tensor.right.basis(dr))},\n'
+        f'      "matrix": {_json_matrix(matrix, "      ")}\n    }}'
+        for (dl, dr), matrix in tensor.sorted_blocks()
+    ]
+    return (
+        f'{{\n  "left": {_model_json(tensor.left)},\n  "right": {_model_json(tensor.right)},\n'
+        f'  "blocks": {_json_list(blocks, "  ")}\n}}'
+    )
 
 
 def _block_sums(tensor, label, pair: str, magnitude, times: str) -> list[tuple[tuple[int, int], str]]:
@@ -106,11 +138,12 @@ def _block_sums(tensor, label, pair: str, magnitude, times: str) -> list[tuple[t
     for (dl, dr), matrix in tensor.sorted_blocks():
         rows = [label(m) for m in tensor.left.basis(dl)]
         cols = [label(m) for m in tensor.right.basis(dr)]
+        den = matrix._den
         terms = (
-            (num, den, f"{row}{pair}{col}")
-            for row, entries in zip(rows, matrix._pairs())
-            for col, (num, den) in zip(cols, entries)
-            if num
+            (x // (g := gcd(x, den)), den // g, f"{row}{pair}{col}")
+            for row, entries in zip(rows, matrix._ints)
+            for col, x in zip(cols, entries)
+            if x
         )
         lines.append(((dl, dr), join_signed(terms, magnitude, times)))
     return lines
@@ -133,7 +166,7 @@ def tensor_latex(tensor) -> str:
 
 def format_tensor(tensor, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(tensor_json(tensor), indent=2)
+        return _tensor_json(tensor)
     if fmt == "latex":
         return tensor_latex(tensor)
     return tensor_plain(tensor)

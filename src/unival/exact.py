@@ -6,12 +6,12 @@ work is in integers.  Every scalar enters through one gate (``_ratio``),
 which refuses floats and passes ints without building a ``Fraction``.  An
 ``ExactMatrix`` stores integer rows over one denominator in lowest terms, so
 its arithmetic, its comparisons and the emitters that read it build no
-``Fraction``; one integer product (``_dot_rows``) serves it and the tensor
-kernel.  Elimination is fraction-free: one integer Gauss-Jordan kernel
-(``_row_reduce``) serves slice elimination, inversion, span solving and the
-annihilator rank test.  The determinant and the positive-definiteness test
-are Bareiss passes over integers.  Pivots are always the first nonzero entry
-in column order, which keeps every reduction deterministic.
+``Fraction``.  Elimination is fraction-free: one integer Gauss-Jordan
+kernel (``_row_reduce``) serves slice elimination, inversion, span solving
+and the annihilator rank test.  The determinant and the
+positive-definiteness test are Bareiss passes over integers.  Pivots are
+always the first nonzero entry in column order, which keeps every reduction
+deterministic.
 """
 
 from __future__ import annotations
@@ -43,11 +43,6 @@ def _integer_rows(rows: Iterable[Iterable]) -> tuple[list[list[int]], int]:
     pairs = [[_ratio(x) for x in row] for row in rows]
     den = lcm(*(d for row in pairs for _, d in row))
     return [[x * (den // d) for x, d in row] for row in pairs], den
-
-
-def _dot_rows(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    """A B^T over the integers: every row of ``a`` against every row of ``b``."""
-    return [[sum(map(mul, x, y)) for y in b] for x in a]
 
 
 def _row_reduce(rows: list[Sequence[int]], pivot_cols: int) -> list[int]:
@@ -133,16 +128,21 @@ class ExactMatrix:
         return cls(data)
 
     def to_json(self) -> list[list[str]]:
-        return [[plain_magnitude(*pair) for pair in row] for row in self._pairs()]
+        return list(self._cells())
 
     def _integers(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The storage: integer rows over one denominator, in lowest terms."""
         return self._ints, self._den
 
-    def _pairs(self) -> list[list[tuple[int, int]]]:
-        """Each entry as a lowest-terms (numerator, denominator) pair; one gcd per nonzero entry."""
+    def _cells(self) -> Iterator[list[str]]:
+        """Each row's entries as ``str`` prints their Fractions, read from the storage; one gcd per nonzero entry."""
         den = self._den
-        return [[(x // (g := gcd(x, den)), den // g) if x else (0, 1) for x in row] for row in self._ints]
+        if den == 1:
+            return (list(map(str, row)) for row in self._ints)
+        return (
+            [f"{x // g}/{den // g}" if x and (g := gcd(x, den)) != den else str(x // den) for x in row]
+            for row in self._ints
+        )
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self._den) for x in self._ints[i])
@@ -174,7 +174,8 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return ExactMatrix._lowest(_dot_rows(self._ints, list(zip(*other._ints))), self._den * other._den)
+        cols = list(zip(*other._ints))
+        return ExactMatrix._lowest([[sum(map(mul, x, y)) for y in cols] for x in self._ints], self._den * other._den)
 
     def scale(self, c) -> "ExactMatrix":
         num, den = _ratio(c)

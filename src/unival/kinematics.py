@@ -12,11 +12,13 @@ factor, or stepping a factor up are all linear block operations.
 from __future__ import annotations
 
 from functools import cache, lru_cache
+from itertools import compress
+from operator import mul
 
 from .algebra import AlgebraElement, SOAlgebra, UnitaryAlgebra, annihilator_basis, build_algebra
 from .duality import _product_gram, kinematic_matrix
 from .errors import AlgebraMismatch, DegreeOutOfRange, NotInSpan
-from .exact import ExactMatrix, _dot_rows, solve_in_span
+from .exact import ExactMatrix, solve_in_span
 from .poly import GradedPoly, S
 
 
@@ -116,25 +118,46 @@ def _product_images(phi: AlgebraElement, source):
     return images
 
 
+def _apply(m_rows, b_rows, b_cols) -> list[list[int]]:
+    """M B over the integers, each row of M applied by its own nonzeros.
+
+    ``b_cols`` is B transposed.  A row of M that is at least half zeros sums
+    the rows of B at its nonzeros, each scaled by its entry (one nonzero
+    scales one row of B); a denser row is dotted with the columns of B.
+    """
+    width = len(b_cols)
+    out = []
+    for m in m_rows:
+        if 2 * m.count(0) < len(m):
+            out.append([sum(map(mul, m, col)) for col in b_cols])
+            continue
+        row = [0] * width
+        for j in compress(range(len(m)), m):
+            c = m[j]
+            row = [x + c * y for x, y in zip(row, b_rows[j])]
+        out.append(row)
+    return out
+
+
 def _map_factor(tensor: TensorElement, images, new_model, left: bool) -> TensorElement:
     """The fraction-free kernel behind ``map_left`` and ``map_right``.
 
     ``images`` maps a source degree to integer image matrices ``{d2: (M, den)}``
     (``_product_images``).  With K a block's stored integer rows
     (``ExactMatrix._integers``), the new block is M K on the left and
-    K M^T = (M K^T)^T on the right: each a plain integer product, wrapped in
-    lowest terms.  Products landing on the same bidegree are summed.
+    K M^T = (M K^T)^T on the right: each an integer product applied by the
+    nonzeros of M's rows (``_apply``), wrapped in lowest terms.  Products
+    landing on the same bidegree are summed.
     """
     blocks: dict[tuple[int, int], ExactMatrix] = {}
     for (dl, dr), matrix in tensor.blocks.items():
         k_rows, k_den = matrix._integers()
-        if left:
-            k_rows = list(zip(*k_rows))
+        k_cols = list(zip(*k_rows))
         for d2, (m_rows, m_den) in images(dl if left else dr).items():
             if left:
-                key, product = (d2, dr), _dot_rows(m_rows, k_rows)
+                key, product = (d2, dr), _apply(m_rows, k_rows, k_cols)
             else:
-                key, product = (dl, d2), _dot_rows(k_rows, m_rows)
+                key, product = (dl, d2), zip(*_apply(m_rows, k_cols, k_rows))
             block = ExactMatrix._lowest(product, m_den * k_den)
             blocks[key] = blocks[key] + block if key in blocks else block
     if left:

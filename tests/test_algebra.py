@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -336,6 +337,88 @@ def test_normal_form_matches_fraction_oracle_at_dimension_32(seed):
     assert not alg.normal_form(above_top)
     assert not alg.normal_form("t^40") * alg.normal_form("s^15")
     assert alg.normal_form("t^40") * alg.normal_form("s^12") == alg.normal_form("s^12*t^40")
+
+
+def _dense_reduce(alg, terms, den: int) -> GradedPoly:
+    """Slow oracle: the kernel that gave every degree a term reaches a row over D_d, all in the lcm."""
+    acc: dict[int, list[int]] = {}
+    for (p, q), c in terms:
+        d = 2 * p + q
+        if d > alg.top_degree:
+            continue
+        row = acc.get(d)
+        if row is None:
+            row = acc[d] = [0] * len(alg._basis[d])
+        k = p - len(row)
+        if k < 0:
+            row[p] += c * alg._table[d][0]
+        else:
+            acc[d] = [x + c * y for x, y in zip(row, alg._table[d][1][k])]
+    common = lcm(*(alg._table[d][0] for d in acc))
+    num = {
+        mono: x * (common // alg._table[d][0])
+        for d in sorted(acc)
+        for mono, x in zip(alg._basis[d], acc[d])
+        if x
+    }
+    return GradedPoly._lowest(num, den * common)
+
+
+def _assert_same_storage(got: GradedPoly, expected: GradedPoly) -> None:
+    assert got._den == expected._den
+    assert list(got._num.items()) == list(expected._num.items())  # value and stored order
+
+
+def _convolved(a: GradedPoly, b: GradedPoly) -> list[tuple[Monomial, int]]:
+    return [((p1 + p2, q1 + q2), x * y) for (p1, q1), x in a._num.items() for (p2, q2), y in b._num.items()]
+
+
+@st.composite
+def raw_terms(draw):
+    """A model with n <= 12 and raw integer terms: repeated monomials, cancellation, degrees past the top."""
+    n = draw(st.integers(1, 12))
+    model = build_algebra(n) if draw(st.integers(0, 3)) else SOAlgebra(n)
+    top = model.top_degree
+    if isinstance(model, SOAlgebra):
+        monos = st.integers(0, top + 2).map(lambda q: (0, q))
+    else:
+        monos = st.integers(0, top + 4).flatmap(lambda d: st.integers(0, d // 2).map(lambda p: (p, d - 2 * p)))
+    values = st.sampled_from([1, -1, 2]) | st.integers(-(10**15), 10**15)
+    terms = draw(st.lists(st.tuples(monos, values), max_size=12))
+    terms += [(mono, -c) for mono, c in terms[: draw(st.integers(0, 2))]]  # exact cancellation
+    return model, terms, draw(st.integers(1, 10**6))
+
+
+@given(raw_terms())
+@settings(max_examples=150, deadline=None)
+def test_reduction_kernel_matches_the_dense_oracle(case):
+    model, terms, den = case
+    _assert_same_storage(model._reduce(terms, den).poly, _dense_reduce(model, terms, den))
+    x = model._reduce(terms, den)
+    if x:
+        y = model._reduce(terms[::-1], den + 1)
+        _assert_same_storage((x * y).poly, _dense_reduce(model, _convolved(x.poly, y.poly), x.poly._den * y.poly._den))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reduction_kernel_matches_the_dense_oracle_at_dimension_32(seed):
+    alg = build_algebra(32)
+    rng = random.Random(seed)
+
+    def random_terms(count: int, max_degree: int) -> list[tuple[Monomial, int]]:
+        terms = []
+        for _ in range(count):
+            d = rng.randint(0, max_degree)
+            p = rng.randint(0, d // 2)
+            terms.append(((p, d - 2 * p), rng.randint(-(10**12), 10**12)))
+        return terms
+
+    for _ in range(20):
+        terms, den = random_terms(rng.randint(1, 12), 2 * 32 + 4), rng.randint(1, 10**9)
+        x = alg._reduce(terms, den)
+        _assert_same_storage(x.poly, _dense_reduce(alg, terms, den))
+        y = alg._reduce(random_terms(3, 32), 1)
+        _assert_same_storage((x * y).poly, _dense_reduce(alg, _convolved(x.poly, y.poly), x.poly._den * y.poly._den))
 
 
 def test_reduction_of_reads_the_tables():

@@ -174,6 +174,30 @@ def test_companion_coefficient_closed_form():
         companion_coefficient(3, 1, 3)
 
 
+def test_kinematic_matrix_checks_its_own_range():
+    with pytest.raises(IndexOutOfRange, match=r"^kinematic matrix requires 0 <= 2k <= n, got n=5, k=-1$"):
+        kinematic_matrix(5, -1)
+
+
+def test_companion_data_refuses_negative_k():
+    with pytest.raises(IndexOutOfRange, match=r"^requires 0 <= 2k <= n-1, got n=5, k=-1$"):
+        companion_data(5, -1)
+
+
+def test_companion_coefficient_refuses_negative_k():
+    # k = -1 once passed the range check and returned a_0 = 1
+    with pytest.raises(IndexOutOfRange, match=r"^requires 0 <= 2k <= n-1, got n=5, k=-1$"):
+        companion_coefficient(5, -1, 0)
+
+
+def test_companion_relation_times_t_refuses_negative_k():
+    # k = -1 once gave t^12, which reduces to zero, so the relation "vanished"
+    with pytest.raises(IndexOutOfRange, match=r"^requires 0 <= 2k <= n-1, got n=5, k=-1$"):
+        companion_relation_times_t(5, -1)
+    with pytest.raises(IndexOutOfRange):
+        companion_relation_vanishes(5, -1)
+
+
 def test_companion_matches_closed_form_everywhere():
     for n in range(2, 13):
         for k in range((n - 1) // 2 + 1):

@@ -36,6 +36,8 @@ ERRORS: dict[str, tuple[int, str]] = {
     "matrix --n 0 --k 0 --which P": (1, "error: complex dimension n must be >= 1\n"),
     "matrix --n 0 --k 0 --which Q": (1, "error: complex dimension n must be >= 1\n"),
     "matrix --n 5 --k -1 --which A": (1, "error: requires k >= 0 and 2k+1 <= n, got n=5, k=-1\n"),
+    "matrix --n 5 --k -1 --which companion": (1, "error: requires 0 <= 2k <= n-1, got n=5, k=-1\n"),
+    "matrix --n 5 --k -1 --which Q": (1, "error: kinematic matrix requires 0 <= 2k <= n, got n=5, k=-1\n"),
     "reduce --n 2 s^²": (
         1,
         "error: position 2: unexpected character '²' (expected a digit, 's', 't', or an operator)\n",

@@ -460,6 +460,26 @@ def test_suite_catches_one_corrupted_integer_entry_in_a_mapped_block(monkeypatch
     assert failing["kinematic-cocommutativity"].startswith("n=3, trial 0: block (3, 6)")
 
 
+def test_suite_catches_a_dropped_nonzero_in_a_sparse_image_row(monkeypatch, fresh_matrix_caches):
+    real_apply = kinematics._apply
+
+    def dropped(m_rows, b_rows, b_cols):
+        """The last nonzero of the first image row that is at least half zeros, left out."""
+        rows = [list(m) for m in m_rows]
+        for m in rows:
+            if any(m) and 2 * m.count(0) >= len(m):
+                m[max(j for j, c in enumerate(m) if c)] = 0
+                break
+        return real_apply(rows, b_rows, b_cols)
+
+    monkeypatch.setattr(kinematics, "_apply", dropped)
+    failing = _failing_entries(run_suite(4))
+    assert set(failing) == {"kinematic-step-up", "kinematic-cocommutativity", "annihilator-congruence"}
+    assert failing["kinematic-step-up"] == "n=2"
+    assert failing["annihilator-congruence"] == "n=2, k=0"
+    assert "differs between factor placements" in failing["kinematic-cocommutativity"]
+
+
 def test_suite_catches_one_corrupted_integer_entry_in_a_kinematic_matrix(monkeypatch, fresh_matrix_caches):
     real_kinematic_matrix = duality.kinematic_matrix
 
