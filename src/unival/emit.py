@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from math import gcd
 
 from .algebra import SOAlgebra
 from .exact import ExactMatrix, plain_magnitude
@@ -65,10 +64,7 @@ def matrix_plain(m: ExactMatrix) -> str:
 
 
 def matrix_latex(m: ExactMatrix) -> str:
-    den = m._den
-    body = " \\\\\n".join(
-        " & ".join(rational_latex(x // (g := gcd(x, den)), den // g) for x in row) for row in m._ints
-    )
+    body = " \\\\\n".join(" & ".join(rational_latex(*pair) for pair in row) for row in m._pair_rows())
     return f"\\begin{{bmatrix}}\n{body}\n\\end{{bmatrix}}"
 
 
@@ -138,12 +134,11 @@ def _block_sums(tensor, label, pair: str, magnitude, times: str) -> list[tuple[t
     for (dl, dr), matrix in tensor.sorted_blocks():
         rows = [label(m) for m in tensor.left.basis(dl)]
         cols = [label(m) for m in tensor.right.basis(dr)]
-        den = matrix._den
         terms = (
-            (x // (g := gcd(x, den)), den // g, f"{row}{pair}{col}")
-            for row, entries in zip(rows, matrix._ints)
-            for col, x in zip(cols, entries)
-            if x
+            (num, den, f"{row}{pair}{col}")
+            for row, entries in zip(rows, matrix._pair_rows())
+            for col, (num, den) in zip(cols, entries)
+            if num
         )
         lines.append(((dl, dr), join_signed(terms, magnitude, times)))
     return lines

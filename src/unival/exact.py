@@ -6,18 +6,18 @@ work is in integers.  Every scalar enters through one gate (``_ratio``),
 which refuses floats and passes ints without building a ``Fraction``.  An
 ``ExactMatrix`` stores integer rows over one denominator in lowest terms, so
 its arithmetic, its comparisons and the emitters that read it build no
-``Fraction``.  Elimination is fraction-free: one integer Gauss-Jordan
-kernel (``_row_reduce``) serves slice elimination, inversion, span solving
-and the annihilator rank test.  The determinant and the
-positive-definiteness test are Bareiss passes over integers.  Pivots are
-always the first nonzero entry in column order, which keeps every reduction
-deterministic.
+``Fraction``; one integer product (``_apply``) serves it and the tensor
+kernel.  Elimination is fraction-free: one integer Gauss-Jordan kernel
+(``_row_reduce``) serves slice elimination, inversion, span solving and the
+annihilator rank test.  The determinant and the positive-definiteness test
+are Bareiss passes over integers.  Pivots are always the first nonzero entry
+in column order, which keeps every reduction deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -43,6 +43,27 @@ def _integer_rows(rows: Iterable[Iterable]) -> tuple[list[list[int]], int]:
     pairs = [[_ratio(x) for x in row] for row in rows]
     den = lcm(*(d for row in pairs for _, d in row))
     return [[x * (den // d) for x, d in row] for row in pairs], den
+
+
+def _apply(m_rows, b_rows, b_cols) -> list[list[int]]:
+    """M B over the integers, each row of M applied by its own nonzeros.
+
+    ``b_cols`` is B transposed.  A row of M that is at least half zeros sums
+    the rows of B at its nonzeros, each scaled by its entry (one nonzero
+    scales one row of B); a denser row is dotted with the columns of B.
+    """
+    width = len(b_cols)
+    out = []
+    for m in m_rows:
+        if 2 * m.count(0) < len(m):
+            out.append([sum(map(mul, m, col)) for col in b_cols])
+            continue
+        row = [0] * width
+        for j in compress(range(len(m)), m):
+            c = m[j]
+            row = [x + c * y for x, y in zip(row, b_rows[j])]
+        out.append(row)
+    return out
 
 
 def _row_reduce(rows: list[Sequence[int]], pivot_cols: int) -> list[int]:
@@ -134,15 +155,18 @@ class ExactMatrix:
         """The storage: integer rows over one denominator, in lowest terms."""
         return self._ints, self._den
 
-    def _cells(self) -> Iterator[list[str]]:
-        """Each row's entries as ``str`` prints their Fractions, read from the storage; one gcd per nonzero entry."""
+    def _pair_rows(self) -> Iterator[list[tuple[int, int]]]:
+        """Each row's entries as lowest-terms (numerator, denominator) pairs, one row at a time.
+
+        The one reader of the storage for output: one gcd per entry (a zero
+        comes out as (0, 1)).
+        """
         den = self._den
-        if den == 1:
-            return (list(map(str, row)) for row in self._ints)
-        return (
-            [f"{x // g}/{den // g}" if x and (g := gcd(x, den)) != den else str(x // den) for x in row]
-            for row in self._ints
-        )
+        return ([(x // g, den // g) for x in row for g in (gcd(x, den),)] for row in self._ints)
+
+    def _cells(self) -> Iterator[list[str]]:
+        """Each row's entries as ``str`` prints their Fractions."""
+        return ([str(x) if d == 1 else f"{x}/{d}" for x, d in row] for row in self._pair_rows())
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self._den) for x in self._ints[i])
@@ -174,8 +198,8 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = list(zip(*other._ints))
-        return ExactMatrix._lowest([[sum(map(mul, x, y)) for y in cols] for x in self._ints], self._den * other._den)
+        product = _apply(self._ints, other._ints, list(zip(*other._ints)))
+        return ExactMatrix._lowest(product, self._den * other._den)
 
     def scale(self, c) -> "ExactMatrix":
         num, den = _ratio(c)

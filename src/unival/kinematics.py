@@ -12,13 +12,11 @@ factor, or stepping a factor up are all linear block operations.
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from itertools import compress
-from operator import mul
 
 from .algebra import AlgebraElement, SOAlgebra, UnitaryAlgebra, annihilator_basis, build_algebra
 from .duality import _product_gram, kinematic_matrix
 from .errors import AlgebraMismatch, DegreeOutOfRange, NotInSpan
-from .exact import ExactMatrix, solve_in_span
+from .exact import ExactMatrix, _apply, solve_in_span
 from .poly import GradedPoly, S
 
 
@@ -116,27 +114,6 @@ def _product_images(phi: AlgebraElement, source):
         return out
 
     return images
-
-
-def _apply(m_rows, b_rows, b_cols) -> list[list[int]]:
-    """M B over the integers, each row of M applied by its own nonzeros.
-
-    ``b_cols`` is B transposed.  A row of M that is at least half zeros sums
-    the rows of B at its nonzeros, each scaled by its entry (one nonzero
-    scales one row of B); a denser row is dotted with the columns of B.
-    """
-    width = len(b_cols)
-    out = []
-    for m in m_rows:
-        if 2 * m.count(0) < len(m):
-            out.append([sum(map(mul, m, col)) for col in b_cols])
-            continue
-        row = [0] * width
-        for j in compress(range(len(m)), m):
-            c = m[j]
-            row = [x + c * y for x, y in zip(row, b_rows[j])]
-        out.append(row)
-    return out
 
 
 def _map_factor(tensor: TensorElement, images, new_model, left: bool) -> TensorElement:

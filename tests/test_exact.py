@@ -18,7 +18,7 @@ from unival import (
     solve_in_span,
 )
 from unival import algebra, suite
-from unival.exact import _integer_rows, _row_reduce
+from unival.exact import _apply, _integer_rows, _row_reduce
 
 F = Fraction
 
@@ -270,6 +270,8 @@ def test_integer_form_is_the_storage():
     # Public scalars are Fractions; booleans come in as ints.
     assert matrix.row(1) == tuple(entries[1]) and matrix.to_rows() == entries
     assert all(type(x) is F for x in (*matrix.row(0), matrix[1, 2], *matrix.to_rows()[1]))
+    # The output reader: every entry in lowest terms, zeros as (0, 1).
+    assert [list(row) for row in matrix._pair_rows()] == [[(1, 2), (-2, 3), (0, 1)], [(5, 1), (1, 6), (-7, 4)]]
     assert ExactMatrix([[True, 2]])._integers() == (((1, 2),), 1)
     assert type(ExactMatrix([[True]])._integers()[0][0][0]) is int
     with pytest.raises(TypeError):
@@ -327,6 +329,27 @@ def matrix_cases(draw):
     return a, b, c, scalar, box
 
 
+@given(
+    st.tuples(st.integers(1, 6), st.integers(1, 4)).flatmap(
+        lambda shape: st.tuples(
+            # rows from all zeros to all nonzero, so both paths of _apply run
+            st.lists(
+                st.lists(st.sampled_from([0, 0, 0, 1, -1, 7, -12]), min_size=shape[0], max_size=shape[0]),
+                min_size=1, max_size=6,
+            ),
+            st.lists(
+                st.lists(st.integers(-50, 50), min_size=shape[1], max_size=shape[1]),
+                min_size=shape[0], max_size=shape[0],
+            ),
+        )
+    )
+)
+def test_apply_is_the_integer_product(case):
+    m, b = case
+    want = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in m]
+    assert _apply(m, b, list(zip(*b))) == want
+
+
 def _is_canonical(m: ExactMatrix) -> bool:
     ints, den = m._integers()
     return den > 0 and gcd(den, *(x for row in ints for x in row)) == 1
@@ -353,6 +376,7 @@ def test_integer_matrices_match_fraction_oracle(case):
     assert ma.is_zero() == all(x == 0 for row in a for x in row)
     assert ma.is_symmetric() == (len(a) == len(a[0]) and a == [list(col) for col in zip(*a)])
     assert ma.to_json() == [[str(x) for x in row] for row in a]
+    assert [list(row) for row in ma._pair_rows()] == [[(x.numerator, x.denominator) for x in row] for row in a]
     if len(a) == len(a[0]):
         assert ma.det() == _oracle_det(a)
         inverse = _oracle_inverse([list(row) for row in a])
