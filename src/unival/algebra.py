@@ -165,7 +165,7 @@ class AlgebraElement:
             self._require_same(other)
             return self.algebra._multiply(self.poly, other.poly)
         # A scalar through the one gate: a float or a raw GradedPoly raises TypeError.
-        return AlgebraElement(self.algebra, self.poly * GradedPoly.constant(other))
+        return AlgebraElement(self.algebra, self.poly * GradedPoly.monomial(0, 0, other))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -276,7 +276,7 @@ class _Model:
         )
 
     def one(self) -> AlgebraElement:
-        return AlgebraElement(self, GradedPoly.one())
+        return AlgebraElement(self, GradedPoly.monomial(0, 0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, _Model):

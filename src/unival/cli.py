@@ -32,7 +32,7 @@ from .emit import (
 )
 from .errors import DegreeOutOfRange, UnivalError
 from .kinematics import kinematic_of, so_kinematic
-from .poly import poly_parse
+from .poly import format_monomial, poly_parse
 from .suite import run_suite
 
 import json
@@ -120,7 +120,7 @@ def _cmd_basis(args) -> int:
         raise DegreeOutOfRange(f"degree must lie in 0..{2 * args.n}, got {args.degree}")
     monomials = basis_monomials(args.n, args.degree)
     if args.format == "json":
-        payload = {"n": args.n, "degree": args.degree, "basis": json.loads(format_basis(monomials, "json"))}
+        payload = {"n": args.n, "degree": args.degree, "basis": [format_monomial(m) for m in monomials]}
         print(json.dumps(payload, indent=2))
     else:
         print(format_basis(monomials, args.format))

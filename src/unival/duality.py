@@ -69,7 +69,7 @@ def pairing_value(n: int, m: int) -> Fraction:
     return Fraction(comb(2 * n - 2 * m, n - m), comb(2 * n, n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a float must not hit an int's entry
 def pairing_matrix(n: int, k: int) -> ExactMatrix:
     """Gram matrix of the degree-2k duality pairing <a, b> = top(a * t^(2n-4k) * b).
 
@@ -129,7 +129,7 @@ def _row_ratio(big_n: int, i: int, j: int) -> tuple[int, int]:
     return 2 * j * (2 * j + 2 * big_n - 1), (j - 1 - i) * (j - 1 + i + big_n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def kinematic_matrix(n: int, k: int) -> ExactMatrix:
     """Inverse of the pairing matrix: the degree-(2k, 2n-2k) kinematic block, in closed form.
 

@@ -77,10 +77,10 @@ def _json_list(items: list[str], indent: str) -> str:
 
 
 def _json_matrix(m: ExactMatrix, indent: str) -> str:
-    """``json.dumps(m.to_json(), indent=2)`` at ``indent``, written from the storage: one string per entry."""
+    """``json.dumps(m.to_json(), indent=2)`` at ``indent``, without the pure-Python encoder: one string per entry."""
     inner, cell = indent + "  ", indent + "    "
     sep = f'",\n{cell}"'
-    return _json_list([f'[\n{cell}"{sep.join(row)}"\n{inner}]' for row in m._cells()], indent)
+    return _json_list([f'[\n{cell}"{sep.join(row)}"\n{inner}]' for row in m.to_json()], indent)
 
 
 def format_matrix(m: ExactMatrix, fmt: str) -> str:
@@ -120,7 +120,7 @@ def _tensor_json(tensor) -> str:
         f'      "row_basis": {_basis_json(tensor.left.basis(dl))},\n'
         f'      "col_basis": {_basis_json(tensor.right.basis(dr))},\n'
         f'      "matrix": {_json_matrix(matrix, "      ")}\n    }}'
-        for (dl, dr), matrix in tensor.sorted_blocks()
+        for (dl, dr), matrix in sorted(tensor.blocks.items())
     ]
     return (
         f'{{\n  "left": {_model_json(tensor.left)},\n  "right": {_model_json(tensor.right)},\n'
@@ -131,7 +131,7 @@ def _tensor_json(tensor) -> str:
 def _block_sums(tensor, label, pair: str, magnitude, times: str) -> list[tuple[tuple[int, int], str]]:
     """Each nonzero block as one signed sum; its basis labels are formatted once."""
     lines = []
-    for (dl, dr), matrix in tensor.sorted_blocks():
+    for (dl, dr), matrix in sorted(tensor.blocks.items()):
         rows = [label(m) for m in tensor.left.basis(dl)]
         cols = [label(m) for m in tensor.right.basis(dr)]
         terms = (

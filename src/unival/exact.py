@@ -144,12 +144,9 @@ class ExactMatrix:
     def identity(cls, n: int) -> "ExactMatrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_json(cls, data: Sequence[Sequence[str]]) -> "ExactMatrix":
-        return cls(data)
-
     def to_json(self) -> list[list[str]]:
-        return list(self._cells())
+        """Each entry as ``str`` prints its Fraction."""
+        return [[str(x) if d == 1 else f"{x}/{d}" for x, d in row] for row in self._pair_rows()]
 
     def _integers(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The storage: integer rows over one denominator, in lowest terms."""
@@ -163,10 +160,6 @@ class ExactMatrix:
         """
         den = self._den
         return ([(x // g, den // g) for x in row for g in (gcd(x, den),)] for row in self._ints)
-
-    def _cells(self) -> Iterator[list[str]]:
-        """Each row's entries as ``str`` prints their Fractions."""
-        return ([str(x) if d == 1 else f"{x}/{d}" for x, d in row] for row in self._pair_rows())
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self._den) for x in self._ints[i])

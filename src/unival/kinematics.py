@@ -67,16 +67,13 @@ class TensorElement:
             self.left, self.right, {key: m.scale(c) for key, m in self.blocks.items()}
         )
 
-    def sorted_blocks(self) -> list[tuple[tuple[int, int], ExactMatrix]]:
-        return sorted(self.blocks.items())
-
     def map_left(self, phi: AlgebraElement) -> "TensorElement":
         """Multiply the left factors by phi and read them in phi's model."""
-        return _map_factor(self, _product_images(phi, self.left), phi.algebra, left=True)
+        return _map_factor(self, phi, left=True)
 
     def map_right(self, phi: AlgebraElement) -> "TensorElement":
         """Multiply the right factors by phi and read them in phi's model."""
-        return _map_factor(self, _product_images(phi, self.right), phi.algebra, left=False)
+        return _map_factor(self, phi, left=False)
 
     def multiply_left(self, phi: AlgebraElement) -> "TensorElement":
         if phi.algebra != self.left:
@@ -89,48 +86,42 @@ class TensorElement:
         return self.map_right(phi)
 
 
-def _product_images(phi: AlgebraElement, source):
-    """Multiplication by phi from ``source`` into phi's model, read off its reduction tables.
+def _product_images(phi: AlgebraElement, source, d: int) -> dict[int, tuple[list[list[int]], int]]:
+    """Multiplication by phi on source degree d, into phi's model, read off its reduction tables.
 
-    Maps a source degree d, once per d, to ``{d2: (M, den_phi * D_d2)}``: column
-    j of M is ``_accumulate`` of phi times the j-th basis monomial of
-    ``source``.  All-zero groups are left out.  With phi = 1 from a larger
-    unitary model this is restriction, with phi = s from a smaller one the
-    s-step.
+    Returns ``{d2: (M, den_phi * D_d2)}``: column j of M is ``_accumulate`` of
+    phi times the j-th degree-d basis monomial of ``source``.  All-zero groups
+    are left out.  With phi = 1 from a larger unitary model this is
+    restriction, with phi = s from a smaller one the s-step.
     """
-    alg = phi.algebra
-    if type(alg) is not type(source):
-        raise AlgebraMismatch(f"cannot map {source!r} into {alg!r}")
-    terms, den = phi.poly._num.items(), phi.poly._den
-
-    @cache
-    def images(d: int) -> dict[int, tuple[list[list[int]], int]]:
-        columns = [alg._accumulate(((p + a, q + b), c) for (a, b), c in terms) for p, q in source.basis(d)]
-        out = {}
-        for d2 in {d2 for column in columns for d2 in column}:
-            rows = [list(row) for row in zip(*(column.get(d2) or [0] * alg.dim(d2) for column in columns))]
-            if any(map(any, rows)):
-                out[d2] = rows, den * alg._table[d2][0]
-        return out
-
-    return images
+    alg, terms = phi.algebra, phi.poly._num.items()
+    columns = [alg._accumulate(((p + a, q + b), c) for (a, b), c in terms) for p, q in source.basis(d)]
+    out = {}
+    for d2 in {d2 for column in columns for d2 in column}:
+        rows = [list(row) for row in zip(*(column.get(d2) or [0] * alg.dim(d2) for column in columns))]
+        if any(map(any, rows)):
+            out[d2] = rows, phi.poly._den * alg._table[d2][0]
+    return out
 
 
-def _map_factor(tensor: TensorElement, images, new_model, left: bool) -> TensorElement:
+def _map_factor(tensor: TensorElement, phi: AlgebraElement, left: bool) -> TensorElement:
     """The fraction-free kernel behind ``map_left`` and ``map_right``.
 
-    ``images`` maps a source degree to integer image matrices ``{d2: (M, den)}``
-    (``_product_images``).  With K a block's stored integer rows
-    (``ExactMatrix._integers``), the new block is M K on the left and
-    K M^T = (M K^T)^T on the right: each an integer product applied by the
-    nonzeros of M's rows (``_apply``), wrapped in lowest terms.  Products
-    landing on the same bidegree are summed.
+    Each block's source degree is mapped into phi's model by its integer
+    image matrices ``{d2: (M, den)}`` (``_product_images``), once per block.
+    With K a block's stored integer rows (``ExactMatrix._integers``), the new
+    block is M K on the left and K M^T = (M K^T)^T on the right: each an
+    integer product applied by the nonzeros of M's rows (``_apply``), wrapped
+    in lowest terms.  Products landing on the same bidegree are summed.
     """
+    source, target = (tensor.left if left else tensor.right), phi.algebra
+    if type(target) is not type(source):
+        raise AlgebraMismatch(f"cannot map {source!r} into {target!r}")
     blocks: dict[tuple[int, int], ExactMatrix] = {}
     for (dl, dr), matrix in tensor.blocks.items():
         k_rows, k_den = matrix._integers()
         k_cols = list(zip(*k_rows))
-        for d2, (m_rows, m_den) in images(dl if left else dr).items():
+        for d2, (m_rows, m_den) in _product_images(phi, source, dl if left else dr).items():
             if left:
                 key, product = (d2, dr), _apply(m_rows, k_rows, k_cols)
             else:
@@ -138,8 +129,8 @@ def _map_factor(tensor: TensorElement, images, new_model, left: bool) -> TensorE
             block = ExactMatrix._lowest(product, m_den * k_den)
             blocks[key] = blocks[key] + block if key in blocks else block
     if left:
-        return TensorElement(new_model, tensor.right, blocks)
-    return TensorElement(tensor.left, new_model, blocks)
+        return TensorElement(target, tensor.right, blocks)
+    return TensorElement(tensor.left, target, blocks)
 
 
 def kinematic_unit(n: int) -> TensorElement:

@@ -95,18 +95,6 @@ class GradedPoly:
         return poly
 
     @classmethod
-    def zero(cls) -> "GradedPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "GradedPoly":
-        return cls.monomial(0, 0)
-
-    @classmethod
-    def constant(cls, c) -> "GradedPoly":
-        return cls.monomial(0, 0, c)
-
-    @classmethod
     def monomial(cls, s_power: int, t_power: int, coeff=1) -> "GradedPoly":
         """c * s^s_power * t^t_power, whose canonical form is read straight off c's lowest terms."""
         mono, (num, den) = _exponents((s_power, t_power)), _ratio(coeff)
@@ -370,13 +358,13 @@ def log_components(max_degree: int) -> list[GradedPoly]:
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     generator = S + T
-    power = GradedPoly.one()
-    total = GradedPoly.zero()
+    power = GradedPoly.monomial(0, 0)
+    total = GradedPoly()
     for m in range(1, max_degree + 1):
         power = (power * generator).truncated(max_degree)
         total = total + Fraction((-1) ** (m + 1), m) * power
     split = total.homogeneous_components()
-    return [split.get(k, GradedPoly.zero()) for k in range(max_degree + 1)]
+    return [split.get(k, GradedPoly()) for k in range(max_degree + 1)]
 
 
 def log_component(k: int) -> GradedPoly:
@@ -441,7 +429,7 @@ def _shift(p: GradedPoly, offset: int) -> GradedPoly:
 
 def falling_factorial(k: int) -> GradedPoly:
     """t(t-1)...(t-k+1); the empty product for k == 0."""
-    out = GradedPoly.one()
+    out = GradedPoly.monomial(0, 0)
     for j in range(k):
         out = out * GradedPoly({(0, 1): 1, (0, 0): -j})
     return out
@@ -464,9 +452,9 @@ def difference_identity_holds(k: int) -> bool:
     iterated = base
     for _ in range(k):
         iterated = forward_difference(iterated)
-    if iterated != GradedPoly.constant(factorial(k)) or forward_difference(iterated):
+    if iterated != GradedPoly.monomial(0, 0, factorial(k)) or forward_difference(iterated):
         return False
-    expanded = GradedPoly.zero()
+    expanded = GradedPoly()
     for i in range(k + 2):
         expanded = expanded + (-1) ** i * comb(k + 1, i) * _shift(base, -i)
     return not expanded

@@ -81,7 +81,7 @@ def test_mul(capsys):
 def test_matrix_json_round_trip(capsys):
     code, out, _ = _capture(capsys, ["matrix", "--n", "2", "--k", "1", "--which", "Q", "--format", "json"])
     assert code == 0
-    assert ExactMatrix.from_json(json.loads(out)) == kinematic_matrix(2, 1)
+    assert ExactMatrix(json.loads(out)) == kinematic_matrix(2, 1)
     assert json.loads(out) == [["3", "-6"], ["-6", "18"]]
 
 
@@ -114,7 +114,7 @@ def test_kinematic_middle_block_is_kinematic_matrix(capsys):
     assert code == 0
     payload = json.loads(out)
     middle = next(b for b in payload["blocks"] if b["degrees"] == [2, 2])
-    assert ExactMatrix.from_json(middle["matrix"]) == kinematic_matrix(2, 1)
+    assert ExactMatrix(middle["matrix"]) == kinematic_matrix(2, 1)
     assert middle["row_basis"] == ["t^2", "s"]
 
 

@@ -179,6 +179,18 @@ def test_kinematic_matrix_checks_its_own_range():
         kinematic_matrix(5, -1)
 
 
+def test_matrix_caches_refuse_a_float_from_a_warm_or_cold_cache(fresh_matrix_caches):
+    # 3.0 == 3 hashes alike, so an untyped cache once returned the int's matrix
+    for cached in (pairing_matrix, kinematic_matrix):
+        for args in ((3.0, 1), (3, 1.0)):
+            with pytest.raises(TypeError):
+                cached(*args)
+        cached(3, 1)
+        for args in ((3.0, 1), (3, 1.0)):
+            with pytest.raises(TypeError):
+                cached(*args)
+
+
 def test_companion_data_refuses_negative_k():
     with pytest.raises(IndexOutOfRange, match=r"^requires 0 <= 2k <= n-1, got n=5, k=-1$"):
         companion_data(5, -1)

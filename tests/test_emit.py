@@ -15,7 +15,7 @@ from unival.poly import format_monomial
 F = Fraction
 
 
-def _cells(matrix: ExactMatrix) -> list[list[str]]:
+def _entry_strings(matrix: ExactMatrix) -> list[list[str]]:
     return [[str(x) for x in row] for row in matrix.to_rows()]
 
 
@@ -30,9 +30,9 @@ def tensor_json(tensor) -> dict:
             "degrees": [dl, dr],
             "row_basis": [format_monomial(m) for m in tensor.left.basis(dl)],
             "col_basis": [format_monomial(m) for m in tensor.right.basis(dr)],
-            "matrix": _cells(matrix),
+            "matrix": _entry_strings(matrix),
         }
-        for (dl, dr), matrix in tensor.sorted_blocks()
+        for (dl, dr), matrix in sorted(tensor.blocks.items())
     ]
     return {"left": _model_json(tensor.left), "right": _model_json(tensor.right), "blocks": blocks}
 
@@ -84,5 +84,5 @@ def test_tensor_json_writer_matches_json_dumps(tensor):
 @example(ExactMatrix([[F(-5, 3)]]))
 @example(ExactMatrix([[F(1, 2), -4], [0, F(6, 4)]]))
 def test_matrix_json_writer_matches_json_dumps(matrix):
-    assert matrix.to_json() == _cells(matrix)
-    assert format_matrix(matrix, "json") == json.dumps(_cells(matrix), indent=2)
+    assert matrix.to_json() == _entry_strings(matrix)
+    assert format_matrix(matrix, "json") == json.dumps(_entry_strings(matrix), indent=2)

@@ -152,7 +152,7 @@ def test_matrix_rejects_floats():
 
 def test_json_round_trip():
     m = ExactMatrix([[F(1, 3), -2], [0, F(22, 7)]])
-    assert ExactMatrix.from_json(m.to_json()) == m
+    assert ExactMatrix(m.to_json()) == m
 
 
 @given(square_matrices())
@@ -259,7 +259,7 @@ def test_integer_form_is_the_storage():
     assert all(type(x) is int for row in ints for x in row)
     # Equal matrices built six ways share one storage.
     built = [
-        ExactMatrix.from_json(matrix.to_json()),
+        ExactMatrix(matrix.to_json()),
         ExactMatrix._lowest([[5 * x for x in row] for row in ints], 5 * den),
         matrix.transpose().transpose(),
         matrix + ExactMatrix([[0, 0, 0], [0, 0, 0]]),

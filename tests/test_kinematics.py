@@ -319,11 +319,9 @@ def test_product_images_match_the_slow_products(case):
     # normal_form, one Fraction per coefficient
     n, phi = case
     alg = build_algebra(n)
-    images = _product_images(phi, alg)
     for d in range(2 * n + 1):
         expected = _image_matrices(times(phi), alg.basis(d), alg)
-        assert _as_fractions(images(d)) == _as_fractions(expected), d
-        assert images(d) is images(d)  # memoised per source degree
+        assert _as_fractions(_product_images(phi, alg, d)) == _as_fractions(expected), d
 
 
 def test_kinematic_of_reads_the_tables_without_products(monkeypatch):
@@ -363,17 +361,24 @@ def test_kernel_matches_oracle_for_step_up_maps():
         def step(mono):
             return big.normal_form(S * GradedPoly.monomial(*mono))
 
-        restriction = _product_images(small.one(), big)
-        step_up = _product_images(big.normal_form(S), small)
         for d in range(2 * n + 3):
             expected = _image_matrices(restrict, big.basis(d), small)
-            assert _as_fractions(restriction(d)) == _as_fractions(expected), (n, d)
+            assert _as_fractions(_product_images(small.one(), big, d)) == _as_fractions(expected), (n, d)
         for d in range(2 * n + 1):
             expected = _image_matrices(step, small.basis(d), big)
-            assert _as_fractions(step_up(d)) == _as_fractions(expected), (n, d)
+            assert _as_fractions(_product_images(big.normal_form(S), small, d)) == _as_fractions(expected), (n, d)
         upper, lower = kinematic_unit(n + 1), kinematic_unit(n)
         assert upper.map_right(small.one()) == oracle_map_right(upper, restrict, small), n
         assert lower.map_left(big.normal_form(S)) == oracle_map_left(lower, step, big), n
+
+
+def test_unit_tensors_have_one_block_per_degree_on_each_side():
+    # so the tensor kernel maps each source degree once and keeps no images
+    for n in range(1, 9):
+        for unit in (kinematic_unit(n), _product_pairing_unit(SOAlgebra(n))):
+            top = unit.left.top_degree
+            assert sorted(dl for dl, _ in unit.blocks) == list(range(top + 1)), n
+            assert sorted(dr for _, dr in unit.blocks) == list(range(top + 1)), n
 
 
 def test_map_across_model_kinds_is_refused():

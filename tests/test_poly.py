@@ -36,7 +36,7 @@ T = GradedPoly.monomial(0, 1)
 
 
 def _component(p: GradedPoly, degree: int) -> GradedPoly:
-    return p.homogeneous_components().get(degree, GradedPoly.zero())
+    return p.homogeneous_components().get(degree, GradedPoly())
 
 
 def _is_homogeneous(p: GradedPoly) -> bool:
@@ -73,7 +73,7 @@ def test_parse_rejects_malformed_input(text):
 
 
 def test_format_examples():
-    assert poly_format(GradedPoly.zero()) == "0"
+    assert poly_format(GradedPoly()) == "0"
     assert poly_format(GradedPoly({(0, 4): F(1, 6)})) == "1/6*t^4"
     assert poly_format(log_component(3)) == "1/3*t^3 - s*t"
     assert poly_format(GradedPoly({(0, 0): -1, (1, 1): 1})) == "-1 + s*t"
@@ -119,10 +119,10 @@ def test_rejects_non_integral_exponents():
 
 def test_scalar_multiplication_rejects_floats():
     with pytest.raises(TypeError):
-        GradedPoly.one() * 0.5
+        GradedPoly.monomial(0, 0) * 0.5
     with pytest.raises(TypeError):
-        0.5 * GradedPoly.one()
-    assert GradedPoly.one() * Fraction(1, 2) == GradedPoly.constant(Fraction(1, 2))
+        0.5 * GradedPoly.monomial(0, 0)
+    assert GradedPoly.monomial(0, 0) * Fraction(1, 2) == GradedPoly.monomial(0, 0, Fraction(1, 2))
 
 
 def test_t_polynomials_reject_floats():
@@ -137,7 +137,7 @@ def test_homogeneous_components():
     p = poly_parse("s + t + 2*t^2")
     assert _component(p, 2) == poly_parse("s + 2*t^2")
     assert _component(p, 1) == poly_parse("t")
-    assert _component(p, 7) == GradedPoly.zero()
+    assert _component(p, 7) == GradedPoly()
     assert not _is_homogeneous(p)
     assert _is_homogeneous(log_component(9))
 
@@ -196,17 +196,17 @@ def test_homogeneous_multiplication_adds_degrees(p, q):
 
 def test_shift():
     # t(t-1) shifted by -1 is (t-1)(t-2)
-    assert _shift(falling_factorial(2), -1) == (T - GradedPoly.one()) * (T - GradedPoly.constant(2))
-    assert falling_factorial(0) == GradedPoly.one()
+    assert _shift(falling_factorial(2), -1) == (T - GradedPoly.monomial(0, 0)) * (T - GradedPoly.monomial(0, 0, 2))
+    assert falling_factorial(0) == GradedPoly.monomial(0, 0)
     assert falling_factorial(3) == poly_parse("t^3 - 3*t^2 + 2*t")
 
 
 def _horner_shifted(p: GradedPoly, offset: int) -> GradedPoly:
     """Oracle: p(t + offset) by Horner in t + offset, one GradedPoly product per step."""
-    base = T + GradedPoly.constant(offset)
-    result = GradedPoly.zero()
+    base = T + GradedPoly.monomial(0, 0, offset)
+    result = GradedPoly()
     for j in range(p.total_degree(), -1, -1):
-        result = result * base + GradedPoly.constant(p.coefficient(0, j))
+        result = result * base + GradedPoly.monomial(0, 0, p.coefficient(0, j))
     return result
 
 
@@ -234,8 +234,8 @@ def test_shift_rejects_s_terms():
 
 
 def test_forward_difference_kills_constants():
-    assert not forward_difference(GradedPoly.constant(7))
-    assert forward_difference(T) == GradedPoly.one()
+    assert not forward_difference(GradedPoly.monomial(0, 0, 7))
+    assert forward_difference(T) == GradedPoly.monomial(0, 0)
     assert forward_difference(falling_factorial(3)) == poly_parse("3*t^2 - 9*t + 6")  # 3(t-1)(t-2)
 
 
@@ -311,9 +311,9 @@ huge_polys = st.dictionaries(huge_monomials, huge_coefficients, max_size=10).map
 
 @given(huge_polys)
 @settings(max_examples=200)
-@example(GradedPoly.zero())
-@example(GradedPoly.one())
-@example(GradedPoly.constant(F(-7, 3)))
+@example(GradedPoly())
+@example(GradedPoly.monomial(0, 0))
+@example(GradedPoly.monomial(0, 0, F(-7, 3)))
 @example(GradedPoly({(0, 0): -1, (1, 0): -1, (0, 1): F(-1, 10**15), (3, 70): 10**15}))
 def test_format_poly_matches_fraction_oracle(p):
     for fmt in ("plain", "json", "latex"):
@@ -342,7 +342,7 @@ def test_integer_form_is_canonical(p, scale, rng):
         GradedPoly({m: F(c.numerator * scale, c.denominator * scale) for m, c in items}),
         (p * scale) * F(1, scale),
         (p + p) - p,
-        sum((GradedPoly.monomial(*m, c) for m, c in items), GradedPoly.zero()),
+        sum((GradedPoly.monomial(*m, c) for m, c in items), GradedPoly()),
         poly_parse(poly_format(p)),
     ]
     for q in rebuilt:
@@ -355,7 +355,7 @@ def test_coefficients_stay_fractions_and_floats_raise():
     p = GradedPoly({(0, 1): F(2, 4), (1, 0): 3})
     assert p._num == {(0, 1): 1, (1, 0): 6} and p._den == 2
     assert p.coefficient(0, 1) == F(1, 2) and type(p.coefficient(1, 0)) is Fraction
-    assert type(GradedPoly.zero().coefficient(0, 0)) is Fraction
+    assert type(GradedPoly().coefficient(0, 0)) is Fraction
     assert dict(p.terms) == {(0, 1): F(1, 2), (1, 0): F(3)}
     with pytest.raises(TypeError):
         GradedPoly({(0, 1): 1.0})
@@ -502,7 +502,7 @@ def test_monomial_rejects_float_exponents():
     with pytest.raises(TypeError):
         GradedPoly.monomial(1, 0, 0.5)
     with pytest.raises(TypeError):
-        GradedPoly.constant(1.0)
+        GradedPoly.monomial(0, 0, 1.0)
 
 
 @given(huge_monomials, huge_coefficients)
@@ -512,5 +512,5 @@ def test_single_terms_match_general_construction(mono, c):
         general = GradedPoly({mono: c})
         _assert_canonical(built)
         assert built == general and _same_storage(built, general)
-    assert _same_storage(GradedPoly.constant(c), GradedPoly({(0, 0): c}))
-    assert _same_storage(GradedPoly.one(), GradedPoly({(0, 0): 1}))
+    assert _same_storage(GradedPoly.monomial(0, 0, c), GradedPoly({(0, 0): c}))
+    assert _same_storage(GradedPoly.monomial(0, 0), GradedPoly({(0, 0): 1}))

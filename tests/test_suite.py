@@ -22,6 +22,7 @@ from unival import (
 )
 from unival.algebra import AlgebraElement, SOAlgebra, UnitaryAlgebra, _BUILD_CACHE, build_algebra
 from unival.cli import run
+from unival.emit import format_report
 from unival.poly import GradedPoly
 
 
@@ -44,6 +45,13 @@ def test_suite_is_deterministic():
 def test_suite_rejects_bad_bound():
     with pytest.raises(ValueError):
         run_suite(0)
+
+
+def test_suite_takes_a_bool_bound_as_an_int():
+    report = run_suite(True)
+    assert type(report.n_max) is int and report.n_max == 1
+    assert '"n_max": 1' in format_report(report, "json")
+    assert report.to_json() == run_suite(1).to_json()
 
 
 def test_suite_catches_corrupted_reduction_table(monkeypatch, fresh_matrix_caches, capsys):
@@ -155,8 +163,8 @@ def _corrupt_tensor_kernel(monkeypatch, sides):
     """Add 1 to entry (0, 0) of the lowest block the tensor kernel returns on ``sides``."""
     real_map_factor = kinematics._map_factor
 
-    def corrupted(tensor, fn, new_model, left):
-        out = real_map_factor(tensor, fn, new_model, left)
+    def corrupted(tensor, phi, left):
+        out = real_map_factor(tensor, phi, left)
         if ("left" if left else "right") not in sides or not out.blocks:
             return out
         key = min(out.blocks)
@@ -190,19 +198,14 @@ def test_suite_catches_corrupted_tensor_images(monkeypatch):
     # the s-step are images too, so the step-up identity breaks as well.
     real_product_images = kinematics._product_images
 
-    def corrupted(phi, source):
+    def corrupted(phi, source, d):
         """Adds t^(2n) to the image of 1 under multiplication by phi."""
-        images = real_product_images(phi, source)
-        top = phi.algebra.top_degree
-
-        def corrupted_images(d):
-            out = dict(images(d))
-            if d == 0:  # target degree 2n, row 0, column 0: t^(2n) times 1
-                rows, den = out.get(top, ([[0]], 1))
-                out[top] = [[rows[0][0] + den]], den
-            return out
-
-        return corrupted_images
+        out = dict(real_product_images(phi, source, d))
+        if d == 0:  # target degree 2n, row 0, column 0: t^(2n) times 1
+            top = phi.algebra.top_degree
+            rows, den = out.get(top, ([[0]], 1))
+            out[top] = [[rows[0][0] + den]], den
+        return out
 
     monkeypatch.setattr(kinematics, "_product_images", corrupted)
     report = run_suite(6)
@@ -444,10 +447,10 @@ def _off_by_one(matrix: ExactMatrix, i: int, j: int) -> ExactMatrix:
 def test_suite_catches_one_corrupted_integer_entry_in_a_mapped_block(monkeypatch, fresh_matrix_caches):
     real_map_factor = kinematics._map_factor
 
-    def corrupted(tensor, images, new_model, left):
+    def corrupted(tensor, phi, left):
         """Integer entry (0, 0) of the lowest block mapped into the unitary n = 3 model, off by one."""
-        out = real_map_factor(tensor, images, new_model, left)
-        if not (isinstance(new_model, UnitaryAlgebra) and new_model.n == 3 and out.blocks):
+        out = real_map_factor(tensor, phi, left)
+        if not (isinstance(phi.algebra, UnitaryAlgebra) and phi.algebra.n == 3 and out.blocks):
             return out
         key = min(out.blocks)
         return TensorElement(out.left, out.right, {**out.blocks, key: _off_by_one(out.blocks[key], 0, 0)})
