@@ -168,8 +168,6 @@ def format_tensor(tensor, fmt: str) -> str:
 
 
 def format_basis(monomials, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps([format_monomial(m) for m in monomials])
     if fmt == "latex":
         return ", ".join(monomial_latex(m) for m in monomials)
     return ", ".join(format_monomial(m) for m in monomials)

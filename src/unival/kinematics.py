@@ -107,8 +107,9 @@ def _product_images(phi: AlgebraElement, source, d: int) -> dict[int, tuple[list
 def _map_factor(tensor: TensorElement, phi: AlgebraElement, left: bool) -> TensorElement:
     """The fraction-free kernel behind ``map_left`` and ``map_right``.
 
-    Each block's source degree is mapped into phi's model by its integer
-    image matrices ``{d2: (M, den)}`` (``_product_images``), once per block.
+    Each source degree the blocks use is mapped into phi's model by its
+    integer image matrices ``{d2: (M, den)}`` (``_product_images``), once per
+    map and before any block, however many blocks share the degree.
     With K a block's stored integer rows (``ExactMatrix._integers``), the new
     block is M K on the left and K M^T = (M K^T)^T on the right: each an
     integer product applied by the nonzeros of M's rows (``_apply``), wrapped
@@ -117,11 +118,13 @@ def _map_factor(tensor: TensorElement, phi: AlgebraElement, left: bool) -> Tenso
     source, target = (tensor.left if left else tensor.right), phi.algebra
     if type(target) is not type(source):
         raise AlgebraMismatch(f"cannot map {source!r} into {target!r}")
+    degrees = {dl if left else dr for dl, dr in tensor.blocks}
+    images = {d: _product_images(phi, source, d) for d in degrees}
     blocks: dict[tuple[int, int], ExactMatrix] = {}
     for (dl, dr), matrix in tensor.blocks.items():
         k_rows, k_den = matrix._integers()
         k_cols = list(zip(*k_rows))
-        for d2, (m_rows, m_den) in _product_images(phi, source, dl if left else dr).items():
+        for d2, (m_rows, m_den) in images[dl if left else dr].items():
             if left:
                 key, product = (d2, dr), _apply(m_rows, k_rows, k_cols)
             else:

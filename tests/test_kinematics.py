@@ -28,7 +28,7 @@ from unival import (
     so_kinematic,
     step_up_identity_holds,
 )
-from unival import algebra
+from unival import algebra, kinematics
 from unival.exact import _integer_rows
 from unival.kinematics import _product_images, _product_pairing_unit
 from unival.poly import GradedPoly, S
@@ -373,12 +373,34 @@ def test_kernel_matches_oracle_for_step_up_maps():
 
 
 def test_unit_tensors_have_one_block_per_degree_on_each_side():
-    # so the tensor kernel maps each source degree once and keeps no images
+    # so a memo of the images by source degree, kept for one map, would never hit
     for n in range(1, 9):
         for unit in (kinematic_unit(n), _product_pairing_unit(SOAlgebra(n))):
             top = unit.left.top_degree
             assert sorted(dl for dl, _ in unit.blocks) == list(range(top + 1)), n
             assert sorted(dr for _, dr in unit.blocks) == list(range(top + 1)), n
+
+
+def test_kernel_maps_each_source_degree_once_per_map(monkeypatch):
+    alg = build_algebra(3)
+    tensor = kinematic_of(3, alg.normal_form("1 + t"))  # several blocks per degree on each side
+    psi = alg.normal_form("s + t")
+    for left in (True, False):
+        degrees = [dl if left else dr for dl, dr in tensor.blocks]
+        assert len(degrees) > len(set(degrees))
+        seen = []
+
+        def counted(phi, source, d):
+            seen.append(d)
+            return _product_images(phi, source, d)
+
+        monkeypatch.setattr(kinematics, "_product_images", counted)
+        if left:
+            assert tensor.map_left(psi) == oracle_map_left(tensor, times(psi), alg)
+        else:
+            assert tensor.map_right(psi) == oracle_map_right(tensor, times(psi), alg)
+        assert sorted(seen) == sorted(set(degrees)), left
+        monkeypatch.undo()
 
 
 def test_map_across_model_kinds_is_refused():
