@@ -4,6 +4,9 @@ Plain output orders terms by descending t-power within each degree, matching
 the ordered monomial bases; the LaTeX emitter uses the conventional
 typeset order (ascending t-power, constants and s-powers first) instead.
 All emitters are deterministic: identical inputs produce identical bytes.
+Every signed sum, a polynomial in either order or a tensor block, is
+written by one writer (``poly._signed_sum``) straight from integer
+numerators over one denominator.
 Tensor and matrix JSON is written straight from the integer storage in the
 layout of ``json.dumps(..., indent=2)``, because ``indent`` sends
 ``json.dumps`` to its pure-Python encoder.
@@ -13,10 +16,11 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from itertools import chain
 
 from .algebra import SOAlgebra
 from .exact import ExactMatrix, plain_magnitude
-from .poly import GradedPoly, Monomial, format_monomial, join_signed, poly_format
+from .poly import GradedPoly, Monomial, _labels, _signed_sum, format_monomial, poly_format
 from .suite import SuiteReport
 
 
@@ -52,7 +56,9 @@ def _latex_key(mono: Monomial) -> tuple[int, int]:
 
 
 def poly_latex(poly: GradedPoly) -> str:
-    return join_signed(poly._labelled(monomial_latex, _latex_key), latex_magnitude, times="")
+    num = poly._num
+    order = sorted(num, key=_latex_key)
+    return _signed_sum(_labels(order, monomial_latex), map(num.__getitem__, order), poly._den, latex_magnitude, "")
 
 
 def matrix_plain(m: ExactMatrix) -> str:
@@ -129,18 +135,14 @@ def _tensor_json(tensor) -> str:
 
 
 def _block_sums(tensor, label, pair: str, magnitude, times: str) -> list[tuple[tuple[int, int], str]]:
-    """Each nonzero block as one signed sum; its basis labels are formatted once."""
+    """Each nonzero block as one signed sum over its row (x) column bodies; basis labels are formatted once."""
     lines = []
     for (dl, dr), matrix in sorted(tensor.blocks.items()):
-        rows = [label(m) for m in tensor.left.basis(dl)]
+        rows = [label(m) + pair for m in tensor.left.basis(dl)]
         cols = [label(m) for m in tensor.right.basis(dr)]
-        terms = (
-            (num, den, f"{row}{pair}{col}")
-            for row, entries in zip(rows, matrix._pair_rows())
-            for col, (num, den) in zip(cols, entries)
-            if num
-        )
-        lines.append(((dl, dr), join_signed(terms, magnitude, times)))
+        ints, den = matrix._integers()
+        bodies = [row + col for row in rows for col in cols]
+        lines.append(((dl, dr), _signed_sum(bodies, chain.from_iterable(ints), den, magnitude, times)))
     return lines
 
 

@@ -145,8 +145,11 @@ class ExactMatrix:
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     def to_json(self) -> list[list[str]]:
-        """Each entry as ``str`` prints its Fraction."""
-        return [[str(x) if d == 1 else f"{x}/{d}" for x, d in row] for row in self._pair_rows()]
+        """Each entry as ``str`` prints its Fraction: one gcd per entry, an integer written as it is."""
+        den = self._den
+        return [
+            [str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for x in row] for row in self._ints
+        ]
 
     def _integers(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The storage: integer rows over one denominator, in lowest terms."""
@@ -155,8 +158,8 @@ class ExactMatrix:
     def _pair_rows(self) -> Iterator[list[tuple[int, int]]]:
         """Each row's entries as lowest-terms (numerator, denominator) pairs, one row at a time.
 
-        The one reader of the storage for output: one gcd per entry (a zero
-        comes out as (0, 1)).
+        The LaTeX matrix cells read it: one gcd per entry (a zero comes out
+        as (0, 1)).
         """
         den = self._den
         return ([(x // g, den // g) for x in row for g in (gcd(x, den),)] for row in self._ints)

@@ -6,7 +6,9 @@ two factors.  The unit kinematic tensor of a model with top degree top has
 one block per bidegree (d, top-d): the inverse of the product pairing's Gram
 matrix, in closed form for the unitary model (``kinematic_matrix``) and read
 from its own product for any other.  Multiplying a factor in, restricting a
-factor, or stepping a factor up are all linear block operations.
+factor, or stepping a factor up are all linear block operations.  A
+kinematic tensor is symmetric, so ``kinematic_of`` maps the blocks on and
+above the diagonal and fills the rest by transposing them.
 """
 
 from __future__ import annotations
@@ -104,8 +106,8 @@ def _product_images(phi: AlgebraElement, source, d: int) -> dict[int, tuple[list
     return out
 
 
-def _map_factor(tensor: TensorElement, phi: AlgebraElement, left: bool) -> TensorElement:
-    """The fraction-free kernel behind ``map_left`` and ``map_right``.
+def _map_factor(tensor: TensorElement, phi: AlgebraElement, left: bool, half: bool = False) -> TensorElement:
+    """The fraction-free kernel behind ``map_left``, ``map_right`` and ``kinematic_of``.
 
     Each source degree the blocks use is mapped into phi's model by its
     integer image matrices ``{d2: (M, den)}`` (``_product_images``), once per
@@ -114,18 +116,29 @@ def _map_factor(tensor: TensorElement, phi: AlgebraElement, left: bool) -> Tenso
     block is M K on the left and K M^T = (M K^T)^T on the right: each an
     integer product applied by the nonzeros of M's rows (``_apply``), wrapped
     in lowest terms.  Products landing on the same bidegree are summed.
+
+    With ``half`` (a left map, for ``kinematic_of``) only the products that
+    land on a bidegree (d2, dr) with d2 <= dr are formed.  Images rise by at
+    least phi's lowest degree, so a block (dl, dr) with dl + low > dr is not
+    read and a source degree that only such blocks use gets no images.
     """
     source, target = (tensor.left if left else tensor.right), phi.algebra
     if type(target) is not type(source):
         raise AlgebraMismatch(f"cannot map {source!r} into {target!r}")
-    degrees = {dl if left else dr for dl, dr in tensor.blocks}
+    items = tensor.blocks.items()
+    if half and phi:
+        p, q = next(iter(phi.poly._num))  # plain order puts a lowest-degree monomial first
+        items = [((dl, dr), matrix) for (dl, dr), matrix in items if dl + 2 * p + q <= dr]
+    degrees = {dl if left else dr for (dl, dr), _ in items}
     images = {d: _product_images(phi, source, d) for d in degrees}
     blocks: dict[tuple[int, int], ExactMatrix] = {}
-    for (dl, dr), matrix in tensor.blocks.items():
+    for (dl, dr), matrix in items:
         k_rows, k_den = matrix._integers()
         k_cols = list(zip(*k_rows))
         for d2, (m_rows, m_den) in images[dl if left else dr].items():
             if left:
+                if half and d2 > dr:
+                    continue
                 key, product = (d2, dr), _apply(m_rows, k_rows, k_cols)
             else:
                 key, product = (dl, d2), zip(*_apply(m_rows, k_cols, k_rows))
@@ -157,12 +170,17 @@ def kinematic_of(n: int, phi: AlgebraElement) -> TensorElement:
     own product pairing.  Absorbing phi is integer work from the reduction
     tables (``_product_images``); on the right it gives the same tensor, and
     both equal the pairing formula (suite entry "kinematic-cocommutativity").
+    The unit is symmetric and phi may be absorbed on either side, so the
+    tensor is symmetric: only the blocks (a, b) with a <= b are mapped, and
+    each (b, a) is the transpose of (a, b).
     """
     model = phi.algebra
     if model.n != n:
         raise AlgebraMismatch(f"factor lives in {model!r}, not in dimension {n}")
     unit = kinematic_unit(n) if isinstance(model, UnitaryAlgebra) else _product_pairing_unit(model)
-    return unit.multiply_left(phi)
+    half = _map_factor(unit, phi, left=True, half=True).blocks
+    mirror = {(b, a): matrix.transpose() for (a, b), matrix in half.items() if a < b}
+    return TensorElement(model, model, {**half, **mirror})
 
 
 def so_kinematic(n_real: int, k: int) -> TensorElement:

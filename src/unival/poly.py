@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb, factorial, gcd, lcm
 from operator import index
 from types import MappingProxyType
@@ -109,16 +110,6 @@ class GradedPoly:
 
     def coefficient(self, s_power: int, t_power: int) -> Fraction:
         return Fraction(self._num.get((s_power, t_power), 0), self._den)
-
-    def _labelled(self, label, key=None) -> list[tuple[int, int, str | None]]:
-        """Each term as ``(numerator, denominator, label(monomial))`` in lowest terms.
-
-        The constant's label is None.  Terms come in plain order, or sorted by
-        ``key`` on their monomials.  One gcd per term.
-        """
-        den = self._den
-        items = self._num.items() if key is None else sorted(self._num.items(), key=lambda item: key(item[0]))
-        return [(x // (g := gcd(x, den)), den // g, None if m == (0, 0) else label(m)) for m, x in items]
 
     def __bool__(self) -> bool:
         return bool(self._num)
@@ -203,37 +194,51 @@ def format_monomial(mono: Monomial) -> str:
     return "*".join(pieces) if pieces else "1"
 
 
-def join_signed(
-    terms: Iterable[tuple[int, int, str | None]], magnitude=plain_magnitude, times: str = "*"
-) -> str:
-    """Signed sum of ``(numerator, denominator, body)`` terms, e.g. ``-2*t^2 + s - 1/3*s*t``.
+def _signed_sum(bodies: Iterable[str | None], numerators: Iterable[int], den: int, magnitude, times: str) -> str:
+    """The one writer of signed sums: ``numerators[i] / den`` times ``bodies[i]``, e.g. ``-2*t^2 + s - 1/3*s*t``.
 
-    Each coefficient comes in lowest terms with a positive denominator.  The
-    first sign is attached, later ones stand between spaces.  A coefficient
-    of magnitude 1 is left out unless the body is None, which marks a
-    constant.  ``magnitude(numerator, denominator)`` formats a positive
-    magnitude and ``times`` joins it to the body.  The empty sum is "0".
+    Zero numerators are skipped.  Each coefficient is cut to lowest terms by
+    one gcd with ``den``; an integer is written as it is, any other magnitude
+    by ``magnitude(numerator, denominator)``, and ``times`` joins it to the
+    body.  A coefficient of magnitude 1 is left out unless the body is None,
+    which marks the constant (first in every term order).  The first sign is
+    attached, later ones stand between spaces.  The empty sum is "0".
     """
     chunks: list[str] = []
-    for num, den, body in terms:
-        negative = num < 0
-        if negative:
-            num = -num
+    append = chunks.append
+    for body, x in zip(bodies, numerators):
+        if not x:
+            continue
+        sign = " + "
+        if x < 0:
+            sign, x = " - ", -x
+        g = gcd(x, den)
+        text = str(x // g) if g == den else magnitude(x // g, den // g)
         if body is None:
-            text = magnitude(num, den)
-        elif num == 1 and den == 1:
-            text = body
+            append(sign + text)
+        elif text == "1":
+            append(sign + body)
         else:
-            text = f"{magnitude(num, den)}{times}{body}"
-        if chunks:
-            chunks.append(f"- {text}" if negative else f"+ {text}")
-        else:
-            chunks.append(f"-{text}" if negative else text)
-    return " ".join(chunks) if chunks else "0"
+            append(f"{sign}{text}{times}{body}")
+    if not chunks:
+        return "0"
+    first = chunks[0]
+    chunks[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+    return "".join(chunks)
+
+
+def _labels(monomials: Iterable[Monomial], label) -> Iterable[str | None]:
+    """``label`` of each monomial in order, the constant's as None."""
+    labels = map(label, monomials)
+    if next(iter(monomials), None) == (0, 0):
+        next(labels)
+        return chain((None,), labels)
+    return labels
 
 
 def poly_format(poly: GradedPoly) -> str:
-    return join_signed(poly._labelled(format_monomial))
+    num = poly._num
+    return _signed_sum(_labels(num, format_monomial), num.values(), poly._den, plain_magnitude, "*")
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:

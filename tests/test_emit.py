@@ -1,4 +1,4 @@
-"""The direct JSON writer of tensors and matrices against ``json.dumps(..., indent=2)``."""
+"""The tensor and matrix writers against slow oracles: ``json.dumps(..., indent=2)`` and a Fraction-reading join."""
 
 from __future__ import annotations
 
@@ -9,10 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unival import ExactMatrix, SOAlgebra, TensorElement, build_algebra, kinematic_of, kinematic_unit, so_kinematic
-from unival.emit import format_matrix, format_tensor
+from unival.emit import format_matrix, format_tensor, latex_magnitude, monomial_latex
+from unival.exact import plain_magnitude
 from unival.poly import format_monomial
 
 F = Fraction
+ONE = ExactMatrix([[1]])
 
 
 def _entry_strings(matrix: ExactMatrix) -> list[list[str]]:
@@ -86,3 +88,53 @@ def test_tensor_json_writer_matches_json_dumps(tensor):
 def test_matrix_json_writer_matches_json_dumps(matrix):
     assert matrix.to_json() == _entry_strings(matrix)
     assert format_matrix(matrix, "json") == json.dumps(_entry_strings(matrix), indent=2)
+
+
+def _oracle_signed_sum(terms, magnitude, times: str) -> str:
+    """The old sign rules over ``(Fraction, body)`` terms: zeros skipped, unit coefficients left out."""
+    chunks = []
+    for coeff, body in terms:
+        if not coeff:
+            continue
+        num, den = abs(coeff.numerator), coeff.denominator
+        text = body if num == 1 and den == 1 else f"{magnitude(num, den)}{times}{body}"
+        if chunks:
+            chunks.append(f"- {text}" if coeff < 0 else f"+ {text}")
+        else:
+            chunks.append(f"-{text}" if coeff < 0 else text)
+    return " ".join(chunks)
+
+
+def tensor_text(tensor, fmt: str) -> str:
+    """Oracle: each block's entries read as ``Fraction``s from ``to_rows`` and joined term by term."""
+    if not tensor.blocks:
+        return "0"
+    if fmt == "latex":
+        label, pair, magnitude, times = monomial_latex, " \\otimes ", latex_magnitude, "\\, "
+    else:
+        label, pair, magnitude, times = format_monomial, "(x)", plain_magnitude, "*"
+    lines = []
+    for (dl, dr), matrix in sorted(tensor.blocks.items()):
+        terms = [
+            (c, f"{label(row_mono)}{pair}{label(col_mono)}")
+            for row_mono, row in zip(tensor.left.basis(dl), matrix.to_rows())
+            for col_mono, c in zip(tensor.right.basis(dr), row)
+        ]
+        lines.append(((dl, dr), _oracle_signed_sum(terms, magnitude, times)))
+    if fmt == "latex":
+        body = " \\\\\n".join(f"&{line}" for _, line in lines)
+        return f"\\begin{{aligned}}\n{body}\n\\end{{aligned}}"
+    return "\n".join(f"({dl},{dr}): {line}" for (dl, dr), line in lines)
+
+
+@given(tensors())
+@settings(max_examples=120, deadline=None)
+@example(TensorElement(build_algebra(2), build_algebra(2), {}))
+@example(TensorElement(build_algebra(2), build_algebra(2), {(2, 2): ExactMatrix([[F(-5, 6), 0], [1, F(-3, 4)]])}))
+@example(kinematic_of(4, build_algebra(4).normal_form("-3/2*t^2 + 5/7*s - t^8")))
+@example(so_kinematic(3, 1))
+@example(kinematic_of(3, SOAlgebra(3).normal_form("2 - 1/3*t")))
+@example(TensorElement(build_algebra(1), SOAlgebra(2), {(1, 2): ExactMatrix([[F(-7, 3)]]), (0, 0): ONE}))
+def test_tensor_plain_and_latex_writers_match_a_fraction_join(tensor):
+    for fmt in ("plain", "latex"):
+        assert format_tensor(tensor, fmt) == tensor_text(tensor, fmt), fmt

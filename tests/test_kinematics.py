@@ -32,7 +32,7 @@ from unival import algebra, kinematics
 from unival.exact import _integer_rows
 from unival.kinematics import _product_images, _product_pairing_unit
 from unival.poly import GradedPoly, S
-from unival.suite import _pairing_formula_tensor
+from unival.suite import _pairing_formula_tensor, run_suite
 
 F = Fraction
 
@@ -401,6 +401,69 @@ def test_kernel_maps_each_source_degree_once_per_map(monkeypatch):
             assert tensor.map_right(psi) == oracle_map_right(tensor, times(psi), alg)
         assert sorted(seen) == sorted(set(degrees)), left
         monkeypatch.undo()
+
+
+def _mirror_cases():
+    for n in range(1, 9):
+        alg = build_algebra(n)
+        for text in ("0", "1", "t", "1 + t", "s*t + 2*t^3 - 1/2", f"t^{2 * n}"):
+            yield kinematic_unit(n), alg.normal_form(text)
+    for n in range(1, 7):
+        alg = SOAlgebra(n)
+        for text in ("0", "1", "t", "1 + t", "2*t^3 - 1/2", f"t^{n}"):
+            yield _product_pairing_unit(alg), alg.normal_form(text)
+
+
+def test_mirrored_kinematic_tensor_is_the_full_left_map():
+    for unit, phi in _mirror_cases():
+        tensor = kinematic_of(phi.algebra.n, phi)
+        assert tensor == unit.multiply_left(phi), (phi.algebra, phi)
+        assert all(tensor.blocks[(dr, dl)] == m.transpose() for (dl, dr), m in tensor.blocks.items())
+
+
+def test_kinematic_of_maps_half_the_blocks(monkeypatch):
+    calls = []
+    real_apply = kinematics._apply
+
+    def counted(m_rows, b_rows, b_cols):
+        calls.append(len(m_rows))
+        return real_apply(m_rows, b_rows, b_cols)
+
+    monkeypatch.setattr(kinematics, "_apply", counted)
+    alg = build_algebra(32)
+    phi = alg.normal_form("t")
+    kinematic_unit(32).multiply_left(phi)
+    assert len(calls) == 64  # every unit block (d, 64 - d) but d = 64, whose image is zero
+    calls.clear()
+    kinematic_of(32, phi)
+    assert len(calls) == 32  # the blocks landing on (d + 1, 64 - d) with d + 1 <= 64 - d
+
+
+def test_suite_catches_a_corrupted_block_in_the_mapped_half(monkeypatch):
+    real_map_factor = kinematics._map_factor
+
+    def corrupted(tensor, phi, left, half=False):
+        """Integer entry (0, 0) of the highest off-diagonal block of the mapped half, off by one."""
+        out = real_map_factor(tensor, phi, left, half)
+        off_diagonal = [(dl, dr) for dl, dr in out.blocks if dl < dr]
+        if not (half and off_diagonal):
+            return out
+        key = max(off_diagonal)
+        ints, den = out.blocks[key]._integers()
+        rows = [list(row) for row in ints]
+        rows[0][0] += 1
+        return TensorElement(out.left, out.right, {**out.blocks, key: ExactMatrix._lowest(rows, den)})
+
+    monkeypatch.setattr(kinematics, "_map_factor", corrupted)
+    alg = build_algebra(3)
+    wrong = kinematic_of(3, alg.normal_form("s*t + 2*t^3 - 1/2"))
+    # the corruption is mirrored, so the tensor stays symmetric: only the suite's oracles can see it
+    assert all(wrong.blocks[(dr, dl)] == m.transpose() for (dl, dr), m in wrong.blocks.items())
+    failing = {entry.name: entry.counterexample for entry in run_suite(3).entries if not entry.passed}
+    assert set(failing) == {"kinematic-cocommutativity", "so-unit-coefficients", "annihilator-congruence"}
+    assert failing["kinematic-cocommutativity"] == (
+        "InternalInconsistency: kinematic tensor of 1 + t^2 differs between factor placements"
+    )
 
 
 def test_map_across_model_kinds_is_refused():

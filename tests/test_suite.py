@@ -163,8 +163,8 @@ def _corrupt_tensor_kernel(monkeypatch, sides):
     """Add 1 to entry (0, 0) of the lowest block the tensor kernel returns on ``sides``."""
     real_map_factor = kinematics._map_factor
 
-    def corrupted(tensor, phi, left):
-        out = real_map_factor(tensor, phi, left)
+    def corrupted(tensor, phi, left, half=False):
+        out = real_map_factor(tensor, phi, left, half)
         if ("left" if left else "right") not in sides or not out.blocks:
             return out
         key = min(out.blocks)
@@ -425,12 +425,18 @@ def test_suite_catches_products_left_out_of_lowest_terms(monkeypatch, fresh_matr
 
 
 def test_suite_catches_a_corrupted_pair_formatter(monkeypatch):
-    def corrupted(self, label, key=None):
-        """Cuts each denominator by the gcd but leaves its numerator whole."""
-        den = self._den
-        return [(x, den // gcd(x, den), None if m == (0, 0) else label(m)) for m, x in self._num.items()]
+    def corrupted(bodies, numerators, den, magnitude, times):
+        """The signed-sum writer with each denominator cut by the gcd but its numerator left whole."""
+        chunks = []
+        for body, x in zip(bodies, numerators):
+            if x:
+                sign, x = (" - ", -x) if x < 0 else (" + ", x)
+                text = magnitude(x, den // gcd(x, den))
+                chunks.append(sign + (text if body is None else body if text == "1" else f"{text}{times}{body}"))
+        text = "".join(chunks)
+        return "0" if not text else text[3:] if text[1] == "+" else "-" + text[3:]
 
-    monkeypatch.setattr(GradedPoly, "_labelled", corrupted)
+    monkeypatch.setattr(poly, "_signed_sum", corrupted)
     failing = _failing_entries(run_suite(4))
     assert set(failing) == {"poly-roundtrip"}
     assert failing["poly-roundtrip"] == "k=2: '-1/2*t^2 + 2*s' does not round-trip"
@@ -447,9 +453,9 @@ def _off_by_one(matrix: ExactMatrix, i: int, j: int) -> ExactMatrix:
 def test_suite_catches_one_corrupted_integer_entry_in_a_mapped_block(monkeypatch, fresh_matrix_caches):
     real_map_factor = kinematics._map_factor
 
-    def corrupted(tensor, phi, left):
+    def corrupted(tensor, phi, left, half=False):
         """Integer entry (0, 0) of the lowest block mapped into the unitary n = 3 model, off by one."""
-        out = real_map_factor(tensor, phi, left)
+        out = real_map_factor(tensor, phi, left, half)
         if not (isinstance(phi.algebra, UnitaryAlgebra) and phi.algebra.n == 3 and out.blocks):
             return out
         key = min(out.blocks)
@@ -460,7 +466,10 @@ def test_suite_catches_one_corrupted_integer_entry_in_a_mapped_block(monkeypatch
     assert set(failing) == {"kinematic-step-up", "kinematic-cocommutativity", "annihilator-congruence"}
     assert failing["kinematic-step-up"] == "n=2"
     assert failing["annihilator-congruence"] == "n=3, k=0"
-    assert failing["kinematic-cocommutativity"].startswith("n=3, trial 0: block (3, 6)")
+    # kinematic_of mirrors the corrupted block (3, 6) onto (6, 3); multiply_right maps (6, 3) itself
+    assert failing["kinematic-cocommutativity"] == (
+        "InternalInconsistency: kinematic tensor of t^3 - 3/2*t^6 differs between factor placements"
+    )
 
 
 def test_suite_catches_a_dropped_nonzero_in_a_sparse_image_row(monkeypatch, fresh_matrix_caches):
