@@ -21,21 +21,13 @@ from .algebra import (
 from .duality import (
     CompanionData,
     annihilator_change_of_basis,
-    binomial_reduction_identity,
-    coefficient_recurrences_hold,
     companion_coefficient,
     companion_data,
-    companion_relation,
-    companion_relation_is_log_component,
-    companion_relation_times_t,
-    companion_relation_vanishes,
-    kinematic_annihilator_block,
     kinematic_matrix,
     pairing_matrix,
     pairing_pivots,
     pairing_value,
     positivity_scan,
-    step_down_identity_holds,
     step_down_matrix,
     top_coefficient,
 )
@@ -51,24 +43,15 @@ from .errors import (
     StructureViolation,
     UnivalError,
 )
-from .exact import ExactMatrix, is_positive_definite, solve_in_span
-from .kinematics import (
-    TensorElement,
-    annihilator_congruence_holds,
-    kinematic_of,
-    kinematic_unit,
-    so_kinematic,
-    step_up_identity_holds,
-)
+from .exact import ExactMatrix
+from .kinematics import TensorElement, kinematic_of, kinematic_unit, so_kinematic
 from .poly import (
     GradedPoly,
-    difference_identity_holds,
     falling_factorial,
     forward_difference,
     log_component,
     log_component_alt,
     log_components,
-    log_recursion_holds,
     poly_format,
     poly_parse,
 )
@@ -98,29 +81,18 @@ __all__ = [
     "UnivalError",
     "annihilator_basis",
     "annihilator_change_of_basis",
-    "annihilator_congruence_holds",
     "basis_monomials",
-    "binomial_reduction_identity",
     "build_algebra",
-    "coefficient_recurrences_hold",
     "companion_coefficient",
     "companion_data",
-    "companion_relation",
-    "companion_relation_is_log_component",
-    "companion_relation_times_t",
-    "companion_relation_vanishes",
-    "difference_identity_holds",
     "falling_factorial",
     "forward_difference",
-    "is_positive_definite",
-    "kinematic_annihilator_block",
     "kinematic_matrix",
     "kinematic_of",
     "kinematic_unit",
     "log_component",
     "log_component_alt",
     "log_components",
-    "log_recursion_holds",
     "pairing_matrix",
     "pairing_pivots",
     "pairing_value",
@@ -130,9 +102,6 @@ __all__ = [
     "run_suite",
     "series_dimension",
     "so_kinematic",
-    "solve_in_span",
-    "step_down_identity_holds",
     "step_down_matrix",
-    "step_up_identity_holds",
     "top_coefficient",
 ]

@@ -1,4 +1,4 @@
-"""Duality pairings, kinematic coefficient matrices, and their identities.
+"""Duality pairings and kinematic coefficient matrices, in closed form.
 
 Conventions: the top class of the unitary model in complex dimension n is
 t^(2n), and the duality pairing of two elements is the t^(2n)-coefficient of
@@ -31,6 +31,10 @@ the reduction engine (entry "pairing-structure").
                                     quotient
   * step_down_matrix(n, k)          reduces the (n, k) kinematic matrix to
                                     the (n-1, k-1) one by a block identity
+
+The module imports only ``errors`` and ``exact``: it builds no algebra and
+no polynomial.  The identities these matrices satisfy, and the Gram matrix
+of a model's own product, are checked in ``suite``.
 """
 
 from __future__ import annotations
@@ -41,25 +45,13 @@ from functools import lru_cache
 from math import comb, gcd, lcm, prod
 from operator import index, mul
 
-from .algebra import build_algebra
 from .errors import IndexOutOfRange, StructureViolation
-from .exact import ExactMatrix, _row_reduce
-from .poly import GradedPoly, log_component
+from .exact import ExactMatrix
 
 
 def top_coefficient(element) -> Fraction:
     """Coefficient of the top class t^top in a normal form (0 if absent)."""
     return element.poly.coefficient(0, element.algebra.top_degree)
-
-
-def _product_gram(model, d: int) -> ExactMatrix:
-    """Gram matrix top(b_v * b_u) of any model, read from its own product.
-
-    b_v runs over the basis of degree top-d (rows) and b_u over degree d.
-    On the unitary model it is ``pairing_matrix`` (entry "pairing-structure").
-    """
-    lower, upper = ([GradedPoly.monomial(*m) for m in model.basis(e)] for e in (d, model.top_degree - d))
-    return ExactMatrix([[top_coefficient(model._multiply(v, u)) for u in lower] for v in upper])
 
 
 def pairing_value(n: int, m: int) -> Fraction:
@@ -191,30 +183,6 @@ def annihilator_change_of_basis(n: int, k: int) -> ExactMatrix:
     return ExactMatrix._lowest(rows, 1)
 
 
-def kinematic_annihilator_block(n: int, k: int) -> ExactMatrix:
-    """Lower-right k x k block of the kinematic matrix in annihilator coordinates.
-
-    Conjugating the kinematic matrix by the inverse change of basis must
-    produce a block matrix diag(1, B) with B symmetric and nonsingular; B is
-    returned.  Any other shape raises StructureViolation.
-    """
-    if k < 1 or 2 * k + 1 > n:
-        raise IndexOutOfRange(f"requires k >= 1 and 2k+1 <= n, got n={n}, k={k}")
-    a_inv = annihilator_change_of_basis(n, k).inverse()
-    m = a_inv.transpose() @ kinematic_matrix(n, k) @ a_inv
-    ints, den = m._integers()
-    if ints[0] != (den, *[0] * k) or any(row[0] for row in ints[1:]):
-        raise StructureViolation(
-            f"kinematic matrix n={n}, k={k} does not split off the unit block in annihilator coordinates"
-        )
-    block = m.block(1, k + 1, 1, k + 1)
-    if not block.is_symmetric():
-        raise StructureViolation(f"annihilator block n={n}, k={k} is not symmetric")
-    if len(_row_reduce(list(block._integers()[0]), k)) < k:
-        raise StructureViolation(f"annihilator block n={n}, k={k} is singular")
-    return block
-
-
 class CompanionData(namedtuple("CompanionData", "n k matrix coefficients")):
     """Companion matrix extracted from one kinematic/pairing product.
 
@@ -272,61 +240,6 @@ def companion_coefficient(n: int, k: int, i: int) -> Fraction:
     return Fraction((-1) ** power * comb(k + 1, i) * numerator, 2**power * denominator)
 
 
-def companion_relation_times_t(n: int, k: int) -> GradedPoly:
-    """t times the relation polynomial: sum_i a_i s^i t^(2n-2k-2i).
-
-    Always a polynomial; for odd n at k = (n-1)/2 the bare relation would
-    carry t^(-1), so only this product is ever materialized.
-    """
-    if not 0 <= 2 * k <= n - 1:
-        raise IndexOutOfRange(f"requires 0 <= 2k <= n-1, got n={n}, k={k}")
-    return GradedPoly(
-        {(i, 2 * n - 2 * k - 2 * i): companion_coefficient(n, k, i) for i in range(k + 2)}
-    )
-
-
-def companion_relation(n: int, k: int) -> GradedPoly:
-    """The relation polynomial sum_i a_i s^i t^(2n-2k-2i-1); needs 2k <= n-2."""
-    if not 0 <= 2 * k <= n - 2:
-        raise IndexOutOfRange(
-            f"requires 0 <= 2k <= n-2 (only t times the relation is polynomial at 2k = n-1), got n={n}, k={k}"
-        )
-    return GradedPoly({(p, q - 1): c for (p, q), c in companion_relation_times_t(n, k).terms.items()})
-
-
-def companion_relation_vanishes(n: int, k: int) -> bool:
-    """Whether the relation (resp. t times it) reduces to zero in the quotient."""
-    alg = build_algebra(n)
-    if alg.normal_form(companion_relation_times_t(n, k)):
-        return False
-    if 2 * k <= n - 2 and alg.normal_form(companion_relation(n, k)):
-        return False
-    return True
-
-
-def companion_relation_is_log_component(n: int) -> bool:
-    """Whether the extreme relation equals the stated multiple of the degree-(n+1) log component.
-
-    Even n: relation(n, n/2 - 1) == (-1)^(n/2) f_{n+1}; odd n:
-    t * relation(n, (n-1)/2) == (-1)^((n-1)/2) (n+1)/2 f_{n+1}.  Compared as
-    raw polynomials, before any reduction.
-    """
-    if n < 2:
-        raise IndexOutOfRange("requires n >= 2")
-    f = log_component(n + 1)
-    if n % 2 == 0:
-        return companion_relation(n, n // 2 - 1) == Fraction((-1) ** (n // 2)) * f
-    scale = Fraction((-1) ** ((n - 1) // 2) * (n + 1), 2)
-    return companion_relation_times_t(n, (n - 1) // 2) == scale * f
-
-
-def binomial_reduction_identity(n: int, i: int) -> bool:
-    """(n-i) C(2n-2i-1, n-i) == 2 (2n-2i-1) C(2n-2i-3, n-i-1)."""
-    return (n - i) * comb(2 * n - 2 * i - 1, n - i) == 2 * (2 * n - 2 * i - 1) * comb(
-        2 * n - 2 * i - 3, n - i - 1
-    )
-
-
 def step_down_matrix(n: int, k: int) -> ExactMatrix:
     """Matrix reducing the (n, k) kinematic matrix to the (n-1, k-1) one.
 
@@ -345,42 +258,6 @@ def step_down_matrix(n: int, k: int) -> ExactMatrix:
         rows[i][i - 1] = lead
         rows[i][k] -= lead * companion_coefficient(n - 1, k - 1, i - 1)
     return ExactMatrix(rows)
-
-
-def step_down_identity_holds(n: int, k: int) -> bool:
-    """Whether step_down(n,k) @ kinematic(n,k) == diag(1, kinematic(n-1,k-1)).
-
-    Also checks the binomial identity used alongside it for i = 0..k-1.
-    """
-    small, den = kinematic_matrix(n - 1, k - 1)._integers()
-    expected = ExactMatrix._lowest([[den] + [0] * k, *([0, *row] for row in small)], den)
-    if step_down_matrix(n, k) @ kinematic_matrix(n, k) != expected:
-        return False
-    return all(binomial_reduction_identity(n, i) for i in range(k))
-
-
-def coefficient_recurrences_hold(n: int, k: int) -> bool:
-    """The linear relations pinning down the companion coefficients.
-
-    Checks, with closed-form values throughout:
-      sum_i C(2n-2i-1, n-i) a_i^{n,k} == 0                       (i = 0..k+1)
-      a_k^{n,k} - a_{k-1}^{n-2,k-1} == -n / (2(2n-4k-1))
-      a_{i-1}^{n-2,k-1} + a_i^{n-1,k-1} (a_k^{n,k} - a_{k-1}^{n-2,k-1})
-          == a_i^{n,k}                                           (i = 0..k-1)
-    """
-    if k < 1 or 2 * k > n - 1:
-        raise IndexOutOfRange(f"requires k >= 1 and 2k <= n-1, got n={n}, k={k}")
-    a = [companion_coefficient(n, k, i) for i in range(k + 2)]
-    if sum(comb(2 * n - 2 * i - 1, n - i) * a[i] for i in range(k + 2)) != 0:
-        return False
-    gap = a[k] - companion_coefficient(n - 2, k - 1, k - 1)
-    if gap != Fraction(-n, 2 * (2 * n - 4 * k - 1)):
-        return False
-    for i in range(k):
-        previous = companion_coefficient(n - 2, k - 1, i - 1) if i >= 1 else Fraction(0)
-        if previous + companion_coefficient(n - 1, k - 1, i) * gap != a[i]:
-            return False
-    return True
 
 
 def positivity_scan(n_max: int) -> list[tuple[int, int, bool]]:

@@ -184,7 +184,10 @@ class ExactMatrix:
         return f"ExactMatrix[{body}]"
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._require_same_shape(other)
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("matrix shapes differ")
         den = lcm(self._den, other._den)
         a, b = den // self._den, den // other._den
         return ExactMatrix._lowest(
@@ -192,6 +195,8 @@ class ExactMatrix:
         )
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         product = _apply(self._ints, other._ints, list(zip(*other._ints)))
@@ -252,10 +257,6 @@ class ExactMatrix:
         return ExactMatrix._lowest(
             [[x * (common // row[r]) for x in row[n:]] for r, row in enumerate(aug)], common
         )
-
-    def _require_same_shape(self, other: "ExactMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("matrix shapes differ")
 
 
 def solve_in_span(generators: Sequence[Sequence], target: Sequence) -> tuple[Fraction, ...]:

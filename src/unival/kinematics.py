@@ -4,19 +4,19 @@ A tensor lives in (left model) x (right model) and is stored as one exact
 coefficient matrix per bidegree, indexed by the ordered monomial bases of the
 two factors.  The unit kinematic tensor of a model with top degree top has
 one block per bidegree (d, top-d): the inverse of the product pairing's Gram
-matrix, in closed form for the unitary model (``kinematic_matrix``) and read
-from its own product for any other.  Multiplying a factor in, restricting a
-factor, or stepping a factor up are all linear block operations.  A
-kinematic tensor is symmetric, so ``kinematic_of`` maps the blocks on and
-above the diagonal and fills the rest by transposing them.
+matrix, in closed form for both models (``kinematic_matrix`` for the
+unitary one, [[1]] for the orthogonal one).  Multiplying a factor in,
+restricting a factor, or stepping a factor up are all linear block
+operations.  A kinematic tensor is symmetric, so ``kinematic_of`` maps the
+blocks on and above the diagonal and fills the rest by transposing them.
 """
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import cache
 
 from .algebra import AlgebraElement, SOAlgebra, UnitaryAlgebra, annihilator_basis, build_algebra
-from .duality import _product_gram, kinematic_matrix
+from .duality import kinematic_matrix
 from .errors import AlgebraMismatch, DegreeOutOfRange, NotInSpan
 from .exact import ExactMatrix, _apply, solve_in_span
 from .poly import GradedPoly, S
@@ -55,6 +55,8 @@ class TensorElement:
             raise AlgebraMismatch("tensor operands live in different products")
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
+        if not isinstance(other, TensorElement):
+            return NotImplemented
         self._require_same(other)
         merged = dict(self.blocks)
         for key, matrix in other.blocks.items():
@@ -62,6 +64,8 @@ class TensorElement:
         return TensorElement(self.left, self.right, merged)
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
+        if not isinstance(other, TensorElement):
+            return NotImplemented
         return self + other.scale(-1)
 
     def scale(self, c) -> "TensorElement":
@@ -156,20 +160,19 @@ def kinematic_unit(n: int) -> TensorElement:
     return TensorElement(alg, alg, blocks)
 
 
-@lru_cache(maxsize=16)  # sweeps read one model at a time; the bound keeps large units from piling up
-def _product_pairing_unit(model) -> TensorElement:
-    """The unit kinematic tensor of any model: block (d, top-d) inverts its product Gram matrix."""
-    top = model.top_degree
-    return TensorElement(model, model, {(d, top - d): _product_gram(model, d).inverse() for d in range(top + 1)})
+def _orthogonal_unit(model: SOAlgebra) -> TensorElement:
+    """The orthogonal unit: block (d, n-d) is [[1]], as top(t^(n-d) * t^d) = 1 (suite entry "so-unit-coefficients")."""
+    one, n = ExactMatrix._lowest([[1]], 1), model.n
+    return TensorElement(model, model, {(d, n - d): one for d in range(n + 1)})
 
 
 def kinematic_of(n: int, phi: AlgebraElement) -> TensorElement:
     """Kinematic tensor of an element of either model: its unit tensor with phi absorbed on the left.
 
-    The unitary unit is the closed form, any other model's is read from its
-    own product pairing.  Absorbing phi is integer work from the reduction
-    tables (``_product_images``); on the right it gives the same tensor, and
-    both equal the pairing formula (suite entry "kinematic-cocommutativity").
+    Both models' units are closed forms.  Absorbing phi is integer work from
+    the reduction tables (``_product_images``); on the right it gives the
+    same tensor, and both equal the pairing formula (suite entry
+    "kinematic-cocommutativity").
     The unit is symmetric and phi may be absorbed on either side, so the
     tensor is symmetric: only the blocks (a, b) with a <= b are mapped, and
     each (b, a) is the transpose of (a, b).
@@ -177,7 +180,7 @@ def kinematic_of(n: int, phi: AlgebraElement) -> TensorElement:
     model = phi.algebra
     if model.n != n:
         raise AlgebraMismatch(f"factor lives in {model!r}, not in dimension {n}")
-    unit = kinematic_unit(n) if isinstance(model, UnitaryAlgebra) else _product_pairing_unit(model)
+    unit = kinematic_unit(n) if isinstance(model, UnitaryAlgebra) else _orthogonal_unit(model)
     half = _map_factor(unit, phi, left=True, half=True).blocks
     mirror = {(b, a): matrix.transpose() for (a, b), matrix in half.items() if a < b}
     return TensorElement(model, model, {**half, **mirror})

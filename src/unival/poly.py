@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import comb, factorial, gcd, lcm
+from math import comb, gcd, lcm
 from operator import index
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -128,9 +128,13 @@ class GradedPoly:
         return GradedPoly._canonical(out, den)
 
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
+        if not isinstance(other, GradedPoly):
+            return NotImplemented
         return self._combine(other, 1)
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
+        if not isinstance(other, GradedPoly):
+            return NotImplemented
         return self._combine(other, -1)
 
     def __neg__(self) -> "GradedPoly":
@@ -398,18 +402,6 @@ def log_component_alt(k: int) -> GradedPoly:
     return GradedPoly(terms)
 
 
-def log_recursion_holds(k: int) -> bool:
-    """Whether k*s*f_k + (k+1)*t*f_{k+1} + (k+2)*f_{k+2} == 0 exactly."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    total = (
-        k * S * log_component(k)
-        + (k + 1) * T * log_component(k + 1)
-        + (k + 2) * log_component(k + 2)
-    )
-    return not total
-
-
 # ---------------------------------------------------------------------------
 # the forward difference on polynomials in t
 
@@ -443,23 +435,3 @@ def falling_factorial(k: int) -> GradedPoly:
 def forward_difference(p: GradedPoly) -> GradedPoly:
     """p(t) - p(t-1) for p in t alone."""
     return p - _shift(p, -1)
-
-
-def difference_identity_holds(k: int) -> bool:
-    """Whether k forward differences take t(t-1)...(t-k+1) to k! and one more kills it.
-
-    Checks the vanishing both in the iterated-difference form and in its
-    binomial expansion sum_i (-1)^i C(k+1, i) (t-i)(t-i-1)...(t-i-k+1) == 0.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    base = falling_factorial(k)
-    iterated = base
-    for _ in range(k):
-        iterated = forward_difference(iterated)
-    if iterated != GradedPoly.monomial(0, 0, factorial(k)) or forward_difference(iterated):
-        return False
-    expanded = GradedPoly()
-    for i in range(k + 2):
-        expanded = expanded + (-1) ** i * comb(k + 1, i) * _shift(base, -i)
-    return not expanded

@@ -4,7 +4,9 @@ Each suite entry names the identity it checks, states it as a formula, and
 records the parameter range it swept.  A failing entry always carries the
 first concrete counterexample (the offending parameters and exact values).
 Entries that sample elements do so with a fixed seed, so a run is fully
-deterministic for a given bound.
+deterministic for a given bound.  The predicates and relation builders that
+only the suite reads are defined here, at the end of the module, so the
+engine modules hold the engine alone.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
+from math import comb, factorial
 from operator import index
 from typing import Callable, Optional
 
@@ -23,21 +26,17 @@ from .algebra import (
     series_dimension,
 )
 from .duality import (
-    _product_gram,
-    coefficient_recurrences_hold,
+    annihilator_change_of_basis,
     companion_coefficient,
     companion_data,
-    companion_relation_is_log_component,
-    companion_relation_vanishes,
-    kinematic_annihilator_block,
     kinematic_matrix,
     pairing_matrix,
     pairing_pivots,
     pairing_value,
-    step_down_identity_holds,
+    step_down_matrix,
     top_coefficient,
 )
-from .errors import InternalInconsistency, NotInSpan
+from .errors import IndexOutOfRange, InternalInconsistency, NotInSpan, StructureViolation
 from .exact import ExactMatrix, _integer_rows, _leading_minors, _row_reduce, is_positive_definite, solve_in_span
 from .kinematics import (
     TensorElement,
@@ -50,11 +49,13 @@ from .kinematics import (
 from .poly import (
     GradedPoly,
     S,
-    difference_identity_holds,
+    T,
+    _shift,
+    falling_factorial,
+    forward_difference,
     log_component,
     log_component_alt,
     log_components,
-    log_recursion_holds,
     poly_format,
     poly_parse,
 )
@@ -408,9 +409,14 @@ def _check_cocommutativity(n_max: int) -> Optional[str]:
 
 
 def _check_so_unit_coefficients(n_max: int) -> Optional[str]:
+    """The product pairing behind the closed-form orthogonal unit, then the tensors of every t^k."""
     one = ExactMatrix([[1]])
     for n_real in range(1, n_max + 1):
         alg = SOAlgebra(n_real)
+        for d in range(n_real + 1):
+            gram = _product_gram(alg, d)
+            if gram != one:
+                return f"n={n_real}, d={d}: product Gram matrix {gram!r} of t^{n_real - d} and t^{d} is not [[1]]"
         for k in range(n_real + 1):
             ones = TensorElement(alg, alg, {(i, n_real + k - i): one for i in range(k, n_real + 1)})
             tensor = so_kinematic(n_real, k)
@@ -641,3 +647,165 @@ def run_suite(n_max: int) -> SuiteReport:
             )
         )
     return report
+
+
+# ---------------------------------------------------------------------------
+# identities and relations that only the suite reads
+
+
+def log_recursion_holds(k: int) -> bool:
+    """Whether k*s*f_k + (k+1)*t*f_{k+1} + (k+2)*f_{k+2} == 0 exactly."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    total = (
+        k * S * log_component(k)
+        + (k + 1) * T * log_component(k + 1)
+        + (k + 2) * log_component(k + 2)
+    )
+    return not total
+
+
+def difference_identity_holds(k: int) -> bool:
+    """Whether k forward differences take t(t-1)...(t-k+1) to k! and one more kills it.
+
+    Checks the vanishing both in the iterated-difference form and in its
+    binomial expansion sum_i (-1)^i C(k+1, i) (t-i)(t-i-1)...(t-i-k+1) == 0.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    base = falling_factorial(k)
+    iterated = base
+    for _ in range(k):
+        iterated = forward_difference(iterated)
+    if iterated != GradedPoly.monomial(0, 0, factorial(k)) or forward_difference(iterated):
+        return False
+    expanded = GradedPoly()
+    for i in range(k + 2):
+        expanded = expanded + (-1) ** i * comb(k + 1, i) * _shift(base, -i)
+    return not expanded
+
+
+def _product_gram(model, d: int) -> ExactMatrix:
+    """Gram matrix top(b_v * b_u) of any model, read from its own product.
+
+    b_v runs over the basis of degree top-d (rows) and b_u over degree d.
+    On the unitary model it is ``pairing_matrix`` (entry "pairing-structure"),
+    on the orthogonal model [[1]] (entry "so-unit-coefficients").
+    """
+    lower, upper = ([GradedPoly.monomial(*m) for m in model.basis(e)] for e in (d, model.top_degree - d))
+    return ExactMatrix([[top_coefficient(model._multiply(v, u)) for u in lower] for v in upper])
+
+
+def kinematic_annihilator_block(n: int, k: int) -> ExactMatrix:
+    """Lower-right k x k block of the kinematic matrix in annihilator coordinates.
+
+    Conjugating the kinematic matrix by the inverse change of basis must
+    produce a block matrix diag(1, B) with B symmetric and nonsingular; B is
+    returned.  Any other shape raises StructureViolation.
+    """
+    if k < 1 or 2 * k + 1 > n:
+        raise IndexOutOfRange(f"requires k >= 1 and 2k+1 <= n, got n={n}, k={k}")
+    a_inv = annihilator_change_of_basis(n, k).inverse()
+    m = a_inv.transpose() @ kinematic_matrix(n, k) @ a_inv
+    ints, den = m._integers()
+    if ints[0] != (den, *[0] * k) or any(row[0] for row in ints[1:]):
+        raise StructureViolation(
+            f"kinematic matrix n={n}, k={k} does not split off the unit block in annihilator coordinates"
+        )
+    block = m.block(1, k + 1, 1, k + 1)
+    if not block.is_symmetric():
+        raise StructureViolation(f"annihilator block n={n}, k={k} is not symmetric")
+    if len(_row_reduce(list(block._integers()[0]), k)) < k:
+        raise StructureViolation(f"annihilator block n={n}, k={k} is singular")
+    return block
+
+
+def companion_relation_times_t(n: int, k: int) -> GradedPoly:
+    """t times the relation polynomial: sum_i a_i s^i t^(2n-2k-2i).
+
+    Always a polynomial; for odd n at k = (n-1)/2 the bare relation would
+    carry t^(-1), so only this product is ever materialized.
+    """
+    if not 0 <= 2 * k <= n - 1:
+        raise IndexOutOfRange(f"requires 0 <= 2k <= n-1, got n={n}, k={k}")
+    return GradedPoly(
+        {(i, 2 * n - 2 * k - 2 * i): companion_coefficient(n, k, i) for i in range(k + 2)}
+    )
+
+
+def companion_relation(n: int, k: int) -> GradedPoly:
+    """The relation polynomial sum_i a_i s^i t^(2n-2k-2i-1); needs 2k <= n-2."""
+    if not 0 <= 2 * k <= n - 2:
+        raise IndexOutOfRange(
+            f"requires 0 <= 2k <= n-2 (only t times the relation is polynomial at 2k = n-1), got n={n}, k={k}"
+        )
+    return GradedPoly({(p, q - 1): c for (p, q), c in companion_relation_times_t(n, k).terms.items()})
+
+
+def companion_relation_vanishes(n: int, k: int) -> bool:
+    """Whether the relation (resp. t times it) reduces to zero in the quotient."""
+    alg = build_algebra(n)
+    if alg.normal_form(companion_relation_times_t(n, k)):
+        return False
+    if 2 * k <= n - 2 and alg.normal_form(companion_relation(n, k)):
+        return False
+    return True
+
+
+def companion_relation_is_log_component(n: int) -> bool:
+    """Whether the extreme relation equals the stated multiple of the degree-(n+1) log component.
+
+    Even n: relation(n, n/2 - 1) == (-1)^(n/2) f_{n+1}; odd n:
+    t * relation(n, (n-1)/2) == (-1)^((n-1)/2) (n+1)/2 f_{n+1}.  Compared as
+    raw polynomials, before any reduction.
+    """
+    if n < 2:
+        raise IndexOutOfRange("requires n >= 2")
+    f = log_component(n + 1)
+    if n % 2 == 0:
+        return companion_relation(n, n // 2 - 1) == Fraction((-1) ** (n // 2)) * f
+    scale = Fraction((-1) ** ((n - 1) // 2) * (n + 1), 2)
+    return companion_relation_times_t(n, (n - 1) // 2) == scale * f
+
+
+def binomial_reduction_identity(n: int, i: int) -> bool:
+    """(n-i) C(2n-2i-1, n-i) == 2 (2n-2i-1) C(2n-2i-3, n-i-1)."""
+    return (n - i) * comb(2 * n - 2 * i - 1, n - i) == 2 * (2 * n - 2 * i - 1) * comb(
+        2 * n - 2 * i - 3, n - i - 1
+    )
+
+
+def step_down_identity_holds(n: int, k: int) -> bool:
+    """Whether step_down(n,k) @ kinematic(n,k) == diag(1, kinematic(n-1,k-1)).
+
+    Also checks the binomial identity used alongside it for i = 0..k-1.
+    """
+    small, den = kinematic_matrix(n - 1, k - 1)._integers()
+    expected = ExactMatrix._lowest([[den] + [0] * k, *([0, *row] for row in small)], den)
+    if step_down_matrix(n, k) @ kinematic_matrix(n, k) != expected:
+        return False
+    return all(binomial_reduction_identity(n, i) for i in range(k))
+
+
+def coefficient_recurrences_hold(n: int, k: int) -> bool:
+    """The linear relations pinning down the companion coefficients.
+
+    Checks, with closed-form values throughout:
+      sum_i C(2n-2i-1, n-i) a_i^{n,k} == 0                       (i = 0..k+1)
+      a_k^{n,k} - a_{k-1}^{n-2,k-1} == -n / (2(2n-4k-1))
+      a_{i-1}^{n-2,k-1} + a_i^{n-1,k-1} (a_k^{n,k} - a_{k-1}^{n-2,k-1})
+          == a_i^{n,k}                                           (i = 0..k-1)
+    """
+    if k < 1 or 2 * k > n - 1:
+        raise IndexOutOfRange(f"requires k >= 1 and 2k <= n-1, got n={n}, k={k}")
+    a = [companion_coefficient(n, k, i) for i in range(k + 2)]
+    if sum(comb(2 * n - 2 * i - 1, n - i) * a[i] for i in range(k + 2)) != 0:
+        return False
+    gap = a[k] - companion_coefficient(n - 2, k - 1, k - 1)
+    if gap != Fraction(-n, 2 * (2 * n - 4 * k - 1)):
+        return False
+    for i in range(k):
+        previous = companion_coefficient(n - 2, k - 1, i - 1) if i >= 1 else Fraction(0)
+        if previous + companion_coefficient(n - 1, k - 1, i) * gap != a[i]:
+            return False
+    return True

@@ -7,12 +7,11 @@ from fractions import Fraction
 import pytest
 
 from unival.duality import kinematic_matrix, pairing_matrix
-from unival.kinematics import _product_pairing_unit
 
 
 @pytest.fixture
 def fresh_matrix_caches():
-    caches = (pairing_matrix, kinematic_matrix, _product_pairing_unit)
+    caches = (pairing_matrix, kinematic_matrix)
     for cached in caches:
         cached.cache_clear()
     yield

@@ -16,32 +16,33 @@ from unival import (
     ExactMatrix,
     GradedPoly,
     NotInSpan,
-    annihilator_congruence_holds,
     build_algebra,
-    coefficient_recurrences_hold,
     companion_coefficient,
     companion_data,
-    companion_relation_is_log_component,
-    companion_relation_vanishes,
-    difference_identity_holds,
     kinematic_matrix,
     log_component,
     log_component_alt,
     log_components,
-    log_recursion_holds,
     pairing_matrix,
     poly_parse,
     positivity_scan,
     run_suite,
     series_dimension,
     so_kinematic,
-    solve_in_span,
-    step_down_identity_holds,
-    step_up_identity_holds,
 )
 from unival.algebra import _BUILD_CACHE
 from unival.cli import run
 from unival.emit import format_positivity
+from unival.exact import solve_in_span
+from unival.kinematics import annihilator_congruence_holds, step_up_identity_holds
+from unival.suite import (
+    coefficient_recurrences_hold,
+    companion_relation_is_log_component,
+    companion_relation_vanishes,
+    difference_identity_holds,
+    log_recursion_holds,
+    step_down_identity_holds,
+)
 
 F = Fraction
 

@@ -7,24 +7,16 @@ from math import comb
 
 import pytest
 
-from unival import algebra, duality, exact
+from unival import algebra, duality, exact, suite
 from unival import (
     ExactMatrix,
     GradedPoly,
     IndexOutOfRange,
     StructureViolation,
     annihilator_change_of_basis,
-    binomial_reduction_identity,
     build_algebra,
-    coefficient_recurrences_hold,
     companion_coefficient,
     companion_data,
-    companion_relation,
-    companion_relation_is_log_component,
-    companion_relation_times_t,
-    companion_relation_vanishes,
-    is_positive_definite,
-    kinematic_annihilator_block,
     kinematic_matrix,
     kinematic_unit,
     log_component,
@@ -33,9 +25,19 @@ from unival import (
     pairing_value,
     poly_parse,
     positivity_scan,
-    step_down_identity_holds,
     step_down_matrix,
     top_coefficient,
+)
+from unival.exact import is_positive_definite
+from unival.suite import (
+    binomial_reduction_identity,
+    coefficient_recurrences_hold,
+    companion_relation,
+    companion_relation_is_log_component,
+    companion_relation_times_t,
+    companion_relation_vanishes,
+    kinematic_annihilator_block,
+    step_down_identity_holds,
 )
 
 F = Fraction
@@ -273,6 +275,7 @@ def test_integer_checks_keep_their_counterexamples(monkeypatch, fresh_matrix_cac
         return ExactMatrix._lowest(rows, den)
 
     monkeypatch.setattr(duality, "kinematic_matrix", corrupted)
+    monkeypatch.setattr(suite, "kinematic_matrix", corrupted)
     # Only row 2 of the product moves, and its first entry should be 0.
     with pytest.raises(StructureViolation, match=r"n=6, k=2 is not a companion matrix at \(2,0\)$"):
         companion_data(6, 2)

@@ -14,11 +14,9 @@ from unival import (
     NotInSpan,
     NotSymmetric,
     SingularMatrix,
-    is_positive_definite,
-    solve_in_span,
 )
 from unival import algebra, suite
-from unival.exact import _apply, _integer_rows, _row_reduce
+from unival.exact import _apply, _integer_rows, _row_reduce, is_positive_definite, solve_in_span
 
 F = Fraction
 

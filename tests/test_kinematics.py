@@ -20,19 +20,17 @@ from unival import (
     SOAlgebra,
     TensorElement,
     UnitaryAlgebra,
-    annihilator_congruence_holds,
     build_algebra,
     kinematic_matrix,
     kinematic_of,
     kinematic_unit,
     so_kinematic,
-    step_up_identity_holds,
 )
 from unival import algebra, kinematics
 from unival.exact import _integer_rows
-from unival.kinematics import _product_images, _product_pairing_unit
+from unival.kinematics import _product_images, annihilator_congruence_holds, step_up_identity_holds
 from unival.poly import GradedPoly, S
-from unival.suite import _pairing_formula_tensor, run_suite
+from unival.suite import _pairing_formula_tensor, _product_gram, run_suite
 
 F = Fraction
 
@@ -87,6 +85,12 @@ def _freeze(acc, left, right):
 def times(phi):
     alg = phi.algebra
     return lambda mono: phi * alg.normal_form(GradedPoly.monomial(*mono))
+
+
+def _product_pairing_unit(model):
+    """Oracle: the unit kinematic tensor of any model, block (d, top-d) the inverse of its product Gram matrix."""
+    top = model.top_degree
+    return TensorElement(model, model, {(d, top - d): _product_gram(model, d).inverse() for d in range(top + 1)})
 
 
 @st.composite
@@ -190,9 +194,12 @@ def test_kinematic_of_rejects_foreign_orthogonal_element():
 
 
 def test_product_pairing_unit_is_the_closed_form(fresh_matrix_caches):
-    """The theorem on the unitary model: inverting its own product Gram matrices gives kinematic_unit."""
+    """The theorem on both models: inverting a model's own product Gram matrices gives its closed-form unit."""
     for n in range(1, 7):
         assert _product_pairing_unit(build_algebra(n)) == kinematic_unit(n), n
+    for n in range(1, 9):
+        model = SOAlgebra(n)
+        assert _product_pairing_unit(model) == kinematics._orthogonal_unit(model), n
 
 
 def test_orthogonal_placements_agree():

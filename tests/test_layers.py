@@ -1,0 +1,80 @@
+"""The module layering of the package, read from the source with ``ast``.
+
+The engine modules never reach up into the identity suite, the closed
+forms of ``duality`` build on ``errors`` and ``exact`` alone, and the checks
+that only the suite reads are defined in ``suite`` alone.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "unival"
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """The sibling ``unival`` modules the file at ``path`` imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("unival."))
+            continue
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0:
+            if module.partition(".")[0] != "unival":
+                continue
+            module = module.partition(".")[2]
+        if module:
+            found.add(module.split(".")[0])
+        else:  # ``from . import suite`` or ``from unival import suite``
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def _defined_functions(path: Path) -> set[str]:
+    return {node.name for node in ast.parse(path.read_text()).body if isinstance(node, ast.FunctionDef)}
+
+
+def test_duality_imports_only_errors_and_exact():
+    assert _imported_modules(SRC / "duality.py") == {"errors", "exact"}
+
+
+@pytest.mark.parametrize("engine", ["algebra", "poly", "exact", "duality", "kinematics"])
+def test_engine_modules_do_not_import_the_suite(engine):
+    assert "suite" not in _imported_modules(SRC / f"{engine}.py")
+
+
+def test_the_reader_sees_every_import_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import suite\nfrom .exact import ExactMatrix\nimport unival.kinematics\n"
+        "from unival.poly import S\nfrom unival import algebra\nimport json\nfrom math import comb\n"
+    )
+    assert _imported_modules(probe) == {"suite", "exact", "kinematics", "poly", "algebra"}
+
+
+SUITE_ONLY = {
+    "_product_gram",
+    "binomial_reduction_identity",
+    "coefficient_recurrences_hold",
+    "companion_relation",
+    "companion_relation_is_log_component",
+    "companion_relation_times_t",
+    "companion_relation_vanishes",
+    "difference_identity_holds",
+    "kinematic_annihilator_block",
+    "log_recursion_holds",
+    "step_down_identity_holds",
+}
+
+
+def test_suite_only_checks_are_defined_in_the_suite_alone():
+    assert SUITE_ONLY <= _defined_functions(SRC / "suite.py")
+    for path in SRC.glob("*.py"):
+        if path.name != "suite.py":
+            assert not SUITE_ONLY & _defined_functions(path), path.name

@@ -13,19 +13,18 @@ from hypothesis import strategies as st
 from unival import (
     GradedPoly,
     ParseError,
-    difference_identity_holds,
     falling_factorial,
     forward_difference,
     log_component,
     log_component_alt,
     log_components,
-    log_recursion_holds,
     poly_format,
     poly_parse,
 )
 from unival.algebra import build_algebra
 from unival.emit import format_poly, latex_magnitude, monomial_latex
 from unival.poly import _describe, _shift, _tokenize, format_monomial, plain_magnitude
+from unival.suite import difference_identity_holds, log_recursion_holds
 
 F = Fraction
 

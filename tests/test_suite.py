@@ -277,13 +277,32 @@ def test_suite_catches_corrupted_orthogonal_product(monkeypatch, fresh_matrix_ca
     monkeypatch.setattr(SOAlgebra, "_multiply", corrupted)
     failing = _failing_entries(run_suite(3))
     assert set(failing) == {"so-unit-coefficients"}
-    assert failing["so-unit-coefficients"].startswith("n=1, k=0: kinematic tensor")
+    assert failing["so-unit-coefficients"].startswith("n=1, d=0: product Gram matrix")
+
+
+def test_suite_catches_corrupted_orthogonal_unit(monkeypatch):
+    real_unit = kinematics._orthogonal_unit
+
+    def corrupted(model):
+        """Doubles the unit's block (0, n) in dimension 3."""
+        unit = real_unit(model)
+        if model.n != 3:
+            return unit
+        blocks = dict(unit.blocks)
+        blocks[(0, 3)] = blocks[(0, 3)].scale(2)
+        return TensorElement(model, model, blocks)
+
+    monkeypatch.setattr(kinematics, "_orthogonal_unit", corrupted)
+    failing = _failing_entries(run_suite(3))
+    assert set(failing) == {"so-unit-coefficients"}
+    assert failing["so-unit-coefficients"].startswith("n=3, k=0: kinematic tensor")
 
 
 def test_suite_catches_a_shift_that_does_nothing(monkeypatch):
     # Delta p becomes 0 and the binomial sum of equal terms is 0, so only the
     # constant k! left by k differences can see the fault.
-    monkeypatch.setattr(poly, "_shift", lambda p, offset: p)
+    for module in (poly, suite):
+        monkeypatch.setattr(module, "_shift", lambda p, offset: p)
     failing = _failing_entries(run_suite(3))
     assert set(failing) == {"difference-operator"}
     assert failing["difference-operator"] == "k=1"
