@@ -146,14 +146,18 @@ class AlgebraElement:
         return self.algebra == other.algebra and self.poly == other.poly
 
     def _require_same(self, other: "AlgebraElement") -> None:
-        if not isinstance(other, AlgebraElement) or self.algebra != other.algebra:
-            raise AlgebraMismatch(f"operands live in {self.algebra!r} and {getattr(other, 'algebra', other)!r}")
+        if self.algebra != other.algebra:
+            raise AlgebraMismatch(f"operands live in {self.algebra!r} and {other.algebra!r}")
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         self._require_same(other)
         return AlgebraElement(self.algebra, self.poly + other.poly)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         self._require_same(other)
         return AlgebraElement(self.algebra, self.poly - other.poly)
 

@@ -37,7 +37,7 @@ from .suite import run_suite
 
 import json
 
-SO_CEILING = 100_000  # largest real dimension; ``son --n 100000 --k 0`` takes about 1.1 s and 120 MB on 2 cores
+SO_CEILING = 100_000  # largest real dimension; ``son --n 100000 --k 0`` takes about 0.75 s and 111 MB on 2 cores
 
 
 class _Parser(argparse.ArgumentParser):

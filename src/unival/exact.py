@@ -207,7 +207,11 @@ class ExactMatrix:
         return ExactMatrix._lowest(([num * x for x in row] for row in self._ints), self._den * den)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix._lowest(zip(*self._ints), self._den)
+        """The same integers read by columns: already in lowest terms, so no gcd is taken."""
+        matrix = ExactMatrix.__new__(ExactMatrix)
+        matrix._ints, matrix._den = tuple(zip(*self._ints)), self._den
+        matrix.rows, matrix.cols = self.cols, self.rows
+        return matrix
 
     def is_square(self) -> bool:
         return self.rows == self.cols

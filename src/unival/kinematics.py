@@ -42,6 +42,13 @@ class TensorElement:
         self.right = right
         self.blocks = canonical
 
+    @classmethod
+    def _trusted(cls, left, right, blocks: dict[tuple[int, int], ExactMatrix]) -> "TensorElement":
+        """Wrap nonzero blocks of the right shapes that the package built itself; skips the checks."""
+        tensor = cls.__new__(cls)
+        tensor.left, tensor.right, tensor.blocks = left, right, blocks
+        return tensor
+
     def __bool__(self) -> bool:
         return bool(self.blocks)
 
@@ -157,13 +164,13 @@ def kinematic_unit(n: int) -> TensorElement:
     """The unitary unit kinematic tensor: the closed-form kinematic matrix per bidegree (d, 2n-d)."""
     alg = build_algebra(n)
     blocks = {(d, 2 * n - d): kinematic_matrix(n, min(d, 2 * n - d) // 2) for d in range(2 * n + 1)}
-    return TensorElement(alg, alg, blocks)
+    return TensorElement._trusted(alg, alg, blocks)  # every kinematic matrix is nonsingular
 
 
 def _orthogonal_unit(model: SOAlgebra) -> TensorElement:
     """The orthogonal unit: block (d, n-d) is [[1]], as top(t^(n-d) * t^d) = 1 (suite entry "so-unit-coefficients")."""
     one, n = ExactMatrix._lowest([[1]], 1), model.n
-    return TensorElement(model, model, {(d, n - d): one for d in range(n + 1)})
+    return TensorElement._trusted(model, model, {(d, n - d): one for d in range(n + 1)})
 
 
 def kinematic_of(n: int, phi: AlgebraElement) -> TensorElement:
@@ -183,7 +190,7 @@ def kinematic_of(n: int, phi: AlgebraElement) -> TensorElement:
     unit = kinematic_unit(n) if isinstance(model, UnitaryAlgebra) else _orthogonal_unit(model)
     half = _map_factor(unit, phi, left=True, half=True).blocks
     mirror = {(b, a): matrix.transpose() for (a, b), matrix in half.items() if a < b}
-    return TensorElement(model, model, {**half, **mirror})
+    return TensorElement._trusted(model, model, {**half, **mirror})  # the kernel dropped the zero blocks
 
 
 def so_kinematic(n_real: int, k: int) -> TensorElement:

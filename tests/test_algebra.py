@@ -173,6 +173,20 @@ def test_multiplication_rejects_mixed_algebras():
         build_algebra(2).normal_form("t") * build_algebra(3).normal_form("t")
 
 
+def test_addition_rejects_foreign_operands_and_other_models():
+    x = build_algebra(2).one()
+    with pytest.raises(TypeError):
+        x + 1
+    with pytest.raises(TypeError):
+        x - "t"
+    assert x.__add__(1) is NotImplemented
+    assert x.__sub__(1) is NotImplemented
+    with pytest.raises(AlgebraMismatch):
+        x + build_algebra(3).one()
+    with pytest.raises(AlgebraMismatch):
+        x - build_algebra(3).one()
+
+
 def test_scalar_multiplication_and_addition():
     alg = build_algebra(2)
     t = alg.normal_form("t")

@@ -370,6 +370,12 @@ def test_integer_matrices_match_fraction_oracle(case):
     for name, (got, want) in results.items():
         assert got.to_rows() == want, name
         assert got == ExactMatrix(want) and _is_canonical(got), name
+    # transpose stores the columns as they are: what _lowest would store, and undone by a second transpose
+    ints, den = ma._integers()
+    flipped = ma.transpose()
+    assert flipped._integers() == ExactMatrix._lowest(zip(*ints), den)._integers()
+    assert (flipped.rows, flipped.cols) == (ma.cols, ma.rows)
+    assert flipped.transpose()._integers() == (ints, den)
     assert (ma == mb) == (a == b)
     assert ma.is_zero() == all(x == 0 for row in a for x in row)
     assert ma.is_symmetric() == (len(a) == len(a[0]) and a == [list(col) for col in zip(*a)])

@@ -78,3 +78,23 @@ def test_suite_only_checks_are_defined_in_the_suite_alone():
     for path in SRC.glob("*.py"):
         if path.name != "suite.py":
             assert not SUITE_ONLY & _defined_functions(path), path.name
+
+
+
+def _cache_names(path: Path) -> set[str]:
+    """The ``functools`` caches the file at ``path`` imports or reads as an attribute."""
+    tree = ast.parse(path.read_text(), filename=path.name)
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return names & {"cache", "lru_cache"}
+
+
+def test_the_cache_reader_sees_both_spellings(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import functools\nfrom functools import cache as memo\n\n@functools.lru_cache\ndef f(): pass\n")
+    assert _cache_names(probe) == {"cache", "lru_cache"}
+
+
+def test_suite_caches_nothing_across_calls():
+    # Memos live inside one check call, so a kernel patched by one test is never masked by another's values.
+    assert _cache_names(SRC / "suite.py") == set()

@@ -532,3 +532,55 @@ def test_suite_catches_one_corrupted_integer_entry_in_a_kinematic_matrix(monkeyp
     }
     assert failing["pairing-structure"] == "n=6, k=2: kinematic * pairing != identity"
     assert failing["step-down-identity"] == "n=6, k=2"
+
+
+def test_suite_catches_a_normal_form_that_breaks_the_grading(monkeypatch, fresh_matrix_caches):
+    real_normal_form = UnitaryAlgebra.normal_form
+
+    def corrupted(self, poly):
+        """Adds t^2 to the normal form of s*t in dimension 3."""
+        out = real_normal_form(self, poly)
+        if self.n == 3 and poly == GradedPoly.monomial(1, 1):
+            return AlgebraElement(self, out.poly + GradedPoly.monomial(0, 2))
+        return out
+
+    monkeypatch.setattr(UnitaryAlgebra, "normal_form", corrupted)
+    failing = _failing_entries(run_suite(3))
+    assert failing == {"ring-axioms": "n=3: grading broken at (0, 0) * (1, 1)"}
+
+
+def test_grading_sweep_normalizes_a_wrong_product_on_its_own(monkeypatch, fresh_matrix_caches):
+    # s*t^2 is first formed as 1 * s*t^2; a memo keyed on the pair's exponents
+    # would reuse that clean normal form for the wrong product t * s*t.
+    real_mul = GradedPoly.__mul__
+    t, st = GradedPoly.monomial(0, 1), GradedPoly.monomial(1, 1)
+
+    def corrupted(self, other):
+        """t * s*t comes out as s*t^2 + t^5."""
+        out = real_mul(self, other)
+        return out + GradedPoly.monomial(0, 5) if (self, other) == (t, st) else out
+
+    monkeypatch.setattr(GradedPoly, "__mul__", corrupted)
+    failing = _failing_entries(run_suite(3))
+    assert failing == {"ring-axioms": "n=3: grading broken at (0, 1) * (1, 1)"}
+
+
+def test_checks_keep_no_memo_between_runs(monkeypatch, fresh_matrix_caches):
+    assert run_suite(12).ok
+    real_reduce = UnitaryAlgebra._reduce
+
+    def corrupted(self, terms, den):
+        """Adds s*t^(q-3) to the normal form of a lone t^q, q >= 3, in dimension 3."""
+        terms = list(terms)
+        out = real_reduce(self, terms, den)
+        if self.n == 3 and len(terms) == 1 and terms[0][0][0] == 0 and terms[0][0][1] >= 3:
+            return AlgebraElement(self, out.poly + GradedPoly.monomial(1, terms[0][0][1] - 3))
+        return out
+
+    monkeypatch.setattr(UnitaryAlgebra, "_reduce", corrupted)
+    failing = _failing_entries(run_suite(3))
+    assert failing == {
+        "ring-axioms": "n=3: grading broken at (0, 0) * (0, 3)",
+        "annihilator": "n=3, j=2, element 0: t^4 * alpha != 0",
+        "annihilator-congruence": "n=3, k=3",
+    }
