@@ -9,9 +9,13 @@ its arithmetic, its comparisons and the emitters that read it build no
 ``Fraction``; one integer product (``_apply``) serves it and the tensor
 kernel.  Elimination is fraction-free: one integer Gauss-Jordan kernel
 (``_row_reduce``) serves slice elimination, inversion, span solving and the
-annihilator rank test.  The determinant and the positive-definiteness test
-are Bareiss passes over integers.  Pivots are always the first nonzero entry
-in column order, which keeps every reduction deterministic.
+annihilator rank test.  The suite's span-membership tests go through
+``_first_outside_span``, one elimination for many targets that builds no
+``Fraction``; ``solve_in_span``, which also returns the coefficients, is
+their slow reference in the tests.  The determinant and the
+positive-definiteness test are Bareiss passes over integers.  Pivots are
+always the first nonzero entry in column order, which keeps every reduction
+deterministic.
 """
 
 from __future__ import annotations
@@ -283,6 +287,22 @@ def solve_in_span(generators: Sequence[Sequence], target: Sequence) -> tuple[Fra
     for r, col in enumerate(pivots):
         lam[col] = Fraction(rows[r][m], rows[r][col])
     return tuple(lam)
+
+
+def _first_outside_span(generators: Sequence[Sequence[int]], targets: Sequence[Sequence[int]]) -> int | None:
+    """Index of the first target outside the span of the generators, or None when all lie inside.
+
+    Generators and targets are integer vectors of one length.  One
+    elimination serves every target: the coordinates are the rows, the
+    generators the pivot columns, and each target a column riding along.  A
+    target lies in the span exactly when its column is zero in every row past
+    the rank.  Scaling a generator or a target does not change the answer, so
+    stored numerators may stand for rational vectors.
+    """
+    m = len(generators)
+    rows = [list(row) for row in zip(*generators, *targets)]
+    rest = rows[len(_row_reduce(rows, m)):]
+    return next((k for k in range(len(targets)) if any(row[m + k] for row in rest)), None)
 
 
 def _leading_minors(a: list[list[int]]) -> Iterator[int]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from operator import index
 from typing import Callable, Optional
 
@@ -36,8 +36,8 @@ from .duality import (
     step_down_matrix,
     top_coefficient,
 )
-from .errors import IndexOutOfRange, InternalInconsistency, NotInSpan, StructureViolation
-from .exact import ExactMatrix, _integer_rows, _leading_minors, _row_reduce, is_positive_definite, solve_in_span
+from .errors import IndexOutOfRange, InternalInconsistency, StructureViolation
+from .exact import ExactMatrix, _first_outside_span, _leading_minors, _row_reduce, is_positive_definite
 from .kinematics import (
     TensorElement,
     annihilator_congruence_holds,
@@ -154,16 +154,20 @@ def _check_basis_dimensions(n_max: int) -> Optional[str]:
     return None
 
 
-def _elimination_table(n: int, d: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def _elimination_table(
+    n: int, d: int, relations: tuple[GradedPoly, GradedPoly]
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Degree d's reduction table by eliminating the degree-d slice of the ideal.
 
-    The oracle for construction.  The slice is spanned by the monomial
-    multiples of f_{n+1} and f_{n+2} landing in degree d.  Row-reducing
-    them with pivot columns at the non-basis monomials (descending s-power
-    first) must consume exactly the non-basis monomials; any other pivot
-    pattern contradicts the dimension count and raises.  Returns the table
-    entry: the rewrites as integer rows in ascending s-power, over their
-    common denominator.
+    The oracle for construction.  ``relations`` is (f_{n+1}, f_{n+2}), and
+    the slice is spanned by their monomial multiples landing in degree d.
+    Row-reducing them with pivot columns at the non-basis monomials
+    (descending s-power first) must consume exactly the non-basis monomials;
+    any other pivot pattern contradicts the dimension count and raises.
+    Returns the table entry: the rewrites as integer rows in ascending
+    s-power, over their common denominator.  Pivot row r over its pivot is
+    the rewrite of non-basis monomial r, so the denominator is the lcm of
+    each entry's reduced denominator.
     """
     monos = [(p, d - 2 * p) for p in range(d // 2 + 1)]
     basis = basis_monomials(n, d)
@@ -171,7 +175,7 @@ def _elimination_table(n: int, d: int) -> tuple[int, tuple[tuple[int, ...], ...]
     cols = nonbasis + list(basis)
     index = {m: c for c, m in enumerate(cols)}
     ints: list[list[int]] = []  # monomial multiples of f's integer numerators; a row scale moves no pivot
-    for g in (log_component(n + 1), log_component(n + 2)):
+    for g in relations:
         shift = d - g.total_degree()
         if shift < 0:
             continue
@@ -186,21 +190,20 @@ def _elimination_table(n: int, d: int) -> tuple[int, tuple[tuple[int, ...], ...]
             f"n={n}: degree-{d} ideal slice pivots {pivots} do not match "
             f"the {len(nonbasis)} non-basis monomials"
         )
-    rewrites, den = _integer_rows(
-        [Fraction(x, ints[r][r]) for x in ints[r][len(nonbasis):]] for r in reversed(range(len(nonbasis)))
-    )
-    return den, tuple(tuple(-x for x in row) for row in rewrites)
+    pivot_rows = [(ints[r][r], ints[r][len(nonbasis):]) for r in reversed(range(len(nonbasis)))]
+    den = lcm(*(p // gcd(x, p) for p, row in pivot_rows for x in row))
+    return den, tuple(tuple(-x * den // p for x in row) for p, row in pivot_rows)
 
 
 def _check_quotient_soundness(n_max: int) -> Optional[str]:
     rng = random.Random(_SEED)
     for n in range(1, n_max + 1):
         alg = build_algebra(n)
+        g1, g2 = log_component(n + 1), log_component(n + 2)
         for d in range(n + 1, 2 * n + 3):
-            expected = _elimination_table(n, d)
+            expected = _elimination_table(n, d, (g1, g2))
             if alg._table[d] != expected:
                 return f"n={n}, d={d}: reduction table {alg._table[d]} != slice elimination {expected}"
-        g1, g2 = log_component(n + 1), log_component(n + 2)
         for label, g in (("f_{n+1}", g1), ("f_{n+2}", g2)):
             if alg.normal_form(g):
                 return f"n={n}: {label} does not reduce to 0"
@@ -294,14 +297,13 @@ def _check_annihilator(n_max: int) -> Optional[str]:
             if j <= 2 * n - 3:
                 next_elements = annihilator_basis(alg, j + 1)
                 # Stored numerators: scaling a generator or the target does not change span membership.
-                next_vectors = [[beta.poly._num.get(m, 0) for m in alg.basis(j + 1)] for beta in next_elements]
-                for idx, alpha in enumerate(elements):
-                    shifted = t_elem * alpha
-                    target = [shifted.poly._num.get(m, 0) for m in alg.basis(j + 1)]
-                    try:
-                        solve_in_span(next_vectors, target)
-                    except NotInSpan:
-                        return f"n={n}, j={j}, element {idx}: t*alpha is outside the next annihilator"
+                basis = alg.basis(j + 1)
+                next_vectors = [[beta.poly._num.get(m, 0) for m in basis] for beta in next_elements]
+                shifted = [(t_elem * alpha).poly._num for alpha in elements]
+                targets = [[num.get(m, 0) for m in basis] for num in shifted]
+                idx = _first_outside_span(next_vectors, targets)  # one elimination for every t*alpha
+                if idx is not None:
+                    return f"n={n}, j={j}, element {idx}: t*alpha is outside the next annihilator"
     return None
 
 
@@ -699,7 +701,9 @@ def _product_gram(model, d: int) -> ExactMatrix:
     on the orthogonal model [[1]] (entry "so-unit-coefficients").
     """
     lower, upper = ([GradedPoly.monomial(*m) for m in model.basis(e)] for e in (d, model.top_degree - d))
-    return ExactMatrix([[top_coefficient(model._multiply(v, u)) for u in lower] for v in upper])
+    products = [[model._multiply(v, u).poly for u in lower] for v in upper]
+    top, den = (0, model.top_degree), lcm(*(p._den for row in products for p in row))
+    return ExactMatrix._lowest([[p._num.get(top, 0) * (den // p._den) for p in row] for row in products], den)
 
 
 def kinematic_annihilator_block(n: int, k: int) -> ExactMatrix:

@@ -16,7 +16,15 @@ from unival import (
     SingularMatrix,
 )
 from unival import algebra, suite
-from unival.exact import _apply, _integer_rows, _row_reduce, is_positive_definite, solve_in_span
+from unival.exact import (
+    _apply,
+    _first_outside_span,
+    _integer_rows,
+    _row_reduce,
+    is_positive_definite,
+    solve_in_span,
+)
+from unival.poly import log_component
 
 F = Fraction
 
@@ -234,18 +242,76 @@ def test_row_reduce_matches_fraction_oracle(case):
     assert all(type(x) is int for row in ints for x in row)
 
 
+@st.composite
+def span_cases(draw, max_length=5):
+    # Integer generators with zeros, zero vectors and combinations of earlier
+    # ones (sometimes none at all), and targets mixing zero vectors,
+    # combinations of the generators and free vectors.
+    length = draw(st.integers(1, max_length))
+    entries = st.one_of(st.just(0), st.integers(-3, 3))
+    vector = st.lists(entries, min_size=length, max_size=length)
+    generators = draw(st.lists(vector, max_size=4))
+    for _ in range(draw(st.integers(0, 2)) if generators else 0):
+        a, b = draw(st.sampled_from(generators)), draw(st.sampled_from(generators))
+        ca, cb = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        generators.append([ca * x + cb * y for x, y in zip(a, b)])
+    targets = []
+    for kind in draw(st.lists(st.sampled_from(["zero", "inside", "free"]), max_size=5)):
+        if kind == "zero" or (kind == "inside" and not generators):
+            targets.append([0] * length)
+        elif kind == "inside":
+            weights = [draw(st.integers(-3, 3)) for _ in generators]
+            targets.append([sum(w * g[i] for w, g in zip(weights, generators)) for i in range(length)])
+        else:
+            targets.append(draw(vector))
+    return generators, targets
+
+
+def _inside(generators, target) -> bool:
+    try:
+        solve_in_span(generators, target)
+    except NotInSpan:
+        return False
+    return True
+
+
+@given(span_cases())
+@settings(max_examples=150)
+def test_first_outside_span_agrees_with_the_solver(case):
+    generators, targets = case
+    expected = next((k for k, target in enumerate(targets) if not _inside(generators, target)), None)
+    assert _first_outside_span(generators, targets) == expected
+    # Target by target, each alone.
+    for target in targets:
+        assert (_first_outside_span(generators, [target]) is None) == _inside(generators, target)
+
+
+def test_first_outside_span_examples(fraction_constructions):
+    assert _first_outside_span([], []) is None
+    assert _first_outside_span([], [(0, 0)]) is None
+    assert _first_outside_span([], [(0, 0), (0, 1)]) == 1
+    assert _first_outside_span([(0, 0)], [(1, 0)]) == 0
+    assert _first_outside_span([(1, 2, 0), (2, 4, 0)], [(3, 6, 0), (0, 0, 0), (0, 1, 0), (1, 0, 0)]) == 2
+    assert _first_outside_span([(1, 2, 0), (0, 1, 1)], [(2, 5, 1), (-7, -13, 1)]) is None
+    assert fraction_constructions == []
+
+
 def test_reduction_tables_match_fraction_oracle(monkeypatch):
     # The shift recurrence against slice elimination run on plain rational
     # Gauss-Jordan: every table entry, D_d included, for n <= 30.  The oracle
-    # turns the integer rows into Fractions in place, so each pivot reads 1.
+    # eliminates over Fractions, so each pivot reads 1, and hands each row
+    # back as an integer multiple, as _row_reduce's contract allows.
     def fraction_oracle(rows, pivot_cols):
-        rows[:] = [[F(x) for x in row] for row in rows]
-        return _fraction_row_reduce(rows, pivot_cols)
+        reduced = [[F(x) for x in row] for row in rows]
+        pivots = _fraction_row_reduce(reduced, pivot_cols)
+        rows[:] = [_integer_rows([row])[0][0] for row in reduced]
+        return pivots
 
     monkeypatch.setattr(suite, "_row_reduce", fraction_oracle)
     for n in range(1, 31):
         table = algebra.UnitaryAlgebra(n)._table
-        assert table[n + 1:] == [suite._elimination_table(n, d) for d in range(n + 1, 2 * n + 3)]
+        relations = (log_component(n + 1), log_component(n + 2))
+        assert table[n + 1:] == [suite._elimination_table(n, d, relations) for d in range(n + 1, 2 * n + 3)]
 
 
 def test_integer_form_is_the_storage():

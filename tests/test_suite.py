@@ -257,13 +257,57 @@ def test_suite_catches_corrupted_row_ratio(monkeypatch, fresh_matrix_caches):
 
 
 def test_annihilator_entry_reports_internal_faults(monkeypatch):
-    def broken(generators, target):
-        raise TypeError("broken span solver")
+    def broken(generators, targets):
+        raise TypeError("broken span test")
 
-    monkeypatch.setattr(suite, "solve_in_span", broken)
+    monkeypatch.setattr(suite, "_first_outside_span", broken)
     failing = _failing_entries(run_suite(3))
     assert set(failing) == {"annihilator"}
     assert failing["annihilator"].startswith("TypeError:")
+
+
+@pytest.mark.parametrize(
+    ("n", "degree", "dropped", "counterexample"),
+    [
+        (5, 5, 0, "n=5, j=4, element 0: t*alpha is outside the next annihilator"),
+        (6, 6, 1, "n=6, j=5, element 1: t*alpha is outside the next annihilator"),
+    ],
+)
+def test_annihilator_entry_reports_the_first_element_outside_a_thinned_span(
+    monkeypatch, n, degree, dropped, counterexample
+):
+    # One generator of degree j+1 left out, at the suite's binding alone: the one
+    # elimination per (n, j) names the same element as a solve per element did.
+    real_annihilator_basis = algebra.annihilator_basis
+
+    def thinned(alg, j):
+        out = real_annihilator_basis(alg, j)
+        if (alg.n, j) == (n, degree):
+            del out[dropped]
+        return out
+
+    monkeypatch.setattr(suite, "annihilator_basis", thinned)
+    assert _failing_entries(run_suite(7)) == {"annihilator": counterexample}
+
+
+def test_suite_passes_without_the_span_solver(monkeypatch):
+    def refused(generators, target):
+        raise AssertionError("the suite called solve_in_span")
+
+    for module in (unival, exact, algebra, duality, kinematics, suite, cli):
+        if hasattr(module, "solve_in_span"):
+            monkeypatch.setattr(module, "solve_in_span", refused)
+    report = run_suite(12)
+    assert report.ok and report.passed_count == 24
+
+
+def test_span_and_pairing_checks_build_no_fraction(fraction_constructions):
+    checks = {name: check for name, _, _, check in suite._catalogue(12)}
+    for name in ("annihilator", "annihilator-congruence", "so-unit-coefficients"):
+        assert checks[name](12) is None  # warms the builds and the matrix caches
+        fraction_constructions.clear()
+        assert checks[name](12) is None
+        assert fraction_constructions == [], name
 
 
 def test_suite_catches_corrupted_orthogonal_product(monkeypatch, fresh_matrix_caches):
