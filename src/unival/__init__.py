@@ -16,7 +16,6 @@ from .algebra import (
     annihilator_basis,
     basis_monomials,
     build_algebra,
-    series_dimension,
 )
 from .duality import (
     CompanionData,
@@ -29,7 +28,6 @@ from .duality import (
     pairing_value,
     positivity_scan,
     step_down_matrix,
-    top_coefficient,
 )
 from .errors import (
     AlgebraMismatch,
@@ -47,11 +45,7 @@ from .exact import ExactMatrix
 from .kinematics import TensorElement, kinematic_of, kinematic_unit, so_kinematic
 from .poly import (
     GradedPoly,
-    falling_factorial,
-    forward_difference,
     log_component,
-    log_component_alt,
-    log_components,
     poly_format,
     poly_parse,
 )
@@ -85,14 +79,10 @@ __all__ = [
     "build_algebra",
     "companion_coefficient",
     "companion_data",
-    "falling_factorial",
-    "forward_difference",
     "kinematic_matrix",
     "kinematic_of",
     "kinematic_unit",
     "log_component",
-    "log_component_alt",
-    "log_components",
     "pairing_matrix",
     "pairing_pivots",
     "pairing_value",
@@ -100,8 +90,6 @@ __all__ = [
     "poly_parse",
     "positivity_scan",
     "run_suite",
-    "series_dimension",
     "so_kinematic",
     "step_down_matrix",
-    "top_coefficient",
 ]

@@ -11,7 +11,7 @@ from the one below it: a t-shift gives every row but one hard row, which
 NF(f_d) = 0 then determines (``_shift_degree``).  Degrees 2n+1 and 2n+2 have
 no basis, so everything above degree 2n reduces to zero.  The identity
 suite checks the tables against elimination of each degree slice of the
-ideal.
+ideal, and the basis rule against the Hilbert series of the quotient.
 
 The tables are integers: degree d keeps one denominator D_d and, for each
 non-basis monomial, integer coefficients on the degree-d basis.  Normal forms
@@ -31,7 +31,9 @@ per-degree bases and integer tables, the table lookup ``_accumulate``, the
 reduction kernel ``_reduce``, the product, equality and hashing.  The
 orthogonal tables are empty (every t^d with d <= n is basis, over D_d = 1),
 so the same kernel truncates there; each model keeps only its own entry to
-``normal_form``.
+``normal_form``.  Both entries take a ``GradedPoly`` as it is and send any
+other argument through one gate (``_as_poly``), which parses text and
+raises TypeError for anything else.
 """
 
 from __future__ import annotations
@@ -46,25 +48,11 @@ from .poly import GradedPoly, Monomial, log_component, poly_parse
 
 def basis_monomials(n: int, d: int) -> tuple[Monomial, ...]:
     """Ordered basis of degree d: t^d, s*t^(d-2), ..., up to p = min(d, 2n-d)//2."""
+    n, d = index(n), index(d)
     if d < 0 or d > 2 * n:
         return ()
     p_max = min(d, 2 * n - d) // 2
     return tuple((p, d - 2 * p) for p in range(p_max + 1))
-
-
-def series_dimension(n: int, d: int) -> int:
-    """Coefficient of x^d in (1-x^(n+1))(1-x^(n+2)) / ((1-x)(1-x^2)).
-
-    Independent of the basis rule: expands 1/((1-x)(1-x^2)) as
-    sum_m (floor(m/2)+1) x^m and distributes the numerator.
-    """
-
-    n, d = index(n), index(d)
-
-    def g(m: int) -> int:
-        return m // 2 + 1 if m >= 0 else 0
-
-    return g(d) - g(d - n - 1) - g(d - n - 2) + g(d - 2 * n - 3)
 
 
 _Table = tuple[int, tuple[tuple[int, ...], ...]]
@@ -187,6 +175,13 @@ class AlgebraElement:
 
     def __repr__(self) -> str:
         return f"<{self.poly} in {self.algebra!r}>"
+
+
+def _as_poly(value) -> GradedPoly:
+    """A ``normal_form`` argument that is not a ``GradedPoly``: text is parsed, and anything else raises TypeError."""
+    if not isinstance(value, str):
+        raise TypeError(f"normal forms are taken of a GradedPoly or polynomial text, not {type(value).__name__}")
+    return poly_parse(value)
 
 
 class _Model:
@@ -315,8 +310,8 @@ class UnitaryAlgebra(_Model):
 
     def normal_form(self, poly: GradedPoly | str) -> AlgebraElement:
         """Linear extension of the reduction tables; total on all of Q[s,t]."""
-        if isinstance(poly, str):
-            poly = poly_parse(poly)
+        if not isinstance(poly, GradedPoly):
+            poly = _as_poly(poly)
         return self._reduce(poly._num.items(), poly._den)
 
 
@@ -332,8 +327,8 @@ class SOAlgebra(_Model):
         super().__init__(n, n, {d: ((0, d),) for d in range(n + 1)})  # every t^d is basis, over D_d = 1
 
     def normal_form(self, poly: GradedPoly | str) -> AlgebraElement:
-        if isinstance(poly, str):
-            poly = poly_parse(poly)
+        if not isinstance(poly, GradedPoly):
+            poly = _as_poly(poly)
         if any(p for p, _ in poly._num):
             raise ValueError("the orthogonal model is generated by t alone")
         return self._reduce(poly._num.items(), poly._den)

@@ -13,7 +13,7 @@ import sys
 from functools import reduce
 from operator import mul
 
-from .algebra import SOAlgebra, basis_monomials, build_algebra
+from .algebra import SOAlgebra, build_algebra
 from .duality import (
     annihilator_change_of_basis,
     companion_data,
@@ -32,7 +32,7 @@ from .emit import (
 )
 from .errors import DegreeOutOfRange, UnivalError
 from .kinematics import kinematic_of, so_kinematic
-from .poly import format_monomial, poly_parse
+from .poly import poly_parse
 from .suite import run_suite
 
 import json
@@ -118,12 +118,7 @@ def _cmd_basis(args) -> int:
     """Reads the closed-form basis rule; the algebra is never built."""
     if not 0 <= args.degree <= 2 * _unitary_dimension(args.n):
         raise DegreeOutOfRange(f"degree must lie in 0..{2 * args.n}, got {args.degree}")
-    monomials = basis_monomials(args.n, args.degree)
-    if args.format == "json":
-        payload = {"n": args.n, "degree": args.degree, "basis": [format_monomial(m) for m in monomials]}
-        print(json.dumps(payload, indent=2))
-    else:
-        print(format_basis(monomials, args.format))
+    print(format_basis(args.n, args.degree, args.format))
     return 0
 
 

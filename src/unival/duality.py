@@ -33,8 +33,9 @@ the reduction engine (entry "pairing-structure").
                                     the (n-1, k-1) one by a block identity
 
 The module imports only ``errors`` and ``exact``: it builds no algebra and
-no polynomial.  The identities these matrices satisfy, and the Gram matrix
-of a model's own product, are checked in ``suite``.
+no polynomial, and reads no element.  The identities these matrices
+satisfy, the Gram matrix of a model's own product and the top coefficient
+of a reduced element are read in ``suite``.
 """
 
 from __future__ import annotations
@@ -47,11 +48,6 @@ from operator import index, mul
 
 from .errors import IndexOutOfRange, StructureViolation
 from .exact import ExactMatrix
-
-
-def top_coefficient(element) -> Fraction:
-    """Coefficient of the top class t^top in a normal form (0 if absent)."""
-    return element.poly.coefficient(0, element.algebra.top_degree)
 
 
 def pairing_value(n: int, m: int) -> Fraction:

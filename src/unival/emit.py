@@ -18,7 +18,7 @@ import json
 from functools import lru_cache
 from itertools import chain
 
-from .algebra import SOAlgebra
+from .algebra import SOAlgebra, basis_monomials
 from .exact import ExactMatrix, plain_magnitude
 from .poly import GradedPoly, Monomial, _labels, _signed_sum, format_monomial, poly_format
 from .suite import SuiteReport
@@ -169,7 +169,11 @@ def format_tensor(tensor, fmt: str) -> str:
     return tensor_plain(tensor)
 
 
-def format_basis(monomials, fmt: str) -> str:
+def format_basis(n: int, degree: int, fmt: str) -> str:
+    """The ordered basis of one degree, read off the closed-form rule: no algebra is built."""
+    monomials = basis_monomials(n, degree)
+    if fmt == "json":
+        return json.dumps({"n": n, "degree": degree, "basis": [format_monomial(m) for m in monomials]}, indent=2)
     if fmt == "latex":
         return ", ".join(monomial_latex(m) for m in monomials)
     return ", ".join(format_monomial(m) for m in monomials)

@@ -19,9 +19,9 @@ stored and reads each coefficient as a lowest-terms (numerator, denominator)
 pair with one gcd; ``Fraction``s appear only at the public ``terms`` and
 ``coefficient``.
 
-The module also provides the homogeneous components of log(1 + s + t), which
-generate the relation ideals of the unitary quotient models, and the forward
-difference on polynomials in t alone.
+The module also provides the closed form of the homogeneous components of
+log(1 + s + t), which generate the relation ideals of the unitary quotient
+models.
 """
 
 from __future__ import annotations
@@ -160,17 +160,6 @@ class GradedPoly:
             return -1
         p, q = next(reversed(self._num))  # plain order puts a top-degree monomial last
         return 2 * p + q
-
-    def homogeneous_components(self) -> dict[int, "GradedPoly"]:
-        split: dict[int, dict[Monomial, int]] = {}
-        for mono, x in self._num.items():
-            split.setdefault(2 * mono[0] + mono[1], {})[mono] = x
-        return {d: GradedPoly._lowest(num, self._den) for d, num in split.items()}
-
-    def truncated(self, max_degree: int) -> "GradedPoly":
-        return GradedPoly._lowest(
-            {mono: x for mono, x in self._num.items() if 2 * mono[0] + mono[1] <= max_degree}, self._den
-        )
 
     def __str__(self) -> str:
         return poly_format(self)
@@ -356,26 +345,6 @@ def poly_parse(text: str) -> GradedPoly:
 # components of log(1 + s + t)
 
 
-def log_components(max_degree: int) -> list[GradedPoly]:
-    """Homogeneous components of log(1 + s + t) up to ``max_degree``.
-
-    Index k of the returned list holds the degree-k component (index 0 is
-    zero).  Expanding sum_{m>=1} (-1)^(m+1) (s+t)^m / m and truncating at
-    ``max_degree`` is exact there, because every term of (s+t)^m has degree
-    at least m.
-    """
-    if max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
-    generator = S + T
-    power = GradedPoly.monomial(0, 0)
-    total = GradedPoly()
-    for m in range(1, max_degree + 1):
-        power = (power * generator).truncated(max_degree)
-        total = total + Fraction((-1) ** (m + 1), m) * power
-    split = total.homogeneous_components()
-    return [split.get(k, GradedPoly()) for k in range(max_degree + 1)]
-
-
 def log_component(k: int) -> GradedPoly:
     """Closed form of the degree-k component of log(1 + s + t)."""
     if k < 1:
@@ -383,55 +352,3 @@ def log_component(k: int) -> GradedPoly:
     sign = (-1) ** (k + 1)
     terms = [((i, k - 2 * i), sign * (-1) ** i * comb(k - i, i), k - i) for i in range(k // 2 + 1)]
     return GradedPoly._sum(terms)
-
-
-def log_component_alt(k: int) -> GradedPoly:
-    """Equivalent closed form with C(k-i-1, i)/(k-2i) coefficients."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    sign = (-1) ** (k + 1)
-    terms: dict[Monomial, Fraction] = {}
-    for i in range(k // 2 + 1):
-        if k - 2 * i != 0:
-            base = Fraction(comb(k - i - 1, i), k - 2 * i)
-        else:
-            # k == 2i makes the displayed quotient 0/0; cancelling the k-2i
-            # factor inside the binomial leaves 1/i.
-            base = Fraction(1, i)
-        terms[(i, k - 2 * i)] = sign * (-1) ** i * base
-    return GradedPoly(terms)
-
-
-# ---------------------------------------------------------------------------
-# the forward difference on polynomials in t
-
-
-def _shift(p: GradedPoly, offset: int) -> GradedPoly:
-    """p(t + offset) for p in t alone, expanded exactly by one integer Taylor shift.
-
-    p's integer numerators are shifted in place and stay over p's one
-    denominator.
-    """
-    if not isinstance(offset, int):
-        raise TypeError(f"shift offsets must be integers: {offset!r}")
-    if any(s_power for s_power, _ in p._num):
-        raise ValueError("only polynomials in t alone can be shifted")
-    m = p.total_degree()
-    c = [p._num.get((0, j), 0) for j in range(m + 1)]
-    for i in range(m):
-        for j in range(m - 1, i - 1, -1):
-            c[j] += offset * c[j + 1]
-    return GradedPoly._canonical({(0, j): x for j, x in enumerate(c)}, p._den)
-
-
-def falling_factorial(k: int) -> GradedPoly:
-    """t(t-1)...(t-k+1); the empty product for k == 0."""
-    out = GradedPoly.monomial(0, 0)
-    for j in range(k):
-        out = out * GradedPoly({(0, 1): 1, (0, 0): -j})
-    return out
-
-
-def forward_difference(p: GradedPoly) -> GradedPoly:
-    """p(t) - p(t-1) for p in t alone."""
-    return p - _shift(p, -1)

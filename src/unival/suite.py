@@ -4,9 +4,10 @@ Each suite entry names the identity it checks, states it as a formula, and
 records the parameter range it swept.  A failing entry always carries the
 first concrete counterexample (the offending parameters and exact values).
 Entries that sample elements do so with a fixed seed, so a run is fully
-deterministic for a given bound.  The predicates and relation builders that
-only the suite reads are defined here, at the end of the module, so the
-engine modules hold the engine alone.
+deterministic for a given bound.  The predicates, relation builders and
+second derivations (such as the log series and the Hilbert series count)
+that only the suite reads are defined here, at the end of the module, so
+the engine modules hold the engine alone.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from math import comb, factorial, gcd, lcm
 from operator import index
 from typing import Callable, Optional
 
-from .algebra import (
-    SOAlgebra,
-    annihilator_basis,
-    basis_monomials,
-    build_algebra,
-    series_dimension,
-)
+from .algebra import SOAlgebra, annihilator_basis, basis_monomials, build_algebra
 from .duality import (
     annihilator_change_of_basis,
     companion_coefficient,
@@ -34,7 +29,6 @@ from .duality import (
     pairing_pivots,
     pairing_value,
     step_down_matrix,
-    top_coefficient,
 )
 from .errors import IndexOutOfRange, InternalInconsistency, StructureViolation
 from .exact import ExactMatrix, _first_outside_span, _leading_minors, _row_reduce, is_positive_definite
@@ -46,19 +40,7 @@ from .kinematics import (
     so_kinematic,
     step_up_identity_holds,
 )
-from .poly import (
-    GradedPoly,
-    S,
-    T,
-    _shift,
-    falling_factorial,
-    forward_difference,
-    log_component,
-    log_component_alt,
-    log_components,
-    poly_format,
-    poly_parse,
-)
+from .poly import GradedPoly, Monomial, S, T, log_component, poly_format, poly_parse
 
 _SEED = 20120527
 
@@ -661,6 +643,62 @@ def run_suite(n_max: int) -> SuiteReport:
 # identities and relations that only the suite reads
 
 
+def log_components(max_degree: int) -> list[GradedPoly]:
+    """Homogeneous components of log(1 + s + t) up to ``max_degree``.
+
+    Index k of the returned list holds the degree-k component (index 0 is
+    zero).  Expanding sum_{m>=1} (-1)^(m+1) (s+t)^m / m and truncating at
+    ``max_degree`` is exact there, because every term of (s+t)^m has degree
+    at least m.
+    """
+    if max_degree < 1:
+        raise ValueError("max_degree must be >= 1")
+    generator = S + T
+    power = GradedPoly.monomial(0, 0)
+    total = GradedPoly()
+    for m in range(1, max_degree + 1):
+        power = power * generator
+        kept = {mono: x for mono, x in power._num.items() if 2 * mono[0] + mono[1] <= max_degree}
+        power = GradedPoly._lowest(kept, power._den)
+        total = total + Fraction((-1) ** (m + 1), m) * power
+    split: dict[int, dict[Monomial, int]] = {}
+    for mono, x in total._num.items():
+        split.setdefault(2 * mono[0] + mono[1], {})[mono] = x
+    return [GradedPoly._lowest(split.get(k, {}), total._den) for k in range(max_degree + 1)]
+
+
+def log_component_alt(k: int) -> GradedPoly:
+    """Equivalent closed form with C(k-i-1, i)/(k-2i) coefficients."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    sign = (-1) ** (k + 1)
+    terms: dict[Monomial, Fraction] = {}
+    for i in range(k // 2 + 1):
+        if k - 2 * i != 0:
+            base = Fraction(comb(k - i - 1, i), k - 2 * i)
+        else:
+            # k == 2i makes the displayed quotient 0/0; cancelling the k-2i
+            # factor inside the binomial leaves 1/i.
+            base = Fraction(1, i)
+        terms[(i, k - 2 * i)] = sign * (-1) ** i * base
+    return GradedPoly(terms)
+
+
+def series_dimension(n: int, d: int) -> int:
+    """Coefficient of x^d in (1-x^(n+1))(1-x^(n+2)) / ((1-x)(1-x^2)).
+
+    Independent of the basis rule: expands 1/((1-x)(1-x^2)) as
+    sum_m (floor(m/2)+1) x^m and distributes the numerator.
+    """
+
+    n, d = index(n), index(d)
+
+    def g(m: int) -> int:
+        return m // 2 + 1 if m >= 0 else 0
+
+    return g(d) - g(d - n - 1) - g(d - n - 2) + g(d - 2 * n - 3)
+
+
 def log_recursion_holds(k: int) -> bool:
     """Whether k*s*f_k + (k+1)*t*f_{k+1} + (k+2)*f_{k+2} == 0 exactly."""
     if k < 1:
@@ -671,6 +709,37 @@ def log_recursion_holds(k: int) -> bool:
         + (k + 2) * log_component(k + 2)
     )
     return not total
+
+
+def _shift(p: GradedPoly, offset: int) -> GradedPoly:
+    """p(t + offset) for p in t alone, expanded exactly by one integer Taylor shift.
+
+    p's integer numerators are shifted in place and stay over p's one
+    denominator.
+    """
+    if not isinstance(offset, int):
+        raise TypeError(f"shift offsets must be integers: {offset!r}")
+    if any(s_power for s_power, _ in p._num):
+        raise ValueError("only polynomials in t alone can be shifted")
+    m = p.total_degree()
+    c = [p._num.get((0, j), 0) for j in range(m + 1)]
+    for i in range(m):
+        for j in range(m - 1, i - 1, -1):
+            c[j] += offset * c[j + 1]
+    return GradedPoly._canonical({(0, j): x for j, x in enumerate(c)}, p._den)
+
+
+def falling_factorial(k: int) -> GradedPoly:
+    """t(t-1)...(t-k+1); the empty product for k == 0."""
+    out = GradedPoly.monomial(0, 0)
+    for j in range(k):
+        out = out * GradedPoly({(0, 1): 1, (0, 0): -j})
+    return out
+
+
+def forward_difference(p: GradedPoly) -> GradedPoly:
+    """p(t) - p(t-1) for p in t alone."""
+    return p - _shift(p, -1)
 
 
 def difference_identity_holds(k: int) -> bool:
@@ -691,6 +760,11 @@ def difference_identity_holds(k: int) -> bool:
     for i in range(k + 2):
         expanded = expanded + (-1) ** i * comb(k + 1, i) * _shift(base, -i)
     return not expanded
+
+
+def top_coefficient(element) -> Fraction:
+    """Coefficient of the top class t^top in a normal form (0 if absent)."""
+    return element.poly.coefficient(0, element.algebra.top_degree)
 
 
 def _product_gram(model, d: int) -> ExactMatrix:

@@ -21,13 +21,10 @@ from unival import (
     companion_data,
     kinematic_matrix,
     log_component,
-    log_component_alt,
-    log_components,
     pairing_matrix,
     poly_parse,
     positivity_scan,
     run_suite,
-    series_dimension,
     so_kinematic,
 )
 from unival.algebra import _BUILD_CACHE
@@ -40,7 +37,10 @@ from unival.suite import (
     companion_relation_is_log_component,
     companion_relation_vanishes,
     difference_identity_holds,
+    log_component_alt,
+    log_components,
     log_recursion_holds,
+    series_dimension,
     step_down_identity_holds,
 )
 

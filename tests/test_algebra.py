@@ -24,11 +24,10 @@ from unival import (
     kinematic_unit,
     log_component,
     poly_parse,
-    series_dimension,
-    top_coefficient,
 )
 from unival.emit import format_tensor
 from unival.poly import GradedPoly, Monomial, S
+from unival.suite import series_dimension, top_coefficient
 
 F = Fraction
 
@@ -137,6 +136,25 @@ def test_basis_rule_examples():
     assert basis_monomials(3, 4) == ((0, 4), (1, 2))
     assert basis_monomials(2, 5) == ()
     assert basis_monomials(4, 2) == ((0, 2), (1, 0))
+
+
+def test_basis_rule_rejects_floats_and_normalizes_bools():
+    for n, d in ((2.5, 2), (3.0, 5), (3, 2.0), (3, F(2))):
+        with pytest.raises(TypeError):
+            basis_monomials(n, d)
+    basis = basis_monomials(True, True)
+    assert basis == ((0, 1),)
+    assert all(type(x) is int for mono in basis for x in mono)
+    assert basis_monomials(True, False) == ((0, 0),)
+
+
+@pytest.mark.parametrize("make", [build_algebra, SOAlgebra], ids=["unitary", "orthogonal"])
+def test_normal_form_rejects_anything_but_text_and_polynomials(make):
+    model = make(3)
+    for value in (1.5, 5, F(1, 2), None, [("t", 1)], model.one()):
+        with pytest.raises(TypeError, match="GradedPoly or polynomial text"):
+            model.normal_form(value)
+    assert model.normal_form("2*t") == model.normal_form(GradedPoly.monomial(0, 1, 2))
 
 
 def test_dimensions_match_generating_series():

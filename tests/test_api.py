@@ -35,14 +35,10 @@ PUBLIC_NAMES = [
     "build_algebra",
     "companion_coefficient",
     "companion_data",
-    "falling_factorial",
-    "forward_difference",
     "kinematic_matrix",
     "kinematic_of",
     "kinematic_unit",
     "log_component",
-    "log_component_alt",
-    "log_components",
     "pairing_matrix",
     "pairing_pivots",
     "pairing_value",
@@ -50,10 +46,8 @@ PUBLIC_NAMES = [
     "poly_parse",
     "positivity_scan",
     "run_suite",
-    "series_dimension",
     "so_kinematic",
     "step_down_matrix",
-    "top_coefficient",
 ]
 
 
@@ -68,7 +62,7 @@ def test_all_is_sorted_unique_and_resolves():
 
 
 def test_all_is_the_pinned_list():
-    assert len(PUBLIC_NAMES) == 44
+    assert len(PUBLIC_NAMES) == 38
     assert unival.__all__ == PUBLIC_NAMES
 
 

@@ -26,7 +26,6 @@ from unival import (
     poly_parse,
     positivity_scan,
     step_down_matrix,
-    top_coefficient,
 )
 from unival.exact import is_positive_definite
 from unival.suite import (
@@ -38,6 +37,7 @@ from unival.suite import (
     companion_relation_vanishes,
     kinematic_annihilator_block,
     step_down_identity_holds,
+    top_coefficient,
 )
 
 F = Fraction

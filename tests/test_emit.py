@@ -1,4 +1,4 @@
-"""The tensor and matrix writers against slow oracles: ``json.dumps(..., indent=2)`` and a Fraction-reading join."""
+"""The tensor, matrix and basis writers against slow oracles: ``json.dumps(..., indent=2)`` and a Fraction-reading join."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unival import ExactMatrix, SOAlgebra, TensorElement, build_algebra, kinematic_of, kinematic_unit, so_kinematic
-from unival.emit import format_matrix, format_tensor, latex_magnitude, monomial_latex
+from unival.emit import format_basis, format_matrix, format_tensor, latex_magnitude, monomial_latex
 from unival.exact import plain_magnitude
 from unival.poly import format_monomial
 
@@ -138,3 +138,11 @@ def tensor_text(tensor, fmt: str) -> str:
 def test_tensor_plain_and_latex_writers_match_a_fraction_join(tensor):
     for fmt in ("plain", "latex"):
         assert format_tensor(tensor, fmt) == tensor_text(tensor, fmt), fmt
+
+
+def test_basis_writer_writes_every_format():
+    assert format_basis(3, 4, "plain") == "t^4, s*t^2"
+    assert format_basis(3, 4, "latex") == "t^4, st^2"
+    assert json.loads(format_basis(3, 4, "json")) == {"n": 3, "degree": 4, "basis": ["t^4", "s*t^2"]}
+    assert format_basis(3, 4, "json") == json.dumps({"n": 3, "degree": 4, "basis": ["t^4", "s*t^2"]}, indent=2)
+    assert json.loads(format_basis(2, 5, "json"))["basis"] == []

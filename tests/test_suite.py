@@ -316,7 +316,7 @@ def test_suite_catches_corrupted_orthogonal_product(monkeypatch, fresh_matrix_ca
     def corrupted(self, a, b):
         """Doubles the top coefficient of every orthogonal product."""
         product = real_multiply(self, a, b)
-        return AlgebraElement(self, product.poly + GradedPoly.monomial(0, self.n, duality.top_coefficient(product)))
+        return AlgebraElement(self, product.poly + GradedPoly.monomial(0, self.n, suite.top_coefficient(product)))
 
     monkeypatch.setattr(SOAlgebra, "_multiply", corrupted)
     failing = _failing_entries(run_suite(3))
@@ -345,8 +345,7 @@ def test_suite_catches_corrupted_orthogonal_unit(monkeypatch):
 def test_suite_catches_a_shift_that_does_nothing(monkeypatch):
     # Delta p becomes 0 and the binomial sum of equal terms is 0, so only the
     # constant k! left by k differences can see the fault.
-    for module in (poly, suite):
-        monkeypatch.setattr(module, "_shift", lambda p, offset: p)
+    monkeypatch.setattr(suite, "_shift", lambda p, offset: p)
     failing = _failing_entries(run_suite(3))
     assert set(failing) == {"difference-operator"}
     assert failing["difference-operator"] == "k=1"
