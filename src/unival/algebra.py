@@ -196,7 +196,8 @@ class _Model:
         self._table: list[_Table] = [(1, ())] * (n + 1)
 
     def basis(self, d: int) -> tuple[Monomial, ...]:
-        return self._basis.get(d, ())
+        """The ordered basis of degree ``d`` (empty outside 0..top); ``d`` goes through ``operator.index``."""
+        return self._basis.get(index(d), ())
 
     def dim(self, d: int) -> int:
         return len(self.basis(d))

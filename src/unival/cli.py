@@ -24,8 +24,9 @@ from .duality import (
 )
 from .emit import (
     format_basis,
+    format_companion,
     format_matrix,
-    format_poly,
+    format_normal_form,
     format_positivity,
     format_report,
     format_tensor,
@@ -34,8 +35,6 @@ from .errors import DegreeOutOfRange, UnivalError
 from .kinematics import kinematic_of, so_kinematic
 from .poly import poly_parse
 from .suite import run_suite
-
-import json
 
 SO_CEILING = 100_000  # largest real dimension; ``son --n 100000 --k 0`` takes about 0.75 s and 111 MB on 2 cores
 
@@ -126,23 +125,14 @@ def _cmd_normal_form(args) -> int:
     """``reduce`` prints the normal form of one polynomial, ``mul`` that of the product of two."""
     alg = build_algebra(args.n)
     element = reduce(mul, [alg.normal_form(poly_parse(text)) for text in args.factors])
-    if args.format == "json":
-        print(json.dumps({"n": args.n, "normal_form": str(element.poly)}, indent=2))
-    else:
-        print(format_poly(element.poly, args.format))
+    print(format_normal_form(args.n, element.poly, args.format))
     return 0
 
 
 def _cmd_matrix(args) -> int:
     _unitary_dimension(args.n)
     if args.which == "companion":
-        data = companion_data(args.n, args.k)
-        if args.format == "json":
-            print(json.dumps(data.to_json(), indent=2))
-        else:
-            print(format_matrix(data.matrix, args.format))
-            if args.format == "plain":
-                print("a: " + ", ".join(str(c) for c in data.coefficients))
+        print(format_companion(companion_data(args.n, args.k), args.format))
         return 0
     builders = {
         "P": pairing_matrix,

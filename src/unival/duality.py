@@ -199,6 +199,7 @@ def companion_data(n: int, k: int) -> CompanionData:
     the last column, and the negated relation coefficients in the last
     column, which are extracted and returned.
     """
+    n, k = index(n), index(k)
     if not 0 <= 2 * k <= n - 1:
         raise IndexOutOfRange(f"requires 0 <= 2k <= n-1, got n={n}, k={k}")
     product = (kinematic_matrix(n, k) @ pairing_matrix(n - 1, k)).scale(Fraction(n, 2 * (2 * n - 1)))
@@ -220,6 +221,7 @@ def companion_coefficient(n: int, k: int, i: int) -> Fraction:
           ((2n-2k-2i-1)(2n-2k-2i-3)...(2n-4k-1)), with a_{k+1} = 1 and empty
     products equal to 1.
     """
+    n, k, i = index(n), index(k), index(i)
     if not 0 <= 2 * k <= n - 1:
         raise IndexOutOfRange(f"requires 0 <= 2k <= n-1, got n={n}, k={k}")
     if not 0 <= i <= k + 1:
@@ -244,6 +246,7 @@ def step_down_matrix(n: int, k: int) -> ExactMatrix:
     n/(2(2n-1)) in column i-1 and minus that multiple of the (n-1, k-1)
     companion coefficient a_{i-1} in the last column.
     """
+    n, k = index(n), index(k)
     if k < 1 or 2 * k + 1 > n:
         raise IndexOutOfRange(f"requires k >= 1 and 2k+1 <= n, got n={n}, k={k}")
     size = k + 1

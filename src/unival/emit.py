@@ -5,27 +5,39 @@ the ordered monomial bases; the LaTeX emitter uses the conventional
 typeset order (ascending t-power, constants and s-powers first) instead.
 All emitters are deterministic: identical inputs produce identical bytes.
 Every signed sum, a polynomial in either order or a tensor block, is
-written by one writer (``poly._signed_sum``) straight from integer
-numerators over one denominator.
-Tensor and matrix JSON is written straight from the integer storage in the
-layout of ``json.dumps(..., indent=2)``, because ``indent`` sends
+written straight from integer numerators over one denominator by one pair
+of writers: ``poly._cells`` for the coefficients, ``poly._join`` for the
+sum.  Tensor and matrix JSON is written straight from the integer storage
+in the layout of ``json.dumps(..., indent=2)``, because ``indent`` sends
 ``json.dumps`` to its pure-Python encoder.
+
+The tensor emitters walk the sorted blocks once, in pairs
+(``_block_texts``).  When block (b, a) stores exactly the transpose of
+block (a, b), a < b, in a tensor whose factors are one model, the cells of
+(a, b) are computed once and both blocks' texts are written from them; the
+mirror's text is kept until its turn.  A kinematic tensor is symmetric, so
+this halves its coefficient work.  Every CLI document is written here; the
+CLI only prints.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import chain
 
 from .algebra import SOAlgebra, basis_monomials
-from .exact import ExactMatrix, plain_magnitude
-from .poly import GradedPoly, Monomial, _labels, _signed_sum, format_monomial, poly_format
+from .duality import CompanionData
+from .exact import ExactMatrix
+from .poly import PLAIN_FRACTION, GradedPoly, Monomial, format_monomial, poly_format
+from .poly import _cells, _join, _labels, _signed_sum
 from .suite import SuiteReport
 
 
+LATEX_FRACTION = "\\frac{%d}{%d}"
+
+
 def latex_magnitude(numerator: int, denominator: int) -> str:
-    return str(numerator) if denominator == 1 else f"\\frac{{{numerator}}}{{{denominator}}}"
+    return str(numerator) if denominator == 1 else LATEX_FRACTION % (numerator, denominator)
 
 
 def rational_latex(numerator: int, denominator: int) -> str:
@@ -58,7 +70,7 @@ def _latex_key(mono: Monomial) -> tuple[int, int]:
 def poly_latex(poly: GradedPoly) -> str:
     num = poly._num
     order = sorted(num, key=_latex_key)
-    return _signed_sum(_labels(order, monomial_latex), map(num.__getitem__, order), poly._den, latex_magnitude, "")
+    return _signed_sum(_labels(order, monomial_latex), map(num.__getitem__, order), poly._den, LATEX_FRACTION, "")
 
 
 def matrix_plain(m: ExactMatrix) -> str:
@@ -82,16 +94,16 @@ def _json_list(items: list[str], indent: str) -> str:
     return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
 
 
-def _json_matrix(m: ExactMatrix, indent: str) -> str:
-    """``json.dumps(m.to_json(), indent=2)`` at ``indent``, without the pure-Python encoder: one string per entry."""
+def _json_matrix(cells, indent: str) -> str:
+    """``json.dumps(cells, indent=2)`` at ``indent`` for rows of entry strings, without the pure-Python encoder."""
     inner, cell = indent + "  ", indent + "    "
     sep = f'",\n{cell}"'
-    return _json_list([f'[\n{cell}"{sep.join(row)}"\n{inner}]' for row in m.to_json()], indent)
+    return _json_list([f'[\n{cell}"{sep.join(row)}"\n{inner}]' for row in cells], indent)
 
 
 def format_matrix(m: ExactMatrix, fmt: str) -> str:
     if fmt == "json":
-        return _json_matrix(m, "")
+        return _json_matrix(m.to_json(), "")
     if fmt == "latex":
         return matrix_latex(m)
     return matrix_plain(m)
@@ -105,6 +117,22 @@ def format_poly(poly: GradedPoly, fmt: str) -> str:
     return poly_format(poly)
 
 
+def format_normal_form(n: int, poly: GradedPoly, fmt: str) -> str:
+    """The document of ``reduce`` and ``mul``: in JSON the dimension and the plain normal form, else the polynomial."""
+    if fmt == "json":
+        return json.dumps({"n": n, "normal_form": poly_format(poly)}, indent=2)
+    return format_poly(poly, fmt)
+
+
+def format_companion(data: CompanionData, fmt: str) -> str:
+    """The document of ``matrix --which companion``: the matrix, and in plain text its coefficient line."""
+    if fmt == "json":
+        return json.dumps(data.to_json(), indent=2)
+    if fmt == "latex":
+        return matrix_latex(data.matrix)
+    return matrix_plain(data.matrix) + "\na: " + ", ".join(map(str, data.coefficients))
+
+
 def _model_json(algebra) -> str:
     kind = "SO" if isinstance(algebra, SOAlgebra) else "U"
     return f'{{\n    "model": "{kind}",\n    "n": {algebra.n}\n  }}'
@@ -114,6 +142,39 @@ def _basis_json(monomials) -> str:
     return _json_list([f'"{format_monomial(m)}"' for m in monomials], "      ")
 
 
+def _is_mirror(matrix: ExactMatrix, twin: ExactMatrix) -> bool:
+    """Whether ``twin`` stores exactly the transpose of ``matrix``: one denominator, and rows equal to its columns."""
+    return twin == matrix.transpose()  # both canonical, so equal values have equal storage
+
+
+def _block_texts(tensor, cells_of, write) -> list[str]:
+    """The text of every block in sorted order, a mirrored pair of blocks from one set of cells.
+
+    ``cells_of(matrix)`` gives a block's entry cells as rows, and
+    ``write((dl, dr), cells)`` the block's text from them.  When both factors
+    are one model and block (b, a) stores exactly the transpose of block
+    (a, b), a < b (``_is_mirror``), the cells of (a, b) are read once: the
+    text of (b, a) is written from them transposed and kept until its turn.
+    Any other block is written from its own cells.  A kinematic tensor is
+    symmetric, so every off-diagonal block of one has such a twin.
+    """
+    blocks, one_model = tensor.blocks, tensor.left == tensor.right
+    kept: dict[tuple[int, int], str] = {}
+    texts = []
+    for key in sorted(blocks):
+        text = kept.pop(key, None)
+        if text is None:
+            matrix = blocks[key]
+            cells = cells_of(matrix)
+            text = write(key, cells)
+            a, b = key
+            twin = blocks.get((b, a)) if one_model and a < b else None
+            if twin is not None and _is_mirror(matrix, twin):
+                kept[b, a] = write((b, a), list(zip(*cells)))
+        texts.append(text)
+    return texts
+
+
 def _tensor_json(tensor) -> str:
     """``json.dumps`` of the tensor's document with ``indent=2``, written straight from the blocks' storage.
 
@@ -121,43 +182,62 @@ def _tensor_json(tensor) -> str:
     chunk per token; this writer builds one string per entry.  Monomial labels
     and rational entries hold no character that JSON escapes.
     """
-    blocks = [
-        f'{{\n      "degrees": [\n        {dl},\n        {dr}\n      ],\n'
-        f'      "row_basis": {_basis_json(tensor.left.basis(dl))},\n'
-        f'      "col_basis": {_basis_json(tensor.right.basis(dr))},\n'
-        f'      "matrix": {_json_matrix(matrix, "      ")}\n    }}'
-        for (dl, dr), matrix in sorted(tensor.blocks.items())
-    ]
+
+    def write(key, cells) -> str:
+        dl, dr = key
+        return (
+            f'{{\n      "degrees": [\n        {dl},\n        {dr}\n      ],\n'
+            f'      "row_basis": {_basis_json(tensor.left.basis(dl))},\n'
+            f'      "col_basis": {_basis_json(tensor.right.basis(dr))},\n'
+            f'      "matrix": {_json_matrix(cells, "      ")}\n    }}'
+        )
+
+    blocks = _block_texts(tensor, ExactMatrix.to_json, write)
     return (
         f'{{\n  "left": {_model_json(tensor.left)},\n  "right": {_model_json(tensor.right)},\n'
         f'  "blocks": {_json_list(blocks, "  ")}\n}}'
     )
 
 
-def _block_sums(tensor, label, pair: str, magnitude, times: str) -> list[tuple[tuple[int, int], str]]:
-    """Each nonzero block as one signed sum over its row (x) column bodies; basis labels are formatted once."""
-    lines = []
-    for (dl, dr), matrix in sorted(tensor.blocks.items()):
-        rows = [label(m) + pair for m in tensor.left.basis(dl)]
-        cols = [label(m) for m in tensor.right.basis(dr)]
-        ints, den = matrix._integers()
-        bodies = [row + col for row in rows for col in cols]
-        lines.append(((dl, dr), _signed_sum(bodies, chain.from_iterable(ints), den, magnitude, times)))
-    return lines
+def _block_sums(tensor, prefix, label, pair: str, fraction: str, times: str) -> list[str]:
+    """Each block as one line: ``prefix(dl, dr)``, then one signed sum over its row (x) column bodies.
+
+    The coefficient cells come from ``_cells``, one gcd per entry of a block
+    or of a mirrored pair (``_block_texts``), and each line is joined by
+    ``_join``.
+    """
+    left, right = tensor.left, tensor.right
+
+    def cells_of(matrix) -> list[list[str | None]]:
+        den = matrix._den
+        return [_cells(row, den, fraction, times) for row in matrix._ints]
+
+    def write(key, cells) -> str:
+        dl, dr = key
+        rows = [label(m) + pair for m in left.basis(dl)]
+        cols = [label(m) for m in right.basis(dr)]
+        chunks = [
+            f"{cell}{row}{col}"
+            for row, row_cells in zip(rows, cells)
+            for col, cell in zip(cols, row_cells)
+            if cell is not None
+        ]
+        return _join(chunks, prefix(dl, dr))
+
+    return _block_texts(tensor, cells_of, write)
 
 
 def tensor_plain(tensor) -> str:
     if not tensor.blocks:
         return "0"
-    lines = _block_sums(tensor, format_monomial, "(x)", plain_magnitude, "*")
-    return "\n".join(f"({dl},{dr}): {line}" for (dl, dr), line in lines)
+    return "\n".join(_block_sums(tensor, "({},{}): ".format, format_monomial, "(x)", PLAIN_FRACTION, "*"))
 
 
 def tensor_latex(tensor) -> str:
     if not tensor.blocks:
         return "0"
-    lines = _block_sums(tensor, monomial_latex, " \\otimes ", latex_magnitude, "\\, ")
-    body = " \\\\\n".join(f"&{line}" for _, line in lines)
+    lines = _block_sums(tensor, lambda dl, dr: "&", monomial_latex, " \\otimes ", LATEX_FRACTION, "\\, ")
+    body = " \\\\\n".join(lines)
     return f"\\begin{{aligned}}\n{body}\n\\end{{aligned}}"
 
 

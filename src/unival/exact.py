@@ -37,11 +37,6 @@ def _ratio(value) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
-def plain_magnitude(numerator: int, denominator: int) -> str:
-    """A lowest-terms (numerator, denominator) pair as ``str`` of its Fraction prints it."""
-    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
-
-
 def _integer_rows(rows: Iterable[Iterable]) -> tuple[list[list[int]], int]:
     """Rows of exact scalars as integer rows over the lcm of their denominators."""
     pairs = [[_ratio(x) for x in row] for row in rows]

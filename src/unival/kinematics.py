@@ -103,15 +103,17 @@ def _product_images(phi: AlgebraElement, source, d: int) -> dict[int, tuple[list
     """Multiplication by phi on source degree d, into phi's model, read off its reduction tables.
 
     Returns ``{d2: (M, den_phi * D_d2)}``: column j of M is ``_accumulate`` of
-    phi times the j-th degree-d basis monomial of ``source``.  All-zero groups
-    are left out.  With phi = 1 from a larger unitary model this is
-    restriction, with phi = s from a smaller one the s-step.
+    phi times the j-th degree-d basis monomial of ``source``.  ``_accumulate``
+    makes a row for every degree d + deg(m) <= top of a term m of phi, so all
+    columns reach the same target degrees.  All-zero groups are left out.
+    With phi = 1 from a larger unitary model this is restriction, with
+    phi = s from a smaller one the s-step.
     """
     alg, terms = phi.algebra, phi.poly._num.items()
     columns = [alg._accumulate(((p + a, q + b), c) for (a, b), c in terms) for p, q in source.basis(d)]
     out = {}
-    for d2 in {d2 for column in columns for d2 in column}:
-        rows = [list(row) for row in zip(*(column.get(d2) or [0] * alg.dim(d2) for column in columns))]
+    for d2 in columns[0]:
+        rows = [list(row) for row in zip(*(column[d2] for column in columns))]
         if any(map(any, rows)):
             out[d2] = rows, phi.poly._den * alg._table[d2][0]
     return out

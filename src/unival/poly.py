@@ -28,14 +28,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import repeat
 from math import comb, gcd, lcm
 from operator import index
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import ParseError
-from .exact import _ratio, plain_magnitude
+from .exact import _ratio
 
 Monomial = tuple[int, int]  # (power of s, power of t); grade = 2*s_power + t_power
 
@@ -187,51 +187,80 @@ def format_monomial(mono: Monomial) -> str:
     return "*".join(pieces) if pieces else "1"
 
 
-def _signed_sum(bodies: Iterable[str | None], numerators: Iterable[int], den: int, magnitude, times: str) -> str:
-    """The one writer of signed sums: ``numerators[i] / den`` times ``bodies[i]``, e.g. ``-2*t^2 + s - 1/3*s*t``.
+PLAIN_FRACTION = "%d/%d"  # a lowest-terms n/d with d > 1, as ``str`` of its Fraction prints it
 
-    Zero numerators are skipped.  Each coefficient is cut to lowest terms by
-    one gcd with ``den``; an integer is written as it is, any other magnitude
-    by ``magnitude(numerator, denominator)``, and ``times`` joins it to the
-    body.  A coefficient of magnitude 1 is left out unless the body is None,
-    which marks the constant (first in every term order).  The first sign is
-    attached, later ones stand between spaces.  The empty sum is "0".
+
+def _cells(
+    numerators: Iterable[int], den: int, fraction: str, times: str, bodies: Iterable[str] = (), unit: str = ""
+) -> list[str | None]:
+    """The coefficient rule of every signed sum: one cell per ``numerator / den``, each followed by its body.
+
+    A zero is None.  Any other coefficient is cut to lowest terms by one gcd
+    with ``den``; its cell is the sign (" + " or " - "), then the magnitude,
+    an integer as it is and any other as ``fraction % (numerator,
+    denominator)``, then ``times``.  A magnitude of 1 leaves only the sign
+    and ``unit``.  Without ``bodies`` a cell ends there, so one set of cells
+    can serve two tensor blocks, a block and its transpose.
     """
-    chunks: list[str] = []
-    append = chunks.append
-    for body, x in zip(bodies, numerators):
+    cells: list[str | None] = []
+    append = cells.append
+    for x, body in zip(numerators, bodies or repeat("")):
         if not x:
+            append(None)
             continue
         sign = " + "
         if x < 0:
             sign, x = " - ", -x
         g = gcd(x, den)
-        text = str(x // g) if g == den else magnitude(x // g, den // g)
-        if body is None:
-            append(sign + text)
-        elif text == "1":
-            append(sign + body)
+        if g != den:
+            append(f"{sign}{fraction % (x // g, den // g)}{times}{body}")
+        elif x == den:
+            append(f"{sign}{unit}{body}")
         else:
-            append(f"{sign}{text}{times}{body}")
+            append(f"{sign}{x // g}{times}{body}")
+    return cells
+
+
+def _join(chunks: list[str], prefix: str = "") -> str:
+    """Signed terms (each from ``_cells``, zeros dropped) as one sum after ``prefix``.
+
+    The first sign is attached, later ones stand between spaces; the empty
+    sum is "0".  Works on ``chunks`` in place.
+    """
     if not chunks:
-        return "0"
+        return prefix + "0"
     first = chunks[0]
-    chunks[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+    chunks[0] = prefix + (first[3:] if first[1] == "+" else "-" + first[3:])
     return "".join(chunks)
 
 
-def _labels(monomials: Iterable[Monomial], label) -> Iterable[str | None]:
+def _signed_sum(bodies: list[str | None], numerators: Iterable[int], den: int, fraction: str, times: str) -> str:
+    """A polynomial's terms as one signed sum of ``numerators[i] / den`` times ``bodies[i]``, e.g. ``-2*t^2 + s``.
+
+    Numerators are nonzero, as a ``GradedPoly`` stores them.  A body of None
+    marks the constant (first in every term order): its cell has no
+    ``times``, and a unit is written as "1".
+    """
+    if bodies and bodies[0] is None:
+        numerators = iter(numerators)
+        chunks = _cells((next(numerators),), den, fraction, "", ("",), "1")
+        chunks += _cells(numerators, den, fraction, times, bodies[1:])
+    else:
+        chunks = _cells(numerators, den, fraction, times, bodies)
+    return _join(chunks)
+
+
+def _labels(monomials: Iterable[Monomial], label) -> list[str | None]:
     """``label`` of each monomial in order, the constant's as None."""
-    labels = map(label, monomials)
-    if next(iter(monomials), None) == (0, 0):
-        next(labels)
-        return chain((None,), labels)
+    labels = list(map(label, monomials))
+    if labels and next(iter(monomials)) == (0, 0):
+        labels[0] = None
     return labels
 
 
 def poly_format(poly: GradedPoly) -> str:
     num = poly._num
-    return _signed_sum(_labels(num, format_monomial), num.values(), poly._den, plain_magnitude, "*")
+    return _signed_sum(_labels(num, format_monomial), num.values(), poly._den, PLAIN_FRACTION, "*")
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:

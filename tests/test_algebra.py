@@ -148,6 +148,18 @@ def test_basis_rule_rejects_floats_and_normalizes_bools():
     assert basis_monomials(True, False) == ((0, 0),)
 
 
+def test_model_basis_and_dim_reject_float_degrees():
+    # basis(2.0) once answered with degree 2's basis, and dim(2.5) with 0
+    for model in (build_algebra(3), SOAlgebra(4)):
+        for d in (2.0, 2.5, F(2)):
+            with pytest.raises(TypeError):
+                model.basis(d)
+            with pytest.raises(TypeError):
+                model.dim(d)
+        assert model.basis(True) == model.basis(1) == ((0, 1),)
+        assert model.dim(-1) == model.dim(model.top_degree + 1) == 0
+
+
 @pytest.mark.parametrize("make", [build_algebra, SOAlgebra], ids=["unitary", "orthogonal"])
 def test_normal_form_rejects_anything_but_text_and_polynomials(make):
     model = make(3)

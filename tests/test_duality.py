@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -174,6 +175,68 @@ def test_companion_coefficient_closed_form():
         assert companion_coefficient(n, 0, 0) == F(-n, 2 * (2 * n - 1))
     with pytest.raises(IndexOutOfRange):
         companion_coefficient(3, 1, 3)
+
+
+# The start of each function's own range message: a guard that lets a bad
+# argument through to a callee's guard is caught by the callee's message.
+GUARDS = {
+    pairing_value: "pairing value requires",
+    pairing_matrix: "pairing matrix requires",
+    pairing_pivots: "pairing pivots require",
+    kinematic_matrix: "kinematic matrix requires",
+    annihilator_change_of_basis: "requires k >= 0 and 2k[+]1 <= n",
+    companion_data: "requires 0 <= 2k <= n-1",
+    companion_coefficient: "requires 0 <= 2k <= n-1|coefficient index must lie",
+    step_down_matrix: "requires k >= 1 and 2k[+]1 <= n",
+    positivity_scan: "n_max must be >= 1",
+}
+
+
+def _accepts(f, *args) -> bool:
+    """Whether ``f(*args)`` passes its own range guard; a refusal must carry that guard's message."""
+    try:
+        f(*args)
+    except IndexOutOfRange as exc:
+        assert re.match(GUARDS[f], str(exc)), (f, args, exc)
+        return False
+    return True
+
+
+def test_every_duality_range_guard_at_its_boundary():
+    """Each guard takes its extreme arguments and refuses one step past them, on both sides."""
+    for n in range(1, 9):
+        assert _accepts(pairing_value, n, 0) and _accepts(pairing_value, n, n)
+        assert not _accepts(pairing_value, n, -1) and not _accepts(pairing_value, n, n + 1)
+        for f in (pairing_matrix, pairing_pivots, kinematic_matrix):  # 0 <= 2k <= n
+            assert _accepts(f, n, 0) and _accepts(f, n, n // 2), (f, n)
+            assert not _accepts(f, n, -1) and not _accepts(f, n, n // 2 + 1), (f, n)
+        top = (n - 1) // 2  # the largest k with 2k <= n - 1, that is 2k + 1 <= n
+        for f in (annihilator_change_of_basis, companion_data):
+            assert _accepts(f, n, 0) and _accepts(f, n, top), (f, n)
+            assert not _accepts(f, n, -1) and not _accepts(f, n, top + 1), (f, n)
+        for k in range(-1, top + 2):
+            assert _accepts(companion_coefficient, n, k, 0) == (0 <= k <= top), (n, k)
+        for k in range(top + 1):
+            assert _accepts(companion_coefficient, n, k, 0) and _accepts(companion_coefficient, n, k, k + 1)
+            assert not _accepts(companion_coefficient, n, k, -1)
+            assert not _accepts(companion_coefficient, n, k, k + 2)
+        for k in range(-1, top + 2):  # 1 <= k and 2k + 1 <= n
+            assert _accepts(step_down_matrix, n, k) == (1 <= k <= top), (n, k)
+    assert _accepts(positivity_scan, 1) and not _accepts(positivity_scan, 0)
+    with pytest.raises(IndexOutOfRange, match=r"^requires 0 <= 2k <= n-1, got n=4, k=2$"):
+        companion_coefficient(4, 2, 0)  # a guard widened to 2k <= n + 1 would answer
+
+
+def test_companion_and_step_down_reject_float_arguments():
+    # step_down_matrix(5.0, 1) once failed inside Fraction with an unrelated message
+    cases = [(companion_data, (5, 1)), (companion_coefficient, (5, 1, 1)), (step_down_matrix, (5, 1))]
+    for f, args in cases:
+        for i in range(len(args)):
+            floated = [*args[:i], float(args[i]), *args[i + 1:]]
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                f(*floated)
+        assert f(*args) == f(*(True if x == 1 else x for x in args)), f
+    assert type(companion_data(5, True).k) is int
 
 
 def test_kinematic_matrix_checks_its_own_range():

@@ -5,12 +5,30 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from unival import ExactMatrix, SOAlgebra, TensorElement, build_algebra, kinematic_of, kinematic_unit, so_kinematic
-from unival.emit import format_basis, format_matrix, format_tensor, latex_magnitude, monomial_latex
-from unival.exact import plain_magnitude
+from unival import (
+    ExactMatrix,
+    SOAlgebra,
+    TensorElement,
+    build_algebra,
+    companion_data,
+    kinematic_of,
+    kinematic_unit,
+    so_kinematic,
+)
+from unival import emit
+from unival.emit import (
+    format_basis,
+    format_companion,
+    format_matrix,
+    format_normal_form,
+    format_tensor,
+    latex_magnitude,
+    monomial_latex,
+)
 from unival.poly import format_monomial
 
 F = Fraction
@@ -112,7 +130,7 @@ def tensor_text(tensor, fmt: str) -> str:
     if fmt == "latex":
         label, pair, magnitude, times = monomial_latex, " \\otimes ", latex_magnitude, "\\, "
     else:
-        label, pair, magnitude, times = format_monomial, "(x)", plain_magnitude, "*"
+        label, pair, magnitude, times = format_monomial, "(x)", lambda num, den: str(F(num, den)), "*"
     lines = []
     for (dl, dr), matrix in sorted(tensor.blocks.items()):
         terms = [
@@ -146,3 +164,136 @@ def test_basis_writer_writes_every_format():
     assert json.loads(format_basis(3, 4, "json")) == {"n": 3, "degree": 4, "basis": ["t^4", "s*t^2"]}
     assert format_basis(3, 4, "json") == json.dumps({"n": 3, "degree": 4, "basis": ["t^4", "s*t^2"]}, indent=2)
     assert json.loads(format_basis(2, 5, "json"))["basis"] == []
+
+
+def _off_by_one(matrix: ExactMatrix, i: int, j: int) -> ExactMatrix:
+    """The matrix with integer entry (i, j) of its storage off by one, over the same denominator."""
+    ints, den = matrix._integers()
+    rows = [list(row) for row in ints]
+    rows[i][j] += 1
+    return ExactMatrix._lowest(rows, den)
+
+
+def _over_another_denominator(matrix: ExactMatrix) -> ExactMatrix:
+    """The same integer storage over another denominator that leaves it in lowest terms."""
+    ints, den = matrix._integers()
+    other = 1 if den != 1 else max(abs(x) for row in ints for x in row) + 1
+    changed = ExactMatrix._lowest(ints, other)
+    assert changed._integers() == (ints, other)
+    return changed
+
+
+@st.composite
+def mirrored_tensors(draw):
+    """Tensors whose blocks come in mirrored pairs (a, b), (b, a).
+
+    Each pair is a twin (block (b, a) the transpose of block (a, b)) or a near
+    twin: one stored entry off by one, or the same integers over another
+    denominator.  A draw may mix both kinds, and with ``foreign`` the right
+    factor is another model whose bases agree with the left one's on the
+    degrees used, so every block keeps the shape of a twin.
+    """
+    n = draw(st.integers(1, 4))
+    foreign = draw(st.booleans())
+    if draw(st.booleans()):
+        left, right = build_algebra(n), (build_algebra(n + 1) if foreign else build_algebra(n))
+        top = n if foreign else 2 * n  # U(n) and U(n+1) share their bases up to degree n
+    else:
+        left, right = SOAlgebra(n), (SOAlgebra(n + 1) if foreign else SOAlgebra(n))
+        top = n
+    pairs = draw(st.lists(st.tuples(st.integers(0, top), st.integers(0, top)), max_size=5, unique=True))
+    blocks = {}
+    for a, b in pairs:
+        a, b = min(a, b), max(a, b)
+        matrix = draw(matrices(left.dim(a), right.dim(b)))
+        blocks[(a, b)] = matrix
+        if a == b or matrix.is_zero():
+            continue
+        twin = matrix.transpose()
+        kind = draw(st.sampled_from(["twin", "twin", "entry", "denominator"]))
+        if kind == "entry":
+            twin = _off_by_one(twin, draw(st.integers(0, twin.rows - 1)), draw(st.integers(0, twin.cols - 1)))
+        elif kind == "denominator":
+            twin = _over_another_denominator(twin)
+        blocks[(b, a)] = twin
+    return TensorElement(left, right, blocks)
+
+
+def _writers_match_oracles(tensor) -> bool:
+    return format_tensor(tensor, "json") == json.dumps(tensor_json(tensor), indent=2) and all(
+        format_tensor(tensor, fmt) == tensor_text(tensor, fmt) for fmt in ("plain", "latex")
+    )
+
+
+A2 = build_algebra(2)
+TWINS = TensorElement(A2, A2, {(1, 3): ExactMatrix([[F(-2, 3)]]), (3, 1): ExactMatrix([[F(-2, 3)]])})
+ROW = ExactMatrix([[F(1, 2), -3]])
+NEAR_TWINS = [
+    TensorElement(A2, A2, {(1, 2): ROW, (2, 1): _off_by_one(ROW.transpose(), 1, 0)}),  # one entry differs
+    TensorElement(A2, A2, {(1, 2): ROW, (2, 1): _over_another_denominator(ROW.transpose())}),  # 1/2, -3 -> 1, -6
+    TensorElement(A2, A2, {(0, 4): ONE, (4, 0): ExactMatrix([[-1]])}),
+]
+
+
+@given(mirrored_tensors())
+@settings(max_examples=150, deadline=None)
+@example(TWINS)
+@example(NEAR_TWINS[0])
+@example(NEAR_TWINS[1])
+@example(TensorElement(build_algebra(2), build_algebra(3), {(1, 2): ROW, (2, 1): ROW.transpose()}))
+@example(kinematic_of(3, build_algebra(3).normal_form("s*t^2 + t - 4/5")))
+def test_pair_walk_matches_the_oracles_on_twins_and_near_twins(tensor):
+    assert _writers_match_oracles(tensor)
+
+
+@pytest.mark.parametrize(
+    "compare", [lambda matrix, twin: True, lambda matrix, twin: twin._ints == matrix.transpose()._ints]
+)
+def test_a_pair_walk_that_skips_the_storage_compare_is_caught(monkeypatch, compare):
+    """A twin reused without the compare, or with its denominator unread, writes a near twin wrongly."""
+    monkeypatch.setattr(emit, "_is_mirror", compare)
+    assert _writers_match_oracles(TWINS)
+    caught = [tensor for tensor in NEAR_TWINS if not _writers_match_oracles(tensor)]
+    assert caught, "a mutant pair walk passed every near twin"
+    assert NEAR_TWINS[1] in caught  # the denominator-only difference
+
+
+def test_kinematic_tensors_take_the_pair_path(monkeypatch):
+    """Every block (a, b) with a < b of kinematic_of(32, t) gets its cells read once, for both blocks of its pair."""
+    tensor = kinematic_of(32, build_algebra(32).normal_form("t"))
+    blocks = tensor.blocks
+    assert all((b, a) in blocks for a, b in blocks)
+    half = [key for key in blocks if key[0] <= key[1]]
+    assert len(half) < len(blocks)
+    calls = {"json": 0, "rows": 0}
+    real_to_json, real_cells = ExactMatrix.to_json, emit._cells
+
+    def counting_to_json(matrix):
+        calls["json"] += 1
+        return real_to_json(matrix)
+
+    def counting_cells(*args):
+        calls["rows"] += 1
+        return real_cells(*args)
+
+    monkeypatch.setattr(ExactMatrix, "to_json", counting_to_json)
+    monkeypatch.setattr(emit, "_cells", counting_cells)
+    expected = {fmt: tensor_text(tensor, fmt) for fmt in ("plain", "latex")}
+    assert format_tensor(tensor, "json") == json.dumps(tensor_json(tensor), indent=2)
+    assert calls["json"] == len(half)
+    for fmt in ("plain", "latex"):
+        calls["rows"] = 0
+        assert format_tensor(tensor, fmt) == expected[fmt]
+        assert calls["rows"] == sum(blocks[key].rows for key in half), fmt
+
+
+def test_normal_form_and_companion_documents():
+    poly = build_algebra(2).normal_form("s - 1/2*t^2 + 3").poly
+    assert json.loads(format_normal_form(2, poly, "json")) == {"n": 2, "normal_form": "3 - 1/2*t^2 + s"}
+    assert format_normal_form(2, poly, "json") == json.dumps({"n": 2, "normal_form": str(poly)}, indent=2)
+    assert format_normal_form(2, poly, "plain") == "3 - 1/2*t^2 + s"
+    assert format_normal_form(2, poly, "latex") == "3 + s - \\frac{1}{2}t^2"
+    data = companion_data(3, 1)
+    assert format_companion(data, "json") == json.dumps({"n": 3, "k": 1, "a": ["1/2", "-2"]}, indent=2)
+    assert format_companion(data, "plain") == "0  -1/2\n1     2\na: 1/2, -2"
+    assert format_companion(data, "latex") == format_matrix(data.matrix, "latex")

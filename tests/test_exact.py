@@ -242,6 +242,23 @@ def test_row_reduce_matches_fraction_oracle(case):
     assert all(type(x) is int for row in ints for x in row)
 
 
+@given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3), min_size=1, max_size=4))
+@settings(max_examples=100)
+def test_row_reduce_leaves_primitive_rows(rows):
+    """Rows with gcd 1 go in, so every row that comes out has gcd 1 or is zero: entries do not grow needlessly."""
+    primitive = [[x // (gcd(*row) or 1) for x in row] for row in rows]
+    _row_reduce(primitive, 2)
+    assert all(gcd(*row) in (0, 1) for row in primitive), primitive
+
+
+def test_row_reduce_divides_by_the_gcd_of_each_new_row():
+    # Clearing column 0 makes [0, 2], which is cut to [0, 1]; kept whole, it would grow
+    # every later row (x * g in place of x // g gives [[16, 0], [0, 4]]).
+    rows = [[1, 1], [1, 3]]
+    assert _row_reduce(rows, 2) == [0, 1]
+    assert rows == [[1, 0], [0, 1]]
+
+
 @st.composite
 def span_cases(draw, max_length=5):
     # Integer generators with zeros, zero vectors and combinations of earlier

@@ -331,6 +331,29 @@ def test_product_images_match_the_slow_products(case):
         assert _as_fractions(_product_images(phi, alg, d)) == _as_fractions(expected), d
 
 
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), elements(n))))
+@settings(max_examples=40, deadline=None)
+@example((4, build_algebra(4).normal_form("0")))
+@example((4, build_algebra(4).one()))
+@example((5, build_algebra(5).normal_form("s")))
+@example((5, build_algebra(5).normal_form("2 - s*t + 1/3*t^4 + s^3*t^2")))
+def test_every_column_of_a_source_degree_reaches_the_same_target_degrees(case):
+    """The invariant ``_product_images`` reads: ``_accumulate`` makes a row for each degree phi's terms reach.
+
+    Sources of other dimensions cover restriction (phi = 1) and the s-step (phi = s).
+    """
+    n, phi = case
+    alg = phi.algebra
+    for source in (alg, build_algebra(n + 1), build_algebra(max(n - 1, 1))):
+        for d in range(source.top_degree + 1):
+            columns = [
+                alg._accumulate(((p + a, q + b), c) for (a, b), c in phi.poly._num.items())
+                for p, q in source.basis(d)
+            ]
+            reached = {d + 2 * a + b for a, b in phi.poly._num if d + 2 * a + b <= alg.top_degree}
+            assert all(set(column) == reached for column in columns), (alg.n, source.n, d)
+
+
 def test_kinematic_of_reads_the_tables_without_products(monkeypatch):
     alg = build_algebra(6)
     phis = [alg.normal_form(text) for text in ("1", "0", "s*t - 2/3*t^5 + s^3", "7*t^12")]

@@ -19,7 +19,7 @@ from unival import (
 )
 from unival.algebra import build_algebra
 from unival.emit import format_poly, latex_magnitude, monomial_latex
-from unival.poly import _describe, _tokenize, format_monomial, plain_magnitude
+from unival.poly import _describe, _tokenize, format_monomial
 from unival.suite import (
     _shift,
     difference_identity_holds,
@@ -275,7 +275,7 @@ def _oracle_format(p: GradedPoly, fmt: str) -> str:
         )
     ordered = sorted(p.terms.items(), key=lambda item: (2 * item[0][0] + item[0][1], item[0][0]))
     plain = _oracle_join(
-        ((c, None if m == (0, 0) else format_monomial(m)) for m, c in ordered), plain_magnitude, "*"
+        ((c, None if m == (0, 0) else format_monomial(m)) for m, c in ordered), lambda num, den: str(F(num, den)), "*"
     )
     return json.dumps(plain) if fmt == "json" else plain
 

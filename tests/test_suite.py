@@ -487,13 +487,13 @@ def test_suite_catches_products_left_out_of_lowest_terms(monkeypatch, fresh_matr
 
 
 def test_suite_catches_a_corrupted_pair_formatter(monkeypatch):
-    def corrupted(bodies, numerators, den, magnitude, times):
+    def corrupted(bodies, numerators, den, fraction, times):
         """The signed-sum writer with each denominator cut by the gcd but its numerator left whole."""
         chunks = []
         for body, x in zip(bodies, numerators):
             if x:
                 sign, x = (" - ", -x) if x < 0 else (" + ", x)
-                text = magnitude(x, den // gcd(x, den))
+                text = str(x) if den // gcd(x, den) == 1 else fraction % (x, den // gcd(x, den))
                 chunks.append(sign + (text if body is None else body if text == "1" else f"{text}{times}{body}"))
         text = "".join(chunks)
         return "0" if not text else text[3:] if text[1] == "+" else "-" + text[3:]
