@@ -203,7 +203,7 @@ def companion_data(n: int, k: int) -> CompanionData:
     if not 0 <= 2 * k <= n - 1:
         raise IndexOutOfRange(f"requires 0 <= 2k <= n-1, got n={n}, k={k}")
     product = (kinematic_matrix(n, k) @ pairing_matrix(n - 1, k)).scale(Fraction(n, 2 * (2 * n - 1)))
-    ints, den = product._integers()
+    ints, den = product._ints, product._den
     for i in range(k + 1):
         for j in range(k):
             if ints[i][j] != den * (i == j + 1):

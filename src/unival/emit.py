@@ -7,9 +7,12 @@ All emitters are deterministic: identical inputs produce identical bytes.
 Every signed sum, a polynomial in either order or a tensor block, is
 written straight from integer numerators over one denominator by one pair
 of writers: ``poly._cells`` for the coefficients, ``poly._join`` for the
-sum.  Tensor and matrix JSON is written straight from the integer storage
-in the layout of ``json.dumps(..., indent=2)``, because ``indent`` sends
-``json.dumps`` to its pure-Python encoder.
+sum.  A LaTeX matrix entry is a sum of one term, so every printed rational
+but the plain and JSON matrix entries (``ExactMatrix.to_json``) is cut to
+lowest terms, signed and typeset by ``_cells``.  Tensor and matrix JSON is
+written straight from the integer storage in the layout of
+``json.dumps(..., indent=2)``, because ``indent`` sends ``json.dumps`` to
+its pure-Python encoder.
 
 The tensor emitters walk the sorted blocks once, in pairs
 (``_block_texts``).  When block (b, a) stores exactly the transpose of
@@ -34,15 +37,6 @@ from .suite import SuiteReport
 
 
 LATEX_FRACTION = "\\frac{%d}{%d}"
-
-
-def latex_magnitude(numerator: int, denominator: int) -> str:
-    return str(numerator) if denominator == 1 else LATEX_FRACTION % (numerator, denominator)
-
-
-def rational_latex(numerator: int, denominator: int) -> str:
-    sign = "-" if numerator < 0 else ""
-    return sign + latex_magnitude(abs(numerator), denominator)
 
 
 def _power_latex(symbol: str, exponent: int) -> str:
@@ -82,7 +76,11 @@ def matrix_plain(m: ExactMatrix) -> str:
 
 
 def matrix_latex(m: ExactMatrix) -> str:
-    body = " \\\\\n".join(" & ".join(rational_latex(*pair) for pair in row) for row in m._pair_rows())
+    """Each entry as a one-term signed sum: its ``_cells`` cell under ``_join``'s first-sign rule, a zero as "0"."""
+    body = " \\\\\n".join(
+        " & ".join(_join([cell]) if cell else "0" for cell in _cells(row, m._den, LATEX_FRACTION, "", unit="1"))
+        for row in m._ints
+    )
     return f"\\begin{{bmatrix}}\n{body}\n\\end{{bmatrix}}"
 
 
@@ -110,8 +108,6 @@ def format_matrix(m: ExactMatrix, fmt: str) -> str:
 
 
 def format_poly(poly: GradedPoly, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(poly_format(poly))
     if fmt == "latex":
         return poly_latex(poly)
     return poly_format(poly)

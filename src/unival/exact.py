@@ -150,19 +150,6 @@ class ExactMatrix:
             [str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for x in row] for row in self._ints
         ]
 
-    def _integers(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The storage: integer rows over one denominator, in lowest terms."""
-        return self._ints, self._den
-
-    def _pair_rows(self) -> Iterator[list[tuple[int, int]]]:
-        """Each row's entries as lowest-terms (numerator, denominator) pairs, one row at a time.
-
-        The LaTeX matrix cells read it: one gcd per entry (a zero comes out
-        as (0, 1)).
-        """
-        den = self._den
-        return ([(x // g, den // g) for x in row for g in (gcd(x, den),)] for row in self._ints)
-
     def row(self, i: int) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self._den) for x in self._ints[i])
 

@@ -125,7 +125,7 @@ def _map_factor(tensor: TensorElement, phi: AlgebraElement, left: bool, half: bo
     Each source degree the blocks use is mapped into phi's model by its
     integer image matrices ``{d2: (M, den)}`` (``_product_images``), once per
     map and before any block, however many blocks share the degree.
-    With K a block's stored integer rows (``ExactMatrix._integers``), the new
+    With K a block's stored integer rows (``ExactMatrix._ints``), the new
     block is M K on the left and K M^T = (M K^T)^T on the right: each an
     integer product applied by the nonzeros of M's rows (``_apply``), wrapped
     in lowest terms.  Products landing on the same bidegree are summed.
@@ -146,7 +146,7 @@ def _map_factor(tensor: TensorElement, phi: AlgebraElement, left: bool, half: bo
     images = {d: _product_images(phi, source, d) for d in degrees}
     blocks: dict[tuple[int, int], ExactMatrix] = {}
     for (dl, dr), matrix in items:
-        k_rows, k_den = matrix._integers()
+        k_rows, k_den = matrix._ints, matrix._den
         k_cols = list(zip(*k_rows))
         for d2, (m_rows, m_den) in images[dl if left else dr].items():
             if left:
@@ -230,7 +230,7 @@ def annihilator_congruence_holds(n: int, k: int) -> bool:
         return [[element.poly._num.get(mono, 0) for mono in basis] for element in annihilator_basis(alg, d)]
 
     for (dl, dr), matrix in residual.blocks.items():
-        target = [x for row in matrix._integers()[0] for x in row]
+        target = [x for row in matrix._ints for x in row]
         left_vecs = annihilator_vectors(dl)
         right_vecs = annihilator_vectors(dr)
         if not left_vecs or not right_vecs:

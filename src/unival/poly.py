@@ -26,6 +26,7 @@ models.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -275,18 +276,17 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             j = i
             while j < len(text) and text[j].isdecimal():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            try:
+                tokens.append(("int", int(text[i:j]), i))
+            except ValueError:  # more digits than int() reads under sys.get_int_max_str_digits()
+                limit = sys.get_int_max_str_digits()
+                raise ParseError(f"number of {j - i} digits exceeds the limit of {limit} digits", i) from None
             i = j
             continue
-        if ch in "st":
-            tokens.append(("sym", ch, i))
-            i += 1
-            continue
-        if ch in "+-*/^":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r} (expected a digit, 's', 't', or an operator)", i)
+        if ch not in "st+-*/^":
+            raise ParseError(f"unexpected character {ch!r} (expected a digit, 's', 't', or an operator)", i)
+        tokens.append(("sym" if ch in "st" else ch, ch, i))
+        i += 1
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -296,77 +296,51 @@ def _describe(kind: str, value) -> str:
 
 
 def poly_parse(text: str) -> GradedPoly:
-    """Parse the text grammar into a GradedPoly; round-trips with poly_format."""
+    """Parse the text grammar into a GradedPoly; round-trips with poly_format.
+
+    One flat loop reads each term after its sign, and inside it each factor.
+    """
     tokens = _tokenize(text)
-    pos = 0
-
-    def peek() -> tuple[str, object, int]:
-        return tokens[pos]
-
-    def advance() -> tuple[str, object, int]:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def expect_int(context: str) -> int:
-        kind, value, at = peek()
-        if kind != "int":
-            raise ParseError(f"expected {context}, found {_describe(kind, value)}", at)
-        advance()
-        return value  # type: ignore[return-value]
-
-    def parse_factor(coeff: tuple[int, int], powers: dict[str, int]) -> tuple[int, int]:
-        kind, value, at = peek()
-        if kind == "int":
-            advance()
-            numerator, denominator = coeff
-            if peek()[0] == "/":
-                advance()
-                _, _, d_at = peek()
-                divisor = expect_int("a denominator after '/'")
-                if divisor == 0:
-                    raise ParseError("zero denominator", d_at)
-                denominator *= divisor
-            return numerator * value, denominator
-        if kind == "sym":
-            advance()
-            exponent = 1
-            if peek()[0] == "^":
-                advance()
-                exponent = expect_int("an exponent after '^'")
-            powers[value] += exponent  # type: ignore[index]
-            return coeff
-        raise ParseError(f"expected a number, 's', or 't', found {_describe(kind, value)}", at)
-
-    def parse_term() -> tuple[tuple[int, int], Monomial]:
-        powers = {"s": 0, "t": 0}
-        coeff = parse_factor((1, 1), powers)
-        while peek()[0] == "*":
-            advance()
-            coeff = parse_factor(coeff, powers)
-        return coeff, (powers["s"], powers["t"])
-
-    kind, value, at = peek()
-    if kind == "end":
-        raise ParseError("empty input (expected a term)", at)
-
+    if tokens[0][0] == "end":
+        raise ParseError("empty input (expected a term)", tokens[0][2])
     terms: list[tuple[Monomial, int, int]] = []  # (monomial, signed numerator, denominator)
-    sign = 1
-    if kind in ("+", "-"):
-        advance()
-        sign = -1 if kind == "-" else 1
-    while True:
-        (numerator, denominator), mono = parse_term()
-        terms.append((mono, sign * numerator, denominator))
-        kind, value, at = peek()
-        if kind == "end":
-            break
+    pos = 0
+    while tokens[pos][0] != "end":
+        kind, value, at = tokens[pos]
         if kind in ("+", "-"):
-            advance()
-            sign = -1 if kind == "-" else 1
-            continue
-        raise ParseError(f"expected '+' or '-' between terms, found {_describe(kind, value)}", at)
+            pos += 1
+        elif terms:  # only the first term's sign may be left out
+            raise ParseError(f"expected '+' or '-' between terms, found {_describe(kind, value)}", at)
+        sign = -1 if kind == "-" else 1
+        numerator = denominator = 1
+        powers = {"s": 0, "t": 0}
+        while True:
+            kind, value, at = tokens[pos]
+            pos += 1
+            if kind == "int":
+                numerator *= value
+                if tokens[pos][0] == "/":
+                    kind, value, at = tokens[pos + 1]
+                    if kind != "int":
+                        raise ParseError(f"expected a denominator after '/', found {_describe(kind, value)}", at)
+                    if value == 0:
+                        raise ParseError("zero denominator", at)
+                    denominator *= value
+                    pos += 2
+            elif kind == "sym":
+                exponent = 1
+                if tokens[pos][0] == "^":
+                    kind, exponent, at = tokens[pos + 1]
+                    if kind != "int":
+                        raise ParseError(f"expected an exponent after '^', found {_describe(kind, exponent)}", at)
+                    pos += 2
+                powers[value] += exponent
+            else:
+                raise ParseError(f"expected a number, 's', or 't', found {_describe(kind, value)}", at)
+            if tokens[pos][0] != "*":
+                break
+            pos += 1
+        terms.append(((powers["s"], powers["t"]), sign * numerator, denominator))
     return GradedPoly._sum(terms)
 
 

@@ -427,8 +427,8 @@ def _check_kinematic_positivity(n_max: int) -> Optional[str]:
         for k in range(n // 2 + 1):
             if not is_positive_definite(kinematic_matrix(n, k)):
                 return f"n={n}, k={k}: kinematic matrix is not positive definite"
-            ints, den = pairing_matrix(n, k)._integers()
-            expected = _elimination_pivots([list(row[::-1]) for row in reversed(ints)], den)
+            pairing = pairing_matrix(n, k)
+            expected = _elimination_pivots([list(row[::-1]) for row in reversed(pairing._ints)], pairing._den)
             pivots = pairing_pivots(n, k)
             if pivots != expected:
                 return (
@@ -791,7 +791,7 @@ def kinematic_annihilator_block(n: int, k: int) -> ExactMatrix:
         raise IndexOutOfRange(f"requires k >= 1 and 2k+1 <= n, got n={n}, k={k}")
     a_inv = annihilator_change_of_basis(n, k).inverse()
     m = a_inv.transpose() @ kinematic_matrix(n, k) @ a_inv
-    ints, den = m._integers()
+    ints, den = m._ints, m._den
     if ints[0] != (den, *[0] * k) or any(row[0] for row in ints[1:]):
         raise StructureViolation(
             f"kinematic matrix n={n}, k={k} does not split off the unit block in annihilator coordinates"
@@ -799,7 +799,7 @@ def kinematic_annihilator_block(n: int, k: int) -> ExactMatrix:
     block = m.block(1, k + 1, 1, k + 1)
     if not block.is_symmetric():
         raise StructureViolation(f"annihilator block n={n}, k={k} is not symmetric")
-    if len(_row_reduce(list(block._integers()[0]), k)) < k:
+    if len(_row_reduce(list(block._ints), k)) < k:
         raise StructureViolation(f"annihilator block n={n}, k={k} is singular")
     return block
 
@@ -864,8 +864,8 @@ def step_down_identity_holds(n: int, k: int) -> bool:
 
     Also checks the binomial identity used alongside it for i = 0..k-1.
     """
-    small, den = kinematic_matrix(n - 1, k - 1)._integers()
-    expected = ExactMatrix._lowest([[den] + [0] * k, *([0, *row] for row in small)], den)
+    small = kinematic_matrix(n - 1, k - 1)
+    expected = ExactMatrix._lowest([[small._den] + [0] * k, *([0, *row] for row in small._ints)], small._den)
     if step_down_matrix(n, k) @ kinematic_matrix(n, k) != expected:
         return False
     return all(binomial_reduction_identity(n, i) for i in range(k))

@@ -175,6 +175,17 @@ def test_parse_error_exit_code(capsys):
     assert "unexpected character 'q'" in err
 
 
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: this interpreter sets no limit
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="the interpreter has no int-string limit")
+def test_oversized_number_is_a_parse_error(capsys):
+    """A digit run that int() would refuse is a ParseError at its first digit, not int()'s ValueError."""
+    code, out, err = _capture(capsys, ["reduce", "--n", "2", "1" * (INT_DIGITS + 1)])
+    assert (code, out) == (1, "")
+    assert err == f"error: position 0: number of {INT_DIGITS + 1} digits exceeds the limit of {INT_DIGITS} digits\n"
+
+
 def test_index_error_exit_code(capsys):
     code, _, err = _capture(capsys, ["matrix", "--n", "2", "--k", "3", "--which", "P"])
     assert code == 1

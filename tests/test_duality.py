@@ -332,7 +332,7 @@ def test_integer_checks_keep_their_counterexamples(monkeypatch, fresh_matrix_cac
         q = real_kinematic_matrix(n, k)
         if (n, k) != (6, 2):
             return q
-        ints, den = q._integers()
+        ints, den = q._ints, q._den
         rows = [list(row) for row in ints]
         rows[2][2] += 1
         return ExactMatrix._lowest(rows, den)

@@ -26,7 +26,6 @@ from unival.emit import (
     format_matrix,
     format_normal_form,
     format_tensor,
-    latex_magnitude,
     monomial_latex,
 )
 from unival.poly import format_monomial
@@ -108,6 +107,36 @@ def test_matrix_json_writer_matches_json_dumps(matrix):
     assert format_matrix(matrix, "json") == json.dumps(_entry_strings(matrix), indent=2)
 
 
+def latex_magnitude(numerator: int, denominator: int) -> str:
+    return str(numerator) if denominator == 1 else f"\\frac{{{numerator}}}{{{denominator}}}"
+
+
+def matrix_latex(matrix: ExactMatrix) -> str:
+    """Oracle: each entry read as a ``Fraction`` from ``to_rows``, its sign before its lowest-terms magnitude."""
+    body = " \\\\\n".join(
+        " & ".join(("-" if x < 0 else "") + latex_magnitude(abs(x.numerator), x.denominator) for x in row)
+        for row in matrix.to_rows()
+    )
+    return f"\\begin{{bmatrix}}\n{body}\n\\end{{bmatrix}}"
+
+
+@given(matrices())
+@settings(max_examples=120, deadline=None)
+@example(ExactMatrix([[0]]))
+@example(ExactMatrix([[1, -1], [F(-1, 2), 10**30]]))
+@example(ExactMatrix([[F(6, 4), F(-7, 3), 0, F(-10**12, 7)]]))
+def test_matrix_latex_writer_matches_a_fraction_oracle(matrix):
+    assert format_matrix(matrix, "latex") == matrix_latex(matrix)
+
+
+@given(st.integers(1, 24).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (n - 1) // 2))))
+@settings(max_examples=40, deadline=None)
+@example((3, 1))
+def test_companion_latex_matches_a_fraction_oracle(case):
+    data = companion_data(*case)
+    assert format_companion(data, "latex") == matrix_latex(data.matrix)
+
+
 def _oracle_signed_sum(terms, magnitude, times: str) -> str:
     """The old sign rules over ``(Fraction, body)`` terms: zeros skipped, unit coefficients left out."""
     chunks = []
@@ -168,7 +197,7 @@ def test_basis_writer_writes_every_format():
 
 def _off_by_one(matrix: ExactMatrix, i: int, j: int) -> ExactMatrix:
     """The matrix with integer entry (i, j) of its storage off by one, over the same denominator."""
-    ints, den = matrix._integers()
+    ints, den = matrix._ints, matrix._den
     rows = [list(row) for row in ints]
     rows[i][j] += 1
     return ExactMatrix._lowest(rows, den)
@@ -176,10 +205,10 @@ def _off_by_one(matrix: ExactMatrix, i: int, j: int) -> ExactMatrix:
 
 def _over_another_denominator(matrix: ExactMatrix) -> ExactMatrix:
     """The same integer storage over another denominator that leaves it in lowest terms."""
-    ints, den = matrix._integers()
+    ints, den = matrix._ints, matrix._den
     other = 1 if den != 1 else max(abs(x) for row in ints for x in row) + 1
     changed = ExactMatrix._lowest(ints, other)
-    assert changed._integers() == (ints, other)
+    assert (changed._ints, changed._den) == (ints, other)
     return changed
 
 

@@ -128,10 +128,11 @@ def test_wrapped_integer_rows_equal_checked_construction():
     # [[1/3, 0], [-2, 22/7]] as integer rows over 42, not in lowest terms.
     wrapped = ExactMatrix._lowest([[14, 0], [-84, 132]], 42)
     assert wrapped == ExactMatrix([[F(1, 3), F(0)], [F(-2), F(22, 7)]])
-    assert wrapped._integers() == (((7, 0), (-42, 66)), 21)
+    assert (wrapped._ints, wrapped._den) == (((7, 0), (-42, 66)), 21)
     assert (wrapped.rows, wrapped.cols) == (2, 2)
     assert wrapped.transpose() == ExactMatrix([[F(1, 3), F(-2)], [F(0), F(22, 7)]])
-    assert ExactMatrix._lowest([[0, 0]], 12)._integers() == (((0, 0),), 1)
+    zero = ExactMatrix._lowest([[0, 0]], 12)
+    assert (zero._ints, zero._den) == (((0, 0),), 1)
 
 
 def test_identity_inverse():
@@ -334,9 +335,8 @@ def test_reduction_tables_match_fraction_oracle(monkeypatch):
 def test_integer_form_is_the_storage():
     entries = [[F(1, 2), F(-2, 3), F(0)], [F(5), F(1, 6), F(-7, 4)]]
     matrix = ExactMatrix(entries)
-    ints, den = matrix._integers()
+    ints, den = matrix._ints, matrix._den
     assert (ints, den) == (((6, -8, 0), (60, 2, -21)), 12)
-    assert ints is matrix._ints and matrix._integers()[0] is ints
     assert all(type(x) is int for row in ints for x in row)
     # Equal matrices built six ways share one storage.
     built = [
@@ -347,14 +347,13 @@ def test_integer_form_is_the_storage():
         matrix.scale(3).scale(F(1, 3)),
         ExactMatrix([[3, -4, 0], [30, 1, F(-21, 2)]]).scale(F(1, 6)),
     ]
-    assert all(other._integers() == (ints, den) for other in built)
+    assert all((other._ints, other._den) == (ints, den) for other in built)
     # Public scalars are Fractions; booleans come in as ints.
     assert matrix.row(1) == tuple(entries[1]) and matrix.to_rows() == entries
     assert all(type(x) is F for x in (*matrix.row(0), matrix[1, 2], *matrix.to_rows()[1]))
-    # The output reader: every entry in lowest terms, zeros as (0, 1).
-    assert [list(row) for row in matrix._pair_rows()] == [[(1, 2), (-2, 3), (0, 1)], [(5, 1), (1, 6), (-7, 4)]]
-    assert ExactMatrix([[True, 2]])._integers() == (((1, 2),), 1)
-    assert type(ExactMatrix([[True]])._integers()[0][0][0]) is int
+    booleans = ExactMatrix([[True, 2]])
+    assert (booleans._ints, booleans._den) == (((1, 2),), 1)
+    assert type(ExactMatrix([[True]])._ints[0][0]) is int
     with pytest.raises(TypeError):
         matrix.scale(0.5)
 
@@ -432,7 +431,7 @@ def test_apply_is_the_integer_product(case):
 
 
 def _is_canonical(m: ExactMatrix) -> bool:
-    ints, den = m._integers()
+    ints, den = m._ints, m._den
     return den > 0 and gcd(den, *(x for row in ints for x in row)) == 1
 
 
@@ -454,16 +453,17 @@ def test_integer_matrices_match_fraction_oracle(case):
         assert got.to_rows() == want, name
         assert got == ExactMatrix(want) and _is_canonical(got), name
     # transpose stores the columns as they are: what _lowest would store, and undone by a second transpose
-    ints, den = ma._integers()
+    ints, den = ma._ints, ma._den
     flipped = ma.transpose()
-    assert flipped._integers() == ExactMatrix._lowest(zip(*ints), den)._integers()
+    wrapped = ExactMatrix._lowest(zip(*ints), den)
+    assert (flipped._ints, flipped._den) == (wrapped._ints, wrapped._den)
     assert (flipped.rows, flipped.cols) == (ma.cols, ma.rows)
-    assert flipped.transpose()._integers() == (ints, den)
+    back = flipped.transpose()
+    assert (back._ints, back._den) == (ints, den)
     assert (ma == mb) == (a == b)
     assert ma.is_zero() == all(x == 0 for row in a for x in row)
     assert ma.is_symmetric() == (len(a) == len(a[0]) and a == [list(col) for col in zip(*a)])
     assert ma.to_json() == [[str(x) for x in row] for row in a]
-    assert [list(row) for row in ma._pair_rows()] == [[(x.numerator, x.denominator) for x in row] for row in a]
     if len(a) == len(a[0]):
         assert ma.det() == _oracle_det(a)
         inverse = _oracle_inverse([list(row) for row in a])

@@ -479,7 +479,8 @@ def test_suite_catches_a_corrupted_block_in_the_mapped_half(monkeypatch):
         if not (half and off_diagonal):
             return out
         key = max(off_diagonal)
-        ints, den = out.blocks[key]._integers()
+        block = out.blocks[key]
+        ints, den = block._ints, block._den
         rows = [list(row) for row in ints]
         rows[0][0] += 1
         return TensorElement(out.left, out.right, {**out.blocks, key: ExactMatrix._lowest(rows, den)})

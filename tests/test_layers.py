@@ -3,7 +3,9 @@
 The engine modules never reach up into the identity suite, the closed
 forms of ``duality`` build on ``errors`` and ``exact`` alone, and the checks
 that only the suite reads are defined in ``suite`` alone: every function of
-an engine module has a reader outside ``suite`` and ``__init__``.
+an engine module has a reader outside ``suite`` and ``__init__``, and so does
+every method of an engine class, unless a named entry says why it stays.
+Readers are matched by name, bare or as an attribute.
 """
 
 from __future__ import annotations
@@ -109,16 +111,63 @@ def test_the_name_reader_sees_bare_and_attribute_loads(tmp_path):
 TRACER_PINNED = {"solve_in_span", "is_positive_definite", "annihilator_congruence_holds", "step_up_identity_holds"}
 
 
-def test_every_engine_function_has_an_engine_reader():
+ENGINES = ("algebra", "poly", "exact", "duality", "kinematics")
+
+
+def _engine_reads() -> set[str]:
+    """Every name loaded in ``src/unival`` outside ``suite`` and ``__init__``."""
     readers = set()
     for path in SRC.glob("*.py"):
         if path.name not in ("suite.py", "__init__.py"):
             readers |= _read_names(path)
-    unread = {
-        engine: sorted(_defined_functions(SRC / f"{engine}.py") - readers - TRACER_PINNED)
-        for engine in ("algebra", "poly", "exact", "duality", "kinematics")
-    }
+    return readers
+
+
+def test_every_engine_function_has_an_engine_reader():
+    readers = _engine_reads()
+    unread = {engine: sorted(_defined_functions(SRC / f"{engine}.py") - readers - TRACER_PINNED) for engine in ENGINES}
     assert unread == {engine: [] for engine in unread}
+
+
+def _defined_methods(path: Path) -> set[tuple[str, str]]:
+    """``(class, method)`` for every method defined in a class body of the file, dunders left out."""
+    return {
+        (node.name, item.name)
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not (item.name.startswith("__") and item.name.endswith("__"))
+    }
+
+
+def test_the_method_reader_sees_methods_of_every_kind(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "class A:\n    def __init__(self): pass\n    def f(self): pass\n"
+        "    @classmethod\n    def g(cls): pass\n    @property\n    def h(self): pass\n\ndef k(): pass\n"
+    )
+    assert _defined_methods(probe) == {("A", "f"), ("A", "g"), ("A", "h")}
+
+
+# Engine methods that no engine module reads, each with the reason it stays in the engine.
+UNREAD_METHODS = {
+    ("UnitaryAlgebra", "reduction_of"): "benchmark pin: the tracer reads every table through it",
+    ("ExactMatrix", "det"): "benchmark pin: the tracer wraps it; the tests' determinant oracle",
+    ("ExactMatrix", "inverse"): "API: exact inversion; the suite reads it, the tracer wraps it",
+    ("ExactMatrix", "to_rows"): "API: the matrix as Fraction rows, beside row and indexing",
+    ("ExactMatrix", "identity"): "API: the identity matrix constructor; the suite reads it",
+    ("TensorElement", "multiply_left"): "API: a product placed on the left factor, twin of multiply_right",
+    ("TensorElement", "multiply_right"): "API: a product placed on the right factor; the suite's oracle",
+    ("AlgebraElement", "restrict"): "API: the restriction to U(n-1); the suite checks it is a homomorphism",
+    ("GradedPoly", "coefficient"): "API: one coefficient as a Fraction; the suite reads it",
+    ("GradedPoly", "total_degree"): "API: the top grade of a polynomial; the suite reads it",
+}
+
+
+def test_every_engine_method_has_an_engine_reader_or_a_reason():
+    readers = _engine_reads()
+    methods = set().union(*(_defined_methods(SRC / f"{engine}.py") for engine in ENGINES))
+    assert {method for method in methods if method[1] not in readers} == set(UNREAD_METHODS)
 
 
 

@@ -506,7 +506,7 @@ def test_suite_catches_a_corrupted_pair_formatter(monkeypatch):
 
 def _off_by_one(matrix: ExactMatrix, i: int, j: int) -> ExactMatrix:
     """The matrix with integer entry (i, j) of its storage off by one, over the same denominator."""
-    ints, den = matrix._integers()
+    ints, den = matrix._ints, matrix._den
     rows = [list(row) for row in ints]
     rows[i][j] += 1
     return ExactMatrix._lowest(rows, den)
