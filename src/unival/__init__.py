@@ -13,7 +13,6 @@ from .algebra import (
     AlgebraElement,
     SOAlgebra,
     UnitaryAlgebra,
-    annihilator_basis,
     basis_monomials,
     build_algebra,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "TensorElement",
     "UnitaryAlgebra",
     "UnivalError",
-    "annihilator_basis",
     "annihilator_change_of_basis",
     "basis_monomials",
     "build_algebra",

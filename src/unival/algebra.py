@@ -350,23 +350,3 @@ def build_algebra(n: int) -> UnitaryAlgebra:
         alg = _BUILD_CACHE.setdefault(n, UnitaryAlgebra(n))
     return alg
 
-
-def annihilator_basis(alg: UnitaryAlgebra, j: int) -> list[AlgebraElement]:
-    """Basis of the degree-j annihilator of the t-powers subalgebra.
-
-    The elements are (n-i)*s^i*t^(j-2i) - (4n-4i-2)*s^(i+1)*t^(j-2i-2) for
-    0 <= i < min(j, 2n-j)//2; there are dim(degree j) - 1 of them.  Degrees
-    where the annihilator vanishes (j in {0, 1, 2n-1, 2n}, and every degree
-    when n = 1) yield the empty list.
-    """
-    n = alg.n
-    if j < 0 or j > 2 * n:
-        raise DegreeOutOfRange(f"degree must lie in 0..{2 * n}, got {j}")
-    count = min(j, 2 * n - j) // 2
-    out = []
-    for i in range(count):
-        poly = GradedPoly(
-            {(i, j - 2 * i): n - i, (i + 1, j - 2 * i - 2): -(4 * n - 4 * i - 2)}
-        )
-        out.append(alg.normal_form(poly))
-    return out

@@ -99,8 +99,8 @@ def pairing_pivots(n: int, k: int) -> tuple[Fraction, ...]:
     if not 0 <= 2 * k <= n:
         raise IndexOutOfRange(f"pairing pivots require 0 <= 2k <= n, got n={n}, k={k}")
     big_n = n - 2 * k
-    num, den = comb(2 * big_n, big_n), comb(2 * n, n)
-    pivots = [Fraction(num, den)]
+    pivots = [pairing_value(n, 2 * k)]
+    num, den = pivots[0].as_integer_ratio()
     for i in range(1, k + 1):
         up, down = _pivot_ratio(big_n, i)
         num, den = num * up, den * down
@@ -161,22 +161,21 @@ def kinematic_matrix(n: int, k: int) -> ExactMatrix:
     return ExactMatrix._lowest(out, common)
 
 
-def annihilator_change_of_basis(n: int, k: int) -> ExactMatrix:
-    """Bidiagonal matrix expressing (t^j, annihilator elements) in monomials.
+def _annihilator_rows(n: int, j: int) -> list[list[int]]:
+    """The degree-j annihilator generators of the t-powers as integer rows over the degree-j basis.
 
-    Row 0 selects t^j; row r has (n-r+1) in column r-1 and -2(2n-2r+1) on the
-    diagonal, matching the annihilator basis elements degree by degree.
+    Generator i < min(j, 2n-j)//2 is (n-i) s^i t^(j-2i) - (4n-4i-2) s^(i+1) t^(j-2i-2).
     """
+    count = min(j, 2 * n - j) // 2
+    return [[0] * i + [n - i, -(4 * n - 4 * i - 2)] + [0] * (count - 1 - i) for i in range(count)]
+
+
+def annihilator_change_of_basis(n: int, k: int) -> ExactMatrix:
+    """Bidiagonal matrix of (t^2k, annihilator elements) in monomials: e_0 over ``_annihilator_rows(n, 2k)``."""
     n, k = index(n), index(k)
     if k < 0 or 2 * k + 1 > n:
         raise IndexOutOfRange(f"requires k >= 0 and 2k+1 <= n, got n={n}, k={k}")
-    size = k + 1
-    rows = [[0] * size for _ in range(size)]
-    rows[0][0] = 1
-    for r in range(1, size):
-        rows[r][r - 1] = n - r + 1
-        rows[r][r] = -2 * (2 * n - 2 * r + 1)
-    return ExactMatrix._lowest(rows, 1)
+    return ExactMatrix._lowest([[1] + [0] * k, *_annihilator_rows(n, 2 * k)], 1)
 
 
 class CompanionData(namedtuple("CompanionData", "n k matrix coefficients")):

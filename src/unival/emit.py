@@ -29,11 +29,9 @@ import json
 from functools import lru_cache
 
 from .algebra import SOAlgebra, basis_monomials
-from .duality import CompanionData
 from .exact import ExactMatrix
 from .poly import PLAIN_FRACTION, GradedPoly, Monomial, format_monomial, poly_format
 from .poly import _cells, _join, _labels, _signed_sum
-from .suite import SuiteReport
 
 
 LATEX_FRACTION = "\\frac{%d}{%d}"

@@ -20,13 +20,20 @@ deterministic.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
-from .errors import NotInSpan, NotSymmetric, SingularMatrix
+from .errors import NotInSpan, NotSymmetric, SingularMatrix, UnivalError
+
+
+def _refuse_long_integers() -> NoReturn:
+    """Raised from the ``ValueError`` of ``str`` on an integer longer than ``sys.get_int_max_str_digits()``."""
+    raise UnivalError(f"a result integer exceeds the limit of {sys.get_int_max_str_digits()} digits") from None
+
 
 def _ratio(value) -> tuple[int, int]:
     """An exact scalar as its lowest-terms (numerator, denominator); floats raise ``TypeError``."""
@@ -146,9 +153,13 @@ class ExactMatrix:
     def to_json(self) -> list[list[str]]:
         """Each entry as ``str`` prints its Fraction: one gcd per entry, an integer written as it is."""
         den = self._den
-        return [
-            [str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for x in row] for row in self._ints
-        ]
+        try:
+            return [
+                [str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for x in row]
+                for row in self._ints
+            ]
+        except ValueError:  # an integer longer than str() writes
+            _refuse_long_integers()
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self._den) for x in self._ints[i])

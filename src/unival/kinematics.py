@@ -13,10 +13,8 @@ blocks on and above the diagonal and fills the rest by transposing them.
 
 from __future__ import annotations
 
-from functools import cache
-
-from .algebra import AlgebraElement, SOAlgebra, UnitaryAlgebra, annihilator_basis, build_algebra
-from .duality import kinematic_matrix
+from .algebra import AlgebraElement, SOAlgebra, UnitaryAlgebra, build_algebra
+from .duality import _annihilator_rows, kinematic_matrix
 from .errors import AlgebraMismatch, DegreeOutOfRange
 from .exact import ExactMatrix, _apply, _first_outside_span
 from .poly import GradedPoly, S
@@ -209,9 +207,10 @@ def annihilator_congruence_holds(n: int, k: int) -> bool:
 
     Subtracts sum_{i+j = 2n+k} t^i x t^j from the kinematic tensor of t^k and
     tests every remaining block for membership in the span of the products of
-    annihilator basis vectors on both sides (``_first_outside_span``).  Both
-    are read as stored integer numerators: scaling a generator or the target
-    does not change span membership.
+    the annihilator generators on both sides (``_first_outside_span``), read
+    as the integer rows of ``_annihilator_rows``, and the block as its stored
+    integer numerators: scaling a generator or the target does not change
+    span membership.
     """
     alg = build_algebra(n)
     if not 0 <= k <= 2 * n:
@@ -223,16 +222,9 @@ def annihilator_congruence_holds(n: int, k: int) -> bool:
         corners[(i, 2 * n + k - i)] = ExactMatrix._lowest(rows, 1)
     tensor = kinematic_of(n, alg.normal_form(GradedPoly.monomial(0, k)))
     residual = tensor - TensorElement(alg, alg, corners)
-
-    @cache
-    def annihilator_vectors(d: int) -> list[list[int]]:
-        basis = alg.basis(d)
-        return [[element.poly._num.get(mono, 0) for mono in basis] for element in annihilator_basis(alg, d)]
-
     for (dl, dr), matrix in residual.blocks.items():
         target = [x for row in matrix._ints for x in row]
-        left_vecs = annihilator_vectors(dl)
-        right_vecs = annihilator_vectors(dr)
+        left_vecs, right_vecs = _annihilator_rows(n, dl), _annihilator_rows(n, dr)
         if not left_vecs or not right_vecs:
             return False
         generators = [[u * v for u in uvec for v in vvec] for uvec in left_vecs for vvec in right_vecs]

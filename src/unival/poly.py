@@ -36,7 +36,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import ParseError
-from .exact import _ratio
+from .exact import _ratio, _refuse_long_integers
 
 Monomial = tuple[int, int]  # (power of s, power of t); grade = 2*s_power + t_power
 
@@ -205,20 +205,23 @@ def _cells(
     """
     cells: list[str | None] = []
     append = cells.append
-    for x, body in zip(numerators, bodies or repeat("")):
-        if not x:
-            append(None)
-            continue
-        sign = " + "
-        if x < 0:
-            sign, x = " - ", -x
-        g = gcd(x, den)
-        if g != den:
-            append(f"{sign}{fraction % (x // g, den // g)}{times}{body}")
-        elif x == den:
-            append(f"{sign}{unit}{body}")
-        else:
-            append(f"{sign}{x // g}{times}{body}")
+    try:
+        for x, body in zip(numerators, bodies or repeat("")):
+            if not x:
+                append(None)
+                continue
+            sign = " + "
+            if x < 0:
+                sign, x = " - ", -x
+            g = gcd(x, den)
+            if g != den:
+                append(f"{sign}{fraction % (x // g, den // g)}{times}{body}")
+            elif x == den:
+                append(f"{sign}{unit}{body}")
+            else:
+                append(f"{sign}{x // g}{times}{body}")
+    except ValueError:  # an integer longer than str() writes
+        _refuse_long_integers()
     return cells
 
 

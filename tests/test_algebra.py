@@ -11,14 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unival import algebra
+from unival import algebra, annihilator_change_of_basis
 from unival import (
     AlgebraMismatch,
     DegreeOutOfRange,
     ExactMatrix,
     SOAlgebra,
     UnitaryAlgebra,
-    annihilator_basis,
     basis_monomials,
     build_algebra,
     kinematic_unit,
@@ -27,7 +26,7 @@ from unival import (
 )
 from unival.emit import format_tensor
 from unival.poly import GradedPoly, Monomial, S
-from unival.suite import series_dimension, top_coefficient
+from unival.suite import annihilator_basis, series_dimension, top_coefficient
 
 F = Fraction
 
@@ -310,6 +309,37 @@ def test_annihilator_basis_counts_and_range():
         with pytest.raises(DegreeOutOfRange):
             annihilator_basis(alg, -1)
     assert annihilator_basis(build_algebra(1), 1) == []
+
+
+def test_annihilator_basis_is_its_own_normal_form_and_the_change_of_basis_rows():
+    """The generators, written out here as polynomials, match the rule's elements with normal_form refused."""
+    expected = {}
+    for n in range(1, 13):
+        alg = build_algebra(n)
+        for j in range(2 * n + 1):
+            generators = (
+                GradedPoly({(i, j - 2 * i): n - i, (i + 1, j - 2 * i - 2): -(4 * n - 4 * i - 2)})
+                for i in range(min(j, 2 * n - j) // 2)
+            )
+            expected[n, j] = [alg.normal_form(g) for g in generators]
+
+    def refused(self, poly):
+        raise AssertionError("annihilator_basis called normal_form")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(UnitaryAlgebra, "normal_form", refused)
+        got = {(n, j): annihilator_basis(build_algebra(n), j) for n, j in expected}
+
+    def storage(elements):
+        return [(e.algebra, list(e.poly._num.items()), e.poly._den) for e in elements]
+
+    for key, elements in got.items():
+        assert storage(elements) == storage(expected[key]), key
+    for n in range(1, 13):
+        alg = build_algebra(n)
+        for k in range((n - 1) // 2 + 1):
+            coordinates = [tuple(e.poly._num.get(m, 0) for m in alg.basis(2 * k)) for e in got[n, 2 * k]]
+            assert annihilator_change_of_basis(n, k)._ints[1:] == tuple(coordinates), (n, k)
 
 
 def test_so_algebra_multiplication():

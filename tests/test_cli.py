@@ -186,6 +186,29 @@ def test_oversized_number_is_a_parse_error(capsys):
     assert err == f"error: position 0: number of {INT_DIGITS + 1} digits exceeds the limit of {INT_DIGITS} digits\n"
 
 
+@pytest.mark.skipif(not INT_DIGITS, reason="the interpreter has no int-string limit")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mul", "--n", "2", "7" * (INT_DIGITS - 300) + "*t", "7" * (INT_DIGITS - 300) + "*t"],
+        ["reduce", "--n", "3", "9" * INT_DIGITS + "*s^2"],
+        ["kinematic", "--n", "4", "--phi", "9" * INT_DIGITS + "*s"],
+        ["kinematic", "--n", "3", "--phi", "9" * INT_DIGITS + "*t", "--format", "json"],
+    ],
+    ids=["product", "normal-form", "tensor-plain", "tensor-json"],
+)
+def test_a_result_past_the_int_string_limit_is_refused(capsys, argv):
+    """A result integer that str() would refuse is a UnivalError, printed before any byte of stdout."""
+    assert _capture(capsys, argv) == (1, "", f"error: a result integer exceeds the limit of {INT_DIGITS} digits\n")
+    assert sys.get_int_max_str_digits() == INT_DIGITS
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="the interpreter has no int-string limit")
+def test_a_result_at_the_int_string_limit_prints(capsys):
+    digits = "1" + "0" * (INT_DIGITS - 1)
+    assert _capture(capsys, ["mul", "--n", "2", digits + "*t", "t"]) == (0, digits + "*t^2\n", "")
+
+
 def test_index_error_exit_code(capsys):
     code, _, err = _capture(capsys, ["matrix", "--n", "2", "--k", "3", "--which", "P"])
     assert code == 1

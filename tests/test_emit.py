@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from unival import (
     ExactMatrix,
     SOAlgebra,
     TensorElement,
+    UnivalError,
     build_algebra,
     companion_data,
     kinematic_of,
@@ -326,3 +328,17 @@ def test_normal_form_and_companion_documents():
     assert format_companion(data, "json") == json.dumps({"n": 3, "k": 1, "a": ["1/2", "-2"]}, indent=2)
     assert format_companion(data, "plain") == "0  -1/2\n1     2\na: 1/2, -2"
     assert format_companion(data, "latex") == format_matrix(data.matrix, "latex")
+
+
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: this interpreter sets no limit
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="the interpreter has no int-string limit")
+@pytest.mark.parametrize("fmt", ["plain", "json", "latex"])
+def test_matrix_entries_past_the_int_string_limit_are_refused(fmt):
+    """Entries of exactly the limit's digits are written; one digit more is a UnivalError in every format."""
+    at_limit = 10 ** (INT_DIGITS - 1)
+    for den in (1, 3):
+        assert str(at_limit) in format_matrix(ExactMatrix([[Fraction(at_limit, den), 1]]), fmt)
+        with pytest.raises(UnivalError, match=f"exceeds the limit of {INT_DIGITS} digits"):
+            format_matrix(ExactMatrix([[Fraction(10 * at_limit, den), 1]]), fmt)

@@ -1,7 +1,8 @@
 """The module layering of the package, read from the source with ``ast``.
 
 The engine modules never reach up into the identity suite, the closed
-forms of ``duality`` build on ``errors`` and ``exact`` alone, and the checks
+forms of ``duality`` build on ``errors`` and ``exact`` alone, the emitters
+on ``algebra``, ``exact`` and ``poly`` alone, and the checks
 that only the suite reads are defined in ``suite`` alone: every function of
 an engine module has a reader outside ``suite`` and ``__init__``, and so does
 every method of an engine class, unless a named entry says why it stays.
@@ -47,6 +48,11 @@ def test_duality_imports_only_errors_and_exact():
     assert _imported_modules(SRC / "duality.py") == {"errors", "exact"}
 
 
+def test_emit_imports_only_algebra_exact_and_poly():
+    # The suite report and the companion data are read in emit only as annotations, which need no import.
+    assert _imported_modules(SRC / "emit.py") == {"algebra", "exact", "poly"}
+
+
 @pytest.mark.parametrize("engine", ["algebra", "poly", "exact", "duality", "kinematics"])
 def test_engine_modules_do_not_import_the_suite(engine):
     assert "suite" not in _imported_modules(SRC / f"{engine}.py")
@@ -64,6 +70,7 @@ def test_the_reader_sees_every_import_form(tmp_path):
 SUITE_ONLY = {
     "_product_gram",
     "_shift",
+    "annihilator_basis",
     "binomial_reduction_identity",
     "coefficient_recurrences_hold",
     "companion_relation",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from math import gcd, lcm
 
 import pytest
@@ -278,16 +279,41 @@ def test_annihilator_entry_reports_the_first_element_outside_a_thinned_span(
 ):
     # One generator of degree j+1 left out, at the suite's binding alone: the one
     # elimination per (n, j) names the same element as a solve per element did.
-    real_annihilator_basis = algebra.annihilator_basis
+    real_rows = duality._annihilator_rows
 
-    def thinned(alg, j):
-        out = real_annihilator_basis(alg, j)
-        if (alg.n, j) == (n, degree):
+    def thinned(n_, j):
+        out = real_rows(n_, j)
+        if (n_, j) == (n, degree):
             del out[dropped]
         return out
 
-    monkeypatch.setattr(suite, "annihilator_basis", thinned)
+    monkeypatch.setattr(suite, "_annihilator_rows", thinned)
     assert _failing_entries(run_suite(7)) == {"annihilator": counterexample}
+
+
+@pytest.mark.parametrize(
+    ("entry", "recorded"),
+    [
+        ("ring-axioms", "build_algebra"),
+        ("restriction-homomorphism", "build_algebra"),
+        ("kinematic-cocommutativity", "build_algebra"),
+        ("kinematic-positive-definite", "kinematic_matrix"),
+    ],
+)
+def test_capped_entries_visit_the_range_their_scope_prints(monkeypatch, entry, recorded):
+    # A scope without a lower bound on n ("0 <= 2k <= n <= 12") starts at the smallest model, n = 1.
+    scope, check = next((scope, check) for name, _, scope, check in suite._catalogue(20) if name == entry)
+    low, high = re.search(r"(\d+) <= n\b", scope), re.search(r"\bn <= (\d+)", scope)
+    printed = set(range(int(low[1]) if low else 1, int(high[1]) + 1))
+    real, visits = getattr(suite, recorded), set()
+
+    def recording(n, *rest):
+        visits.add(n)
+        return real(n, *rest)
+
+    monkeypatch.setattr(suite, recorded, recording)
+    assert check(20) is None
+    assert visits == printed
 
 
 def test_suite_passes_without_the_span_solver(monkeypatch):
@@ -396,18 +422,18 @@ def test_suite_catches_corrupted_companion_coefficient(monkeypatch, fresh_matrix
 
 
 def test_suite_catches_corrupted_annihilator_basis(monkeypatch, fresh_matrix_caches):
-    real_annihilator_basis = algebra.annihilator_basis
+    real_rows = duality._annihilator_rows
 
-    def corrupted(alg, j):
-        """Adds t^2 to the first degree-2 annihilator element of the n=3 model."""
-        out = real_annihilator_basis(alg, j)
-        if (alg.n, j) == (3, 2):
-            out[0] = out[0] + alg.normal_form("t^2")
+    def corrupted(n, j):
+        """Adds t^2 to the first degree-2 annihilator generator of the n=3 model."""
+        out = real_rows(n, j)
+        if (n, j) == (3, 2):
+            out[0][0] += 1  # slot 0 of degree 2 is t^2
         return out
 
-    _patch_every_binding(monkeypatch, "annihilator_basis", corrupted)
+    _patch_every_binding(monkeypatch, "_annihilator_rows", corrupted)
     failing = _failing_entries(run_suite(3))
-    assert {"annihilator", "annihilator-congruence"} <= set(failing)
+    assert {"annihilator", "annihilator-block", "annihilator-congruence"} <= set(failing)
 
 
 # Each swept entry, the predicate it calls (patched at its ``suite`` binding),
