@@ -17,10 +17,9 @@ from .algebra import (
     build_algebra,
 )
 from .duality import (
-    CompanionData,
     annihilator_change_of_basis,
     companion_coefficient,
-    companion_data,
+    companion_matrix,
     kinematic_matrix,
     pairing_matrix,
     pairing_pivots,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraElement",
     "AlgebraMismatch",
-    "CompanionData",
     "DegreeOutOfRange",
     "ExactMatrix",
     "GradedPoly",
@@ -76,7 +74,7 @@ __all__ = [
     "basis_monomials",
     "build_algebra",
     "companion_coefficient",
-    "companion_data",
+    "companion_matrix",
     "kinematic_matrix",
     "kinematic_of",
     "kinematic_unit",

@@ -16,7 +16,7 @@ from operator import mul
 from .algebra import SOAlgebra, build_algebra
 from .duality import (
     annihilator_change_of_basis,
-    companion_data,
+    companion_matrix,
     kinematic_matrix,
     pairing_matrix,
     positivity_scan,
@@ -132,7 +132,7 @@ def _cmd_normal_form(args) -> int:
 def _cmd_matrix(args) -> int:
     _unitary_dimension(args.n)
     if args.which == "companion":
-        print(format_companion(companion_data(args.n, args.k), args.format))
+        print(format_companion(args.n, companion_matrix(args.n, args.k), args.format))
         return 0
     builders = {
         "P": pairing_matrix,

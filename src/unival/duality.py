@@ -24,7 +24,7 @@ the reduction engine (entry "pairing-structure").
                                     the kinematic tensor
   * annihilator_change_of_basis     rewrites monomial coordinates in the
                                     basis (t^j, annihilator elements)
-  * companion_data(n, k)            the scaled product of a kinematic matrix
+  * companion_matrix(n, k)          the scaled product of a kinematic matrix
                                     with the next-lower pairing matrix, which
                                     must be a companion matrix; its last
                                     column encodes one relation of the
@@ -40,7 +40,6 @@ of a reduced element are read in ``suite``.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, prod
@@ -178,39 +177,26 @@ def annihilator_change_of_basis(n: int, k: int) -> ExactMatrix:
     return ExactMatrix._lowest([[1] + [0] * k, *_annihilator_rows(n, 2 * k)], 1)
 
 
-class CompanionData(namedtuple("CompanionData", "n k matrix coefficients")):
-    """Companion matrix extracted from one kinematic/pairing product.
+def companion_matrix(n: int, k: int) -> ExactMatrix:
+    """The companion matrix (n / (2(2n-1))) * kinematic(n,k) @ pairing(n-1,k), verified.
 
-    ``coefficients`` holds a_0 .. a_k read off the last column; the implied
-    next coefficient a_{k+1} is always 1.
-    """
-
-    __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "k": self.k, "a": [str(c) for c in self.coefficients]}
-
-
-def companion_data(n: int, k: int) -> CompanionData:
-    """Verify (n / (2(2n-1))) * kinematic(n,k) @ pairing(n-1,k) is a companion matrix.
-
-    The product must have ones on the subdiagonal, zeros elsewhere outside
-    the last column, and the negated relation coefficients in the last
-    column, which are extracted and returned.
+    The product must have ones on the subdiagonal and zeros elsewhere
+    outside the last column; its last column holds the negated relation
+    coefficients -a_0 .. -a_k (the implied a_{k+1} is 1).
     """
     n, k = index(n), index(k)
     if not 0 <= 2 * k <= n - 1:
         raise IndexOutOfRange(f"requires 0 <= 2k <= n-1, got n={n}, k={k}")
-    product = (kinematic_matrix(n, k) @ pairing_matrix(n - 1, k)).scale(Fraction(n, 2 * (2 * n - 1)))
-    ints, den = product._ints, product._den
+    product = kinematic_matrix(n, k) @ pairing_matrix(n - 1, k)
+    matrix = ExactMatrix._lowest(([n * x for x in row] for row in product._ints), 2 * (2 * n - 1) * product._den)
+    ints, den = matrix._ints, matrix._den
     for i in range(k + 1):
         for j in range(k):
             if ints[i][j] != den * (i == j + 1):
                 raise StructureViolation(
                     f"kinematic/pairing product n={n}, k={k} is not a companion matrix at ({i},{j})"
                 )
-    coefficients = tuple(-product[i, k] for i in range(k + 1))
-    return CompanionData(n, k, product, coefficients)
+    return matrix
 
 
 def companion_coefficient(n: int, k: int, i: int) -> Fraction:

@@ -8,11 +8,11 @@ Every signed sum, a polynomial in either order or a tensor block, is
 written straight from integer numerators over one denominator by one pair
 of writers: ``poly._cells`` for the coefficients, ``poly._join`` for the
 sum.  A LaTeX matrix entry is a sum of one term, so every printed rational
-but the plain and JSON matrix entries (``ExactMatrix.to_json``) is cut to
-lowest terms, signed and typeset by ``_cells``.  Tensor and matrix JSON is
-written straight from the integer storage in the layout of
-``json.dumps(..., indent=2)``, because ``indent`` sends ``json.dumps`` to
-its pure-Python encoder.
+but the plain and JSON matrix entries and companion coefficients
+(``ExactMatrix.to_json``) is cut to lowest terms, signed and typeset by
+``_cells``.  Tensor and matrix JSON is written straight from the integer
+storage in the layout of ``json.dumps(..., indent=2)``, because ``indent``
+sends ``json.dumps`` to its pure-Python encoder.
 
 The tensor emitters walk the sorted blocks once, in pairs
 (``_block_texts``).  When block (b, a) stores exactly the transpose of
@@ -118,13 +118,18 @@ def format_normal_form(n: int, poly: GradedPoly, fmt: str) -> str:
     return format_poly(poly, fmt)
 
 
-def format_companion(data: CompanionData, fmt: str) -> str:
-    """The document of ``matrix --which companion``: the matrix, and in plain text its coefficient line."""
-    if fmt == "json":
-        return json.dumps(data.to_json(), indent=2)
+def format_companion(n: int, matrix: ExactMatrix, fmt: str) -> str:
+    """The document of ``matrix --which companion``: the matrix, and in plain text its coefficient line.
+
+    The coefficients a_0 .. a_k are the negated last column, written by ``ExactMatrix.to_json``.
+    """
     if fmt == "latex":
-        return matrix_latex(data.matrix)
-    return matrix_plain(data.matrix) + "\na: " + ", ".join(map(str, data.coefficients))
+        return matrix_latex(matrix)
+    k = matrix.cols - 1
+    a = [cell for cell, in matrix.block(0, matrix.rows, k, k + 1).scale(-1).to_json()]
+    if fmt == "json":
+        return json.dumps({"n": n, "k": k, "a": a}, indent=2)
+    return matrix_plain(matrix) + "\na: " + ", ".join(a)
 
 
 def _model_json(algebra) -> str:

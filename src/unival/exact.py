@@ -117,7 +117,7 @@ class ExactMatrix:
     The one storage is a canonical integer form: ``_ints`` holds the rows as
     tuples of integers over one positive denominator ``_den``, and the gcd of
     ``_den`` and all entries is 1, so equal matrices have equal storage.
-    ``Fraction``s are built only by ``row``, ``to_rows`` and ``__getitem__``.
+    ``Fraction``s are built only by ``to_rows`` and ``__getitem__``.
     """
 
     __slots__ = ("rows", "cols", "_ints", "_den")
@@ -160,9 +160,6 @@ class ExactMatrix:
             ]
         except ValueError:  # an integer longer than str() writes
             _refuse_long_integers()
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self._den) for x in self._ints[i])
 
     def to_rows(self) -> list[list[Fraction]]:
         return [[Fraction(x, self._den) for x in row] for row in self._ints]

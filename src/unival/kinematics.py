@@ -13,6 +13,8 @@ blocks on and above the diagonal and fills the rest by transposing them.
 
 from __future__ import annotations
 
+from operator import index
+
 from .algebra import AlgebraElement, SOAlgebra, UnitaryAlgebra, build_algebra
 from .duality import _annihilator_rows, kinematic_matrix
 from .errors import AlgebraMismatch, DegreeOutOfRange
@@ -184,7 +186,7 @@ def kinematic_of(n: int, phi: AlgebraElement) -> TensorElement:
     tensor is symmetric: only the blocks (a, b) with a <= b are mapped, and
     each (b, a) is the transpose of (a, b).
     """
-    model = phi.algebra
+    n, model = index(n), phi.algebra
     if model.n != n:
         raise AlgebraMismatch(f"factor lives in {model!r}, not in dimension {n}")
     unit = kinematic_unit(n) if isinstance(model, UnitaryAlgebra) else _orthogonal_unit(model)

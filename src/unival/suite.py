@@ -24,7 +24,7 @@ from .duality import (
     _annihilator_rows,
     annihilator_change_of_basis,
     companion_coefficient,
-    companion_data,
+    companion_matrix,
     kinematic_matrix,
     pairing_matrix,
     pairing_pivots,
@@ -330,13 +330,11 @@ def _check_pairing_structure(n_max: int) -> Optional[str]:
 def _check_companion_closed_form(n_max: int) -> Optional[str]:
     for n in range(2, n_max + 1):
         for k in range((n - 1) // 2 + 1):
-            data = companion_data(n, k)
+            matrix = companion_matrix(n, k)
             for i in range(k + 1):
-                expected = companion_coefficient(n, k, i)
-                if data.coefficients[i] != expected:
-                    return (
-                        f"n={n}, k={k}, i={i}: extracted {data.coefficients[i]} != closed form {expected}"
-                    )
+                extracted, expected = -matrix[i, k], companion_coefficient(n, k, i)
+                if extracted != expected:
+                    return f"n={n}, k={k}, i={i}: extracted {extracted} != closed form {expected}"
         anchor = companion_coefficient(n, 0, 0)
         if anchor != Fraction(-n, 2 * (2 * n - 1)):
             return f"n={n}: a_0 = {anchor} != -n/(2(2n-1))"

@@ -18,7 +18,7 @@ from unival import (
     NotInSpan,
     build_algebra,
     companion_coefficient,
-    companion_data,
+    companion_matrix,
     kinematic_matrix,
     log_component,
     pairing_matrix,
@@ -145,9 +145,9 @@ def test_c04_oracle_matrices():
 def test_c05_companion_closed_form():
     for n in range(2, 13):
         for k in range((n - 1) // 2 + 1):
-            data = companion_data(n, k)
+            matrix = companion_matrix(n, k)
             for i in range(k + 1):
-                assert data.coefficients[i] == companion_coefficient(n, k, i), (n, k, i)
+                assert -matrix[i, k] == companion_coefficient(n, k, i), (n, k, i)
         assert companion_coefficient(n, 0, 0) == F(-n, 2 * (2 * n - 1)), n
     print("PASS 05 companion shape and closed-form coefficients")
 

@@ -12,7 +12,6 @@ from unival import ExactMatrix, GradedPoly, build_algebra, kinematic_unit
 PUBLIC_NAMES = [
     "AlgebraElement",
     "AlgebraMismatch",
-    "CompanionData",
     "DegreeOutOfRange",
     "ExactMatrix",
     "GradedPoly",
@@ -33,7 +32,7 @@ PUBLIC_NAMES = [
     "basis_monomials",
     "build_algebra",
     "companion_coefficient",
-    "companion_data",
+    "companion_matrix",
     "kinematic_matrix",
     "kinematic_of",
     "kinematic_unit",
@@ -61,7 +60,7 @@ def test_all_is_sorted_unique_and_resolves():
 
 
 def test_all_is_the_pinned_list():
-    assert len(PUBLIC_NAMES) == 37
+    assert len(PUBLIC_NAMES) == 36
     assert unival.__all__ == PUBLIC_NAMES
 
 

@@ -1,4 +1,4 @@
-"""Pairing and kinematic matrices, companion extraction, step-down identities."""
+"""Pairing and kinematic matrices, companion matrices, step-down identities."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from unival import (
     annihilator_change_of_basis,
     build_algebra,
     companion_coefficient,
-    companion_data,
+    companion_matrix,
     kinematic_matrix,
     kinematic_unit,
     log_component,
@@ -158,13 +158,11 @@ def test_kinematic_annihilator_block():
 
 
 def test_companion_reference_values():
-    assert companion_data(2, 0).coefficients == (F(-1, 3),)
-    data = companion_data(3, 1)
-    assert data.matrix == ExactMatrix([[0, F(-1, 2)], [1, 2]])
-    assert data.coefficients == (F(1, 2), F(-2))
-    assert companion_data(5, 0).coefficients == (F(-5, 18),)
+    assert companion_matrix(2, 0) == ExactMatrix([[F(1, 3)]])
+    assert companion_matrix(3, 1) == ExactMatrix([[0, F(-1, 2)], [1, 2]])
+    assert companion_matrix(5, 0) == ExactMatrix([[F(5, 18)]])
     with pytest.raises(IndexOutOfRange):
-        companion_data(2, 1)
+        companion_matrix(2, 1)
 
 
 def test_companion_coefficient_closed_form():
@@ -185,7 +183,7 @@ GUARDS = {
     pairing_pivots: "pairing pivots require",
     kinematic_matrix: "kinematic matrix requires",
     annihilator_change_of_basis: "requires k >= 0 and 2k[+]1 <= n",
-    companion_data: "requires 0 <= 2k <= n-1",
+    companion_matrix: "requires 0 <= 2k <= n-1",
     companion_coefficient: "requires 0 <= 2k <= n-1|coefficient index must lie",
     step_down_matrix: "requires k >= 1 and 2k[+]1 <= n",
     positivity_scan: "n_max must be >= 1",
@@ -211,7 +209,7 @@ def test_every_duality_range_guard_at_its_boundary():
             assert _accepts(f, n, 0) and _accepts(f, n, n // 2), (f, n)
             assert not _accepts(f, n, -1) and not _accepts(f, n, n // 2 + 1), (f, n)
         top = (n - 1) // 2  # the largest k with 2k <= n - 1, that is 2k + 1 <= n
-        for f in (annihilator_change_of_basis, companion_data):
+        for f in (annihilator_change_of_basis, companion_matrix):
             assert _accepts(f, n, 0) and _accepts(f, n, top), (f, n)
             assert not _accepts(f, n, -1) and not _accepts(f, n, top + 1), (f, n)
         for k in range(-1, top + 2):
@@ -229,14 +227,13 @@ def test_every_duality_range_guard_at_its_boundary():
 
 def test_companion_and_step_down_reject_float_arguments():
     # step_down_matrix(5.0, 1) once failed inside Fraction with an unrelated message
-    cases = [(companion_data, (5, 1)), (companion_coefficient, (5, 1, 1)), (step_down_matrix, (5, 1))]
+    cases = [(companion_matrix, (5, 1)), (companion_coefficient, (5, 1, 1)), (step_down_matrix, (5, 1))]
     for f, args in cases:
         for i in range(len(args)):
             floated = [*args[:i], float(args[i]), *args[i + 1:]]
             with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
                 f(*floated)
         assert f(*args) == f(*(True if x == 1 else x for x in args)), f
-    assert type(companion_data(5, True).k) is int
 
 
 def test_kinematic_matrix_checks_its_own_range():
@@ -256,9 +253,9 @@ def test_matrix_caches_refuse_a_float_from_a_warm_or_cold_cache(fresh_matrix_cac
                 cached(*args)
 
 
-def test_companion_data_refuses_negative_k():
+def test_companion_matrix_refuses_negative_k():
     with pytest.raises(IndexOutOfRange, match=r"^requires 0 <= 2k <= n-1, got n=5, k=-1$"):
-        companion_data(5, -1)
+        companion_matrix(5, -1)
 
 
 def test_companion_coefficient_refuses_negative_k():
@@ -278,10 +275,10 @@ def test_companion_relation_times_t_refuses_negative_k():
 def test_companion_matches_closed_form_everywhere():
     for n in range(2, 13):
         for k in range((n - 1) // 2 + 1):
-            data = companion_data(n, k)
-            assert data.coefficients == tuple(
+            matrix = companion_matrix(n, k)
+            assert [-matrix[i, k] for i in range(k + 1)] == [
                 companion_coefficient(n, k, i) for i in range(k + 1)
-            ), (n, k)
+            ], (n, k)
 
 
 def test_companion_relation_polynomials():
@@ -311,7 +308,7 @@ def test_step_down_matrix_values():
     for n in range(3, 31):
         for k in range(1, (n - 1) // 2 + 1):
             row = [F(comb(2 * n - 2 * j - 1, n - j), comb(2 * n - 1, n)) for j in range(k + 1)]
-            assert list(step_down_matrix(n, k).row(0)) == row, (n, k)
+            assert step_down_matrix(n, k).to_rows()[0] == row, (n, k)
     with pytest.raises(IndexOutOfRange):
         step_down_matrix(2, 1)
     with pytest.raises(IndexOutOfRange):
@@ -341,7 +338,7 @@ def test_integer_checks_keep_their_counterexamples(monkeypatch, fresh_matrix_cac
     monkeypatch.setattr(suite, "kinematic_matrix", corrupted)
     # Only row 2 of the product moves, and its first entry should be 0.
     with pytest.raises(StructureViolation, match=r"n=6, k=2 is not a companion matrix at \(2,0\)$"):
-        companion_data(6, 2)
+        companion_matrix(6, 2)
     # Q(6, 2) on either side of the step-down identity: a mismatch is False, never an exception.
     assert step_down_identity_holds(6, 2) is False
     assert step_down_identity_holds(7, 3) is False

@@ -16,7 +16,7 @@ from unival import (
     TensorElement,
     UnivalError,
     build_algebra,
-    companion_data,
+    companion_matrix,
     kinematic_of,
     kinematic_unit,
     so_kinematic,
@@ -135,8 +135,20 @@ def test_matrix_latex_writer_matches_a_fraction_oracle(matrix):
 @settings(max_examples=40, deadline=None)
 @example((3, 1))
 def test_companion_latex_matches_a_fraction_oracle(case):
-    data = companion_data(*case)
-    assert format_companion(data, "latex") == matrix_latex(data.matrix)
+    matrix = companion_matrix(*case)
+    assert format_companion(case[0], matrix, "latex") == matrix_latex(matrix)
+
+
+@given(st.integers(1, 24).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (n - 1) // 2))))
+@settings(max_examples=40, deadline=None)
+@example((3, 1))
+def test_companion_coefficients_match_a_fraction_oracle(case):
+    """Plain and JSON hold ``str(-Fraction)`` of each last-column entry, read through the Fraction interface."""
+    n, k = case
+    matrix = companion_matrix(n, k)
+    a = [str(-row[k]) for row in matrix.to_rows()]
+    assert format_companion(n, matrix, "json") == json.dumps({"n": n, "k": k, "a": a}, indent=2)
+    assert format_companion(n, matrix, "plain") == format_matrix(matrix, "plain") + "\na: " + ", ".join(a)
 
 
 def _oracle_signed_sum(terms, magnitude, times: str) -> str:
@@ -324,10 +336,10 @@ def test_normal_form_and_companion_documents():
     assert format_normal_form(2, poly, "json") == json.dumps({"n": 2, "normal_form": str(poly)}, indent=2)
     assert format_normal_form(2, poly, "plain") == "3 - 1/2*t^2 + s"
     assert format_normal_form(2, poly, "latex") == "3 + s - \\frac{1}{2}t^2"
-    data = companion_data(3, 1)
-    assert format_companion(data, "json") == json.dumps({"n": 3, "k": 1, "a": ["1/2", "-2"]}, indent=2)
-    assert format_companion(data, "plain") == "0  -1/2\n1     2\na: 1/2, -2"
-    assert format_companion(data, "latex") == format_matrix(data.matrix, "latex")
+    matrix = companion_matrix(3, 1)
+    assert format_companion(3, matrix, "json") == json.dumps({"n": 3, "k": 1, "a": ["1/2", "-2"]}, indent=2)
+    assert format_companion(3, matrix, "plain") == "0  -1/2\n1     2\na: 1/2, -2"
+    assert format_companion(3, matrix, "latex") == format_matrix(matrix, "latex")
 
 
 INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: this interpreter sets no limit
@@ -342,3 +354,14 @@ def test_matrix_entries_past_the_int_string_limit_are_refused(fmt):
         assert str(at_limit) in format_matrix(ExactMatrix([[Fraction(at_limit, den), 1]]), fmt)
         with pytest.raises(UnivalError, match=f"exceeds the limit of {INT_DIGITS} digits"):
             format_matrix(ExactMatrix([[Fraction(10 * at_limit, den), 1]]), fmt)
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="the interpreter has no int-string limit")
+@pytest.mark.parametrize("fmt", ["plain", "json", "latex"])
+def test_companion_coefficients_past_the_int_string_limit_are_refused(fmt):
+    """A last-column entry of exactly the limit's digits is written; one digit more is a UnivalError."""
+    at_limit = 10 ** (INT_DIGITS - 1)
+    for den in (1, 3):
+        assert str(at_limit) in format_companion(3, ExactMatrix([[0, Fraction(at_limit, den)], [1, -2]]), fmt)
+        with pytest.raises(UnivalError, match=f"exceeds the limit of {INT_DIGITS} digits"):
+            format_companion(3, ExactMatrix([[0, Fraction(10 * at_limit, den)], [1, -2]]), fmt)

@@ -193,6 +193,14 @@ def test_kinematic_of_rejects_foreign_orthogonal_element():
             kinematic_of(4, phi)
 
 
+@pytest.mark.parametrize("model", [SOAlgebra, build_algebra], ids=["orthogonal", "unitary"])
+def test_kinematic_of_rejects_a_float_dimension_in_either_model(model):
+    # 2.0 == 2, so the orthogonal model once answered where the unitary one raised TypeError
+    phi = model(2).normal_form("t")
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        kinematic_of(2.0, phi)
+
+
 def test_product_pairing_unit_is_the_closed_form(fresh_matrix_caches):
     """The theorem on both models: inverting a model's own product Gram matrices gives its closed-form unit."""
     for n in range(1, 7):

@@ -6,7 +6,8 @@ on ``algebra``, ``exact`` and ``poly`` alone, and the checks
 that only the suite reads are defined in ``suite`` alone: every function of
 an engine module has a reader outside ``suite`` and ``__init__``, and so does
 every method of an engine class, unless a named entry says why it stays.
-Readers are matched by name, bare or as an attribute.
+A function is read by its name, bare or as an attribute; a method only as
+an attribute, so a local variable of the same name does not count.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def test_duality_imports_only_errors_and_exact():
 
 
 def test_emit_imports_only_algebra_exact_and_poly():
-    # The suite report and the companion data are read in emit only as annotations, which need no import.
+    # The suite report is read in emit only as an annotation, which needs no import.
     assert _imported_modules(SRC / "emit.py") == {"algebra", "exact", "poly"}
 
 
@@ -108,10 +109,22 @@ def _read_names(path: Path) -> set[str]:
     return names
 
 
+def _read_attributes(path: Path) -> set[str]:
+    """Every name the file at ``path`` loads as an attribute, the only way a method is read."""
+    tree = ast.parse(path.read_text(), filename=path.name)
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def test_the_name_reader_sees_bare_and_attribute_loads(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("def f():\n    return g(x.h)\n\nk = 1\n")
     assert _read_names(probe) == {"g", "x", "h"}
+
+
+def test_the_attribute_reader_sees_attribute_loads_alone(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(row):\n    block = row\n    x.y = m.terms\n    return g(x.h, block)\n")
+    assert _read_attributes(probe) == {"terms", "h"}
 
 
 # Read only by the suite, but wrapped by name by the benchmark's tracer, so they stay where they are.
@@ -121,12 +134,12 @@ TRACER_PINNED = {"solve_in_span", "is_positive_definite", "annihilator_congruenc
 ENGINES = ("algebra", "poly", "exact", "duality", "kinematics")
 
 
-def _engine_reads() -> set[str]:
-    """Every name loaded in ``src/unival`` outside ``suite`` and ``__init__``."""
+def _engine_reads(read=_read_names) -> set[str]:
+    """Every name ``read`` finds loaded in ``src/unival`` outside ``suite`` and ``__init__``."""
     readers = set()
     for path in SRC.glob("*.py"):
         if path.name not in ("suite.py", "__init__.py"):
-            readers |= _read_names(path)
+            readers |= read(path)
     return readers
 
 
@@ -161,18 +174,19 @@ UNREAD_METHODS = {
     ("UnitaryAlgebra", "reduction_of"): "benchmark pin: the tracer reads every table through it",
     ("ExactMatrix", "det"): "benchmark pin: the tracer wraps it; the tests' determinant oracle",
     ("ExactMatrix", "inverse"): "API: exact inversion; the suite reads it, the tracer wraps it",
-    ("ExactMatrix", "to_rows"): "API: the matrix as Fraction rows, beside row and indexing",
+    ("ExactMatrix", "to_rows"): "API: the matrix as Fraction rows, beside indexing",
     ("ExactMatrix", "identity"): "API: the identity matrix constructor; the suite reads it",
     ("TensorElement", "multiply_left"): "API: a product placed on the left factor, twin of multiply_right",
     ("TensorElement", "multiply_right"): "API: a product placed on the right factor; the suite's oracle",
     ("AlgebraElement", "restrict"): "API: the restriction to U(n-1); the suite checks it is a homomorphism",
     ("GradedPoly", "coefficient"): "API: one coefficient as a Fraction; the suite reads it",
     ("GradedPoly", "total_degree"): "API: the top grade of a polynomial; the suite reads it",
+    ("GradedPoly", "terms"): "API: the terms as Fractions; the suite's pairing-formula oracle reads it",
 }
 
 
 def test_every_engine_method_has_an_engine_reader_or_a_reason():
-    readers = _engine_reads()
+    readers = _engine_reads(_read_attributes)
     methods = set().union(*(_defined_methods(SRC / f"{engine}.py") for engine in ENGINES))
     assert {method for method in methods if method[1] not in readers} == set(UNREAD_METHODS)
 
