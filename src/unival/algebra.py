@@ -38,6 +38,7 @@ raises TypeError for anything else.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd, lcm
 from operator import index
 from typing import Iterable
@@ -108,7 +109,7 @@ def _shift_degree(n: int, d: int, below: _Table) -> _Table:
             alpha = row[top + 1] if d % 2 else 0
             rows.append([x * h_den + alpha * h for x, h in zip(row, h_row)])
     den = den_below * h_den
-    g = gcd(den, *(x for row in rows for x in row))
+    g = gcd(den, *chain.from_iterable(rows))
     return den // g, tuple(tuple(x // g for x in row) for row in rows)
 
 

@@ -141,8 +141,22 @@ class GradedPoly:
     def __neg__(self) -> "GradedPoly":
         return GradedPoly._lowest({mono: -x for mono, x in self._num.items()}, self._den)
 
+    def _times_term(self, term: "GradedPoly") -> "GradedPoly":
+        """self times the single term c * s^a * t^b of ``term``.
+
+        Every monomial moves by the same (2a+b, a) in the plain key, so the
+        support keeps its order and no numerator becomes zero.
+        """
+        ((a, b), c), = term._num.items()
+        return GradedPoly._lowest({(p + a, q + b): x * c for (p, q), x in self._num.items()}, self._den * term._den)
+
     def __mul__(self, other) -> "GradedPoly":
+        """Only a product of two sums of several terms can reorder its support, so only it sorts."""
         if isinstance(other, GradedPoly):
+            if len(other._num) == 1:
+                return self._times_term(other)
+            if len(self._num) == 1:
+                return other._times_term(self)
             out: dict[Monomial, int] = {}
             for (p1, q1), x in self._num.items():
                 for (p2, q2), y in other._num.items():
@@ -150,7 +164,9 @@ class GradedPoly:
                     out[mono] = out.get(mono, 0) + x * y
             return GradedPoly._canonical(out, self._den * other._den)
         c, d = _ratio(other)
-        return GradedPoly._canonical({mono: x * c for mono, x in self._num.items()}, self._den * d)
+        if not c:
+            return GradedPoly._lowest({}, 1)
+        return GradedPoly._lowest({mono: x * c for mono, x in self._num.items()}, self._den * d)
 
     def __rmul__(self, other) -> "GradedPoly":
         return self.__mul__(other)
@@ -302,7 +318,10 @@ def poly_parse(text: str) -> GradedPoly:
     """Parse the text grammar into a GradedPoly; round-trips with poly_format.
 
     One flat loop reads each term after its sign, and inside it each factor.
+    Anything but a ``str`` raises TypeError.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"polynomial text must be str, not {type(text).__name__}")
     tokens = _tokenize(text)
     if tokens[0][0] == "end":
         raise ParseError("empty input (expected a term)", tokens[0][2])
@@ -352,9 +371,17 @@ def poly_parse(text: str) -> GradedPoly:
 
 
 def log_component(k: int) -> GradedPoly:
-    """Closed form of the degree-k component of log(1 + s + t)."""
+    """Closed form of the degree-k component of log(1 + s + t).
+
+    The coefficient of s^i t^(k-2i) is (-1)^(k+1+i) C(k-i, i) / (k-i), that is
+    (-1)^(k+1+i) (C(k-i, i) + C(k-i-1, i-1)) / k, so the terms are integers
+    over k, written in plain order (ascending i) and cut by one gcd.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    sign = (-1) ** (k + 1)
-    terms = [((i, k - 2 * i), sign * (-1) ** i * comb(k - i, i), k - i) for i in range(k // 2 + 1)]
-    return GradedPoly._sum(terms)
+    num = {}
+    sign = (-1) ** k  # flipped to (-1)^(k+1+i) before term i
+    for i in range(k // 2 + 1):
+        sign = -sign
+        num[i, k - 2 * i] = sign * (comb(k - i, i) + (comb(k - i - 1, i - 1) if i else 0))
+    return GradedPoly._lowest(num, k)

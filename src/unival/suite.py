@@ -218,18 +218,20 @@ def _check_ring_axioms(n_max: int) -> Optional[str]:
             if one * a != a:
                 return f"n={n}, trial {trial}: unit fails"
         # Many pairs share a product: each distinct one, keyed on its own storage, is normalized once.
-        monos = {m: GradedPoly.monomial(*m) for d in range(2 * n + 1) for m in alg.basis(d)}
+        bases = [alg.basis(d) for d in range(2 * n + 1)]
+        monos = {m: GradedPoly.monomial(*m) for basis in bases for m in basis}
         degrees: dict[tuple, set[int]] = {}
-        for d1 in range(2 * n + 1):
-            for d2 in range(2 * n + 1):
-                for m1 in alg.basis(d1):
-                    for m2 in alg.basis(d2):
+        for d1, basis1 in enumerate(bases):
+            for d2, basis2 in enumerate(bases):
+                expected = {d1 + d2}
+                for m1 in basis1:
+                    for m2 in basis2:
                         prod = monos[m1] * monos[m2]
                         key = (tuple(prod._num.items()), prod._den)
                         found = degrees.get(key)
                         if found is None:
                             found = degrees[key] = {2 * p + q for p, q in alg.normal_form(prod).poly._num}
-                        if found and found != {d1 + d2}:
+                        if found and found != expected:
                             return f"n={n}: grading broken at {m1} * {m2}"
     return None
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from unival import (
     GradedPoly,
     ParseError,
+    algebra,
     log_component,
     poly_format,
     poly_parse,
 )
-from unival.algebra import build_algebra
+from unival.algebra import UnitaryAlgebra, build_algebra
 from unival.emit import format_poly, monomial_latex
 from unival.poly import _describe, _tokenize, format_monomial
 from unival.suite import (
@@ -55,6 +56,12 @@ def test_parse_examples():
     assert poly_parse("2/3") == GradedPoly({(0, 0): F(2, 3)})
     # Unicode spaces are skipped and Unicode decimal digits read, as str.isspace() and int() do.
     assert poly_parse("\u3000s\x85-\x1c\u0663/\U0001d7d81") == GradedPoly({(1, 0): 1, (0, 0): -3})
+
+
+@pytest.mark.parametrize("value, name", [(b"s", "bytes"), (1.5, "float"), (None, "NoneType"), (3, "int")])
+def test_parse_refuses_anything_but_text_by_its_type(value, name):
+    with pytest.raises(TypeError, match=f"^polynomial text must be str, not {name}$"):
+        poly_parse(value)
 
 
 def test_parse_unknown_symbol():
@@ -156,6 +163,29 @@ def test_log_components_match_closed_forms():
         assert series[k].total_degree() == k
 
 
+def _rational_log_component(k: int) -> GradedPoly:
+    """f_k from its rational coefficients (-1)^(k+1+i) C(k-i, i) / (k-i), one Fraction per term."""
+    sign = (-1) ** (k + 1)
+    return GradedPoly({(i, k - 2 * i): F(sign * (-1) ** i * comb(k - i, i), k - i) for i in range(k // 2 + 1)})
+
+
+def test_log_component_matches_its_rational_closed_form():
+    for k in range(1, 301):
+        integer_form, rational = log_component(k), _rational_log_component(k)
+        _assert_canonical(integer_form)
+        assert integer_form == rational and _same_storage(integer_form, rational)
+        for i in range(k // 2 + 1):  # the identity behind the integers over k
+            below = comb(k - i - 1, i - 1) if i else 0
+            assert k * comb(k - i, i) == (k - i) * (comb(k - i, i) + below)
+
+
+def test_tables_match_those_built_from_the_rational_closed_form(monkeypatch):
+    built = {n: build_algebra(n)._table for n in range(1, 41)}
+    monkeypatch.setattr(algebra, "log_component", _rational_log_component)
+    for n, table in built.items():
+        assert UnitaryAlgebra(n)._table == table
+
+
 def test_log_recursion():
     for k in (1, 2, 25):
         assert log_recursion_holds(k)
@@ -166,6 +196,59 @@ def test_log_component_rejects_bad_degree():
         log_component(0)
     with pytest.raises(ValueError):
         log_components(0)
+
+
+def _product_oracle(p: GradedPoly, q: GradedPoly) -> GradedPoly:
+    """p * q through the public constructor, from Fraction sums over all pairs of terms."""
+    total: dict[tuple[int, int], Fraction] = {}
+    for (a, b), x in p.terms.items():
+        for (c, d), y in q.terms.items():
+            total[a + c, b + d] = total.get((a + c, b + d), F(0)) + x * y
+    return GradedPoly(total)
+
+
+signed_coefficients = st.builds(F, st.integers(-40, 40).filter(bool), st.integers(1, 12))
+# zero, a constant, one term, or several terms: the shapes that pick a product's path
+shaped_polys = st.one_of(
+    st.just(GradedPoly()),
+    signed_coefficients.map(lambda c: GradedPoly.monomial(0, 0, c)),
+    st.builds(lambda mono, c: GradedPoly({mono: c}), monomials, signed_coefficients),
+    st.dictionaries(monomials, signed_coefficients, min_size=2, max_size=6).map(GradedPoly),
+)
+scalars = st.one_of(st.just(0), st.integers(-20, 20), st.builds(F, st.integers(-20, 20), st.integers(2, 12)))
+
+
+@given(shaped_polys, shaped_polys, scalars)
+@settings(max_examples=300)
+@example(GradedPoly.monomial(1, 0, F(-3, 4)), GradedPoly({(0, 2): F(2, 3), (1, 0): F(-1, 6)}), F(4, 3))
+@example(GradedPoly.monomial(0, 0, F(1, 2)), GradedPoly.monomial(2, 1, 2), 0)
+@example(GradedPoly(), GradedPoly({(0, 0): -1, (3, 1): F(5, 7)}), F(-7, 5))
+def test_products_match_a_fraction_oracle_in_canonical_storage(p, q, c):
+    scalar = GradedPoly.monomial(0, 0, c)
+    for product, expected in (
+        (p * q, _product_oracle(p, q)),
+        (q * p, _product_oracle(q, p)),
+        (c * p, _product_oracle(scalar, p)),
+        (p * c, _product_oracle(p, scalar)),
+    ):
+        _assert_canonical(product)
+        assert product == expected and _same_storage(product, expected)
+        if not expected:
+            assert product._num == {} and product._den == 1
+
+
+def test_products_that_keep_plain_order_do_not_sort(monkeypatch):
+    def refused(num, den):
+        raise AssertionError("sorted a support whose order was known")
+
+    p = GradedPoly({(0, 3): F(-1, 2), (1, 1): 3, (2, 0): F(5, 4)})
+    term, several = GradedPoly.monomial(2, 1, F(-2, 3)), GradedPoly({(0, 1): 1, (1, 0): 1})
+    expected = [_product_oracle(p, term), _product_oracle(term, p), _product_oracle(p, GradedPoly.monomial(0, 0, 6))]
+    monkeypatch.setattr(GradedPoly, "_canonical", refused)
+    assert [p * term, term * p, 6 * p] == expected
+    assert not p * 0 and not F(0) * p
+    with pytest.raises(AssertionError, match="sorted"):
+        p * several
 
 
 @given(polys, polys)

@@ -492,6 +492,52 @@ def test_suite_catches_an_off_by_one_product_numerator(monkeypatch, fresh_matrix
     assert failing["pairing-structure"].startswith("n=1, k=0: product pairing")
 
 
+def test_suite_catches_a_corrupted_single_term_product(monkeypatch, fresh_matrix_caches):
+    real_times_term = GradedPoly._times_term
+
+    def shifted(self, term):
+        """The order-keeping product with one more power of s on every monomial."""
+        out = real_times_term(self, term)
+        return GradedPoly._lowest({(p + 1, q): x for (p, q), x in out._num.items()}, out._den)
+
+    monkeypatch.setattr(GradedPoly, "_times_term", shifted)
+    failing = _failing_entries(run_suite(3))
+    assert failing == {
+        "log-series-agreement": "k=1: closed form t != series term 0",
+        "log-recursion": "k=1",
+        "difference-operator": "ValueError: only polynomials in t alone can be shifted",
+        "ring-axioms": "n=1: grading broken at (0, 0) * (0, 0)",
+        "dimension-one-collapse": "ValueError: the orthogonal model is generated by t alone",
+    }
+
+
+def test_suite_catches_a_corrupted_log_component(monkeypatch, fresh_matrix_caches):
+    real_log_component = poly.log_component
+
+    def corrupted(k):
+        """f_5 with its s^2*t coefficient 2 in place of 1."""
+        out = real_log_component(k)
+        return out + GradedPoly.monomial(2, 1) if k == 5 else out
+
+    for module in (algebra, suite):  # every module that reads the closed form
+        monkeypatch.setattr(module, "log_component", corrupted)
+    monkeypatch.setattr(algebra, "_BUILD_CACHE", {})
+    failing = _failing_entries(run_suite(3))
+    assert failing["log-series-agreement"] == (
+        "k=5: closed form 1/5*t^5 - s*t^3 + 2*s^2*t != series term 1/5*t^5 - s*t^3 + s^2*t"
+    )
+    assert set(failing) == {
+        "log-series-agreement",
+        "log-recursion",
+        "quotient-soundness",
+        "annihilator",
+        "pairing-structure",
+        "companion-relation-vanishes",
+        "kinematic-step-up",
+        "kinematic-cocommutativity",
+    }
+
+
 def test_suite_catches_products_left_out_of_lowest_terms(monkeypatch, fresh_matrix_caches):
     def unreduced(self, terms, den):
         """The integer kernel with the final cut by the gcd left out."""
