@@ -18,10 +18,12 @@ the reduction engine (entry "pairing-structure").
   * pairing_pivots(n, k)            the LDL^T pivots of that matrix in
                                     reversed order, in closed form
   * kinematic_matrix(n, k)          the inverse of the pairing matrix, in
-                                    closed form from those pivots and the
-                                    rows of L^-1 (shifted Jacobi
-                                    polynomials): one coefficient block of
-                                    the kinematic tensor
+                                    closed form: the Christoffel-Darboux
+                                    kernel of the rows of L^-1 (shifted
+                                    Jacobi polynomials), from p_k, p_(k+1)
+                                    and the last pivot alone; one
+                                    coefficient block of the kinematic
+                                    tensor
   * annihilator_change_of_basis     rewrites monomial coordinates in the
                                     basis (t^j, annihilator elements)
   * companion_matrix(n, k)          the scaled product of a kinematic matrix
@@ -29,6 +31,8 @@ the reduction engine (entry "pairing-structure").
                                     must be a companion matrix; its last
                                     column encodes one relation of the
                                     quotient
+  * companion_coefficient(n, k, i)  that relation's coefficients, read off
+                                    one shifted Jacobi polynomial
   * step_down_matrix(n, k)          reduces the (n, k) kinematic matrix to
                                     the (n-1, k-1) one by a block identity
 
@@ -42,8 +46,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm, prod
-from operator import index, mul
+from itertools import chain
+from math import comb, gcd, prod
+from operator import add, index
 
 from .errors import IndexOutOfRange, StructureViolation
 from .exact import ExactMatrix
@@ -116,48 +121,82 @@ def _row_ratio(big_n: int, i: int, j: int) -> tuple[int, int]:
     return 2 * j * (2 * j + 2 * big_n - 1), (j - 1 - i) * (j - 1 + i + big_n)
 
 
+def _jacobi_row(big_n: int, i: int) -> list[int]:
+    """The monic shifted Jacobi polynomial p_i of the weight for N as a primitive integer row.
+
+    Coefficients in ascending powers, so row[i] is the scale s with
+    row = s * p_i (s may be negative).  Built from the leading coefficient
+    down by ``_row_ratio``: the product of the ratios' denominators makes
+    every coefficient an integer, and each step down divides exactly.
+    """
+    ratios = [_row_ratio(big_n, i, j) for j in range(i, 0, -1)]
+    row = [prod(down for _, down in ratios)]
+    for up, down in ratios:
+        row.append(row[-1] * up // down)
+    g = gcd(*row)
+    return [x // g for x in reversed(row)]
+
+
+def _kernel_step(r: list[int], carry: list[int]) -> list[int]:
+    """Row a of the Christoffel-Darboux kernel from row a+1 of R and row a+1 of the kernel.
+
+    K[a][b] = R[a+1][b] + K[a+1][b-1] for 0 <= b <= a, with K[a+1][-1] = 0.
+    """
+    return [r[0], *map(add, r[1:], carry)]
+
+
+def _kernel_scale(g: int, n: int, k: int, low: int, high: int) -> tuple[int, int]:
+    """g / (d_k s_k s_(k+1)) in lowest terms with a positive denominator, for the scales low and high.
+
+    d_k is the last pivot of ``pairing_pivots(n, k)``, read in integers: h(n, 2k)
+    times one ``_pivot_ratio`` per step, with no ``Fraction`` per pivot.
+    """
+    big_n = n - 2 * k
+    top, bottom = pairing_value(n, 2 * k).as_integer_ratio()  # d_0, then d_i = top / bottom
+    for i in range(1, k + 1):
+        up, down = _pivot_ratio(big_n, i)
+        top, bottom = top * up, bottom * down
+    num, den = g * bottom, top * low * high
+    c = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // c, den // c
+
+
 @lru_cache(maxsize=None, typed=True)
 def kinematic_matrix(n: int, k: int) -> ExactMatrix:
     """Inverse of the pairing matrix: the degree-(2k, 2n-2k) kinematic block, in closed form.
 
-    With J P(n, k) J = L D L^T, D the closed-form pivots (``pairing_pivots``)
-    and e_i the rows of L^-1, the monic shifted Jacobi polynomials of the
-    weight u^(N-1/2) (1-u)^(-1/2), N = n - 2k (e_i[i] = 1, then
-    ``_row_ratio`` going down):
+    With J P(n, k) J = L D L^T, the rows of L^-1 are the monic shifted
+    Jacobi polynomials p_i of the weight u^(N-1/2) (1-u)^(-1/2), N = n - 2k,
+    and D holds their norms d_i, so J Q J is the coefficient matrix K of the
+    kernel sum_(i<=k) p_i(x) p_i(y) / d_i.  By Christoffel-Darboux (Szego,
+    Orthogonal Polynomials, ch. 3), (x - y) K(x, y) = R(x, y) / d_k with
+    R(x, y) = p_(k+1)(x) p_k(y) - p_k(x) p_(k+1)(y), so
+    K[a][b] = R[a+1][b] + K[a+1][b-1] (``_kernel_step``): O(k^2) work.
 
-        Q(n, k) = P(n, k)^-1 = J (sum_i e_i e_i^T / d_i) J.
-
-    The work is in integers: each row over its own lcm g_i, the weights
-    1 / (g_i^2 d_i) over one common denominator, and one triangle summed and
-    mirrored, which is the matrix's integer storage.  No elimination runs
-    and no pairing matrix is built.  The tests check Q against the
-    Gauss-Jordan ``pairing_matrix(n, k).inverse()``, and the identity suite
-    checks Q P = I (entry "pairing-structure").
+    In integers: p_k and p_(k+1) as primitive rows with scales s_k and
+    s_(k+1) (``_jacobi_row``), K over the triangle a >= b, and one scalar
+    F = 1 / (d_k s_k s_(k+1)) with d_k from the integer pivot ratios.  With g
+    the gcd of K and gF = num / den reduced (``_kernel_scale``), Q is
+    (K / g) num over den, mirrored, which is in lowest terms as it stands
+    (``ExactMatrix._reduced``).  The tests check Q against the rank-one sum
+    J (sum_i e_i e_i^T / d_i) J and the Gauss-Jordan inverse, and the
+    identity suite checks Q P = I (entry "pairing-structure").
     """
     if not 0 <= 2 * k <= n:
         raise IndexOutOfRange(f"kinematic matrix requires 0 <= 2k <= n, got n={n}, k={k}")
-    pivots = pairing_pivots(n, k)
     big_n = n - 2 * k
-    rows, weights = [], []
-    for i, d in enumerate(pivots):
-        # e_i times the product of the ratios' denominators is an integer
-        # vector, and each step down divides exactly.
-        ratios = [_row_ratio(big_n, i, j) for j in range(i, 0, -1)]
-        row = [prod(down for _, down in ratios)]
-        for up, down in ratios:
-            row.append(row[-1] * up // down)
-        g = gcd(*row)
-        rows.append([x // g for x in reversed(row)] + [0] * (k - i))
-        scale = row[0] // g  # the row's lcm, up to sign
-        weights.append(Fraction(d.denominator, d.numerator * scale * scale))
-    common = lcm(*(w.denominator for w in weights))
-    weighted = [[x * (w.numerator * (common // w.denominator)) for x in row] for row, w in zip(rows, weights)]
-    cols, weighted_cols = list(zip(*rows)), list(zip(*weighted))
-    out = [[0] * (k + 1) for _ in range(k + 1)]
-    for a in range(k + 1):
-        for b in range(a, k + 1):
-            out[k - a][k - b] = out[k - b][k - a] = sum(map(mul, weighted_cols[a][b:], cols[b][b:]))
-    return ExactMatrix._lowest(out, common)
+    low, high = _jacobi_row(big_n, k) + [0], _jacobi_row(big_n, k + 1)
+    kernel, carry = [], [0] * (k + 1)
+    for i in range(k + 1, 0, -1):  # row a = i - 1 of the kernel, from row i of R
+        u, v = high[i], low[i]
+        carry = _kernel_step([u * x - v * y for x, y in zip(low[:i], high[:i])], carry)
+        kernel.append(carry)  # kernel[k - a] = K[a][0..a]
+    g = gcd(*chain.from_iterable(kernel))
+    num, den = _kernel_scale(g, n, k, low[k], high[k + 1])
+    # Row i of Q from column i on is K[k - i][k - i..0] scaled; the rest is the mirror.
+    upper = [[x // g * num for x in reversed(row)] for row in kernel]
+    rows = [[upper[j][i - j] for j in range(i)] + upper[i] for i in range(k + 1)]
+    return ExactMatrix._reduced(rows, den)
 
 
 def _annihilator_rows(n: int, j: int) -> list[list[int]]:
@@ -200,27 +239,24 @@ def companion_matrix(n: int, k: int) -> ExactMatrix:
 
 
 def companion_coefficient(n: int, k: int, i: int) -> Fraction:
-    """Closed form of the i-th companion coefficient a_i.
+    """The i-th companion coefficient a_i = e[k+1-i] / e[0], with a_(k+1) = 1.
 
-    a_i = (-2)^(i-k-1) C(k+1, i) (n-i)(n-i-1)...(n-k) /
-          ((2n-2k-2i-1)(2n-2k-2i-3)...(2n-4k-1)), with a_{k+1} = 1 and empty
-    products equal to 1.
+    e is the coefficient row of p_(k+1) for the weight of P(n-1, k),
+    N = n - 2k - 1 (as in ``_jacobi_row``), read through its term ratios
+    e[j] / e[j-1] = 1 / ``_row_ratio``(N, k+1, j) without building the row.
+    The identity suite checks a_i against the product formula and the
+    companion matrix (entry "companion-closed-form").
     """
     n, k, i = index(n), index(k), index(i)
     if not 0 <= 2 * k <= n - 1:
         raise IndexOutOfRange(f"requires 0 <= 2k <= n-1, got n={n}, k={k}")
     if not 0 <= i <= k + 1:
         raise IndexOutOfRange(f"coefficient index must lie in 0..{k + 1}, got {i}")
-    if i == k + 1:
-        return Fraction(1)
-    numerator = 1
-    for j in range(i, k + 1):
-        numerator *= n - j
-    denominator = 1
-    for j in range(k - i + 1):
-        denominator *= 2 * n - 2 * k - 2 * i - 1 - 2 * j
-    power = k + 1 - i
-    return Fraction((-1) ** power * comb(k + 1, i) * numerator, 2**power * denominator)
+    big_n, num, den = n - 2 * k - 1, 1, 1
+    for j in range(1, k + 2 - i):
+        up, down = _row_ratio(big_n, k + 1, j)
+        num, den = num * down, den * up
+    return Fraction(num, den)
 
 
 def step_down_matrix(n: int, k: int) -> ExactMatrix:

@@ -137,6 +137,21 @@ class ExactMatrix:
         matrix._store(rows, den)
         return matrix
 
+    @classmethod
+    def _reduced(cls, rows: list[list[int]], den: int) -> "ExactMatrix":
+        """Wrap rows / den that the caller knows to be in lowest terms; skips ``_store``'s gcd.
+
+        The caller guarantees den > 0 and gcd(den, every entry) = 1.  One way
+        to know it without a gcd over the entries: rows = M * c with M a
+        primitive integer matrix (gcd of its entries 1) and gcd(c, den) = 1.
+        Then gcd(den, c * m_1, ..., c * m_r) = gcd(den, c * gcd(m_i)) =
+        gcd(den, c) = 1.  ``kinematic_matrix`` stores its kernel this way.
+        """
+        matrix = cls.__new__(cls)
+        matrix._ints, matrix._den = tuple(map(tuple, rows)), den
+        matrix.rows, matrix.cols = len(rows), len(rows[0])
+        return matrix
+
     def _store(self, rows: Iterable[Sequence[int]], den: int) -> None:
         """Keep rows / den, cut down by the gcd of den and every entry."""
         rows = list(rows)

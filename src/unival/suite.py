@@ -333,10 +333,15 @@ def _check_companion_closed_form(n_max: int) -> Optional[str]:
     for n in range(2, n_max + 1):
         for k in range((n - 1) // 2 + 1):
             matrix = companion_matrix(n, k)
-            for i in range(k + 1):
-                extracted, expected = -matrix[i, k], companion_coefficient(n, k, i)
-                if extracted != expected:
-                    return f"n={n}, k={k}, i={i}: extracted {extracted} != closed form {expected}"
+            for i in range(k + 2):
+                expected = _companion_product_formula(n, k, i)
+                if i <= k and -matrix[i, k] != expected:
+                    return f"n={n}, k={k}, i={i}: extracted {-matrix[i, k]} != closed form {expected}"
+                if companion_coefficient(n, k, i) != expected:
+                    return (
+                        f"n={n}, k={k}, i={i}: Jacobi-row coefficient {companion_coefficient(n, k, i)} "
+                        f"!= closed form {expected}"
+                    )
         anchor = companion_coefficient(n, 0, 0)
         if anchor != Fraction(-n, 2 * (2 * n - 1)):
             return f"n={n}: a_0 = {anchor} != -n/(2(2n-1))"
@@ -818,6 +823,25 @@ def kinematic_annihilator_block(n: int, k: int) -> ExactMatrix:
     if len(_row_reduce(list(block._ints), k)) < k:
         raise StructureViolation(f"annihilator block n={n}, k={k} is singular")
     return block
+
+
+def _companion_product_formula(n: int, k: int, i: int) -> Fraction:
+    """The companion coefficient a_i by the product formula, the reference for ``companion_coefficient``.
+
+    a_i = (-2)^(i-k-1) C(k+1, i) (n-i)(n-i-1)...(n-k) /
+          ((2n-2k-2i-1)(2n-2k-2i-3)...(2n-4k-1)), with a_(k+1) = 1 and empty
+    products equal to 1.
+    """
+    if i == k + 1:
+        return Fraction(1)
+    numerator = 1
+    for j in range(i, k + 1):
+        numerator *= n - j
+    denominator = 1
+    for j in range(k - i + 1):
+        denominator *= 2 * n - 2 * k - 2 * i - 1 - 2 * j
+    power = k + 1 - i
+    return Fraction((-1) ** power * comb(k + 1, i) * numerator, 2**power * denominator)
 
 
 def companion_relation_times_t(n: int, k: int) -> GradedPoly:

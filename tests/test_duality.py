@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm, prod
+from operator import mul
 
 import pytest
 
@@ -442,3 +444,87 @@ def test_pairing_pivots_reference_values_and_range():
     for n, k in ((3, 2), (4, -1), (-1, 0)):
         with pytest.raises(IndexOutOfRange):
             pairing_pivots(n, k)
+
+
+def _rank_one_kinematic_matrix(n, k):
+    """Oracle: Q(n, k) as the rank-one sum J (sum_i e_i e_i^T / d_i) J over every row e_i of L^-1.
+
+    O(k^3): every monic shifted Jacobi polynomial p_0..p_k from ``_row_ratio``
+    and every pivot from ``pairing_pivots``, where the kernel reads p_k,
+    p_(k+1) and d_k alone.
+    """
+    big_n = n - 2 * k
+    rows, weights = [], []
+    for i, d in enumerate(pairing_pivots(n, k)):
+        ratios = [duality._row_ratio(big_n, i, j) for j in range(i, 0, -1)]
+        row = [prod(down for _, down in ratios)]
+        for up, down in ratios:
+            row.append(row[-1] * up // down)
+        g = gcd(*row)
+        rows.append([x // g for x in reversed(row)] + [0] * (k - i))
+        scale = row[0] // g  # the row's leading coefficient
+        weights.append(Fraction(d.denominator, d.numerator * scale * scale))
+    common = lcm(*(w.denominator for w in weights))
+    weighted = [[x * (w.numerator * (common // w.denominator)) for x in row] for row, w in zip(rows, weights)]
+    cols, weighted_cols = list(zip(*rows)), list(zip(*weighted))
+    out = [[0] * (k + 1) for _ in range(k + 1)]
+    for a in range(k + 1):
+        for b in range(a, k + 1):
+            out[k - a][k - b] = out[k - b][k - a] = sum(map(mul, weighted_cols[a][b:], cols[b][b:]))
+    return ExactMatrix._lowest(out, common)
+
+
+def _same_storage(q, oracle):
+    return q._ints == oracle._ints and q._den == oracle._den
+
+
+def test_kinematic_matrix_matches_the_rank_one_sum(fresh_matrix_caches):
+    for n in range(41):
+        for k in range(n // 2 + 1):
+            assert _same_storage(kinematic_matrix(n, k), _rank_one_kinematic_matrix(n, k)), (n, k)
+    for n, k in ((100, 1), (100, 21), (100, 49), (100, 50), (200, 7), (200, 60), (200, 100)):
+        assert _same_storage(kinematic_matrix(n, k), _rank_one_kinematic_matrix(n, k)), (n, k)
+
+
+@pytest.mark.parametrize("n", [100, 200, 400])
+def test_kinematic_matrix_inverts_the_hankel_pairing_past_the_suite(n, fresh_matrix_caches):
+    """Q(n, k) (P(n, k) v) = v for a seeded random integer v, in O(k^2): P is Hankel in h(n, m)."""
+    rng = random.Random(n)
+    for k in sorted({0, 1, 2, 3, rng.randrange(4, n // 2 - 1), n // 2 - 1, n // 2}):
+        h = [pairing_value(n, m).as_integer_ratio() for m in range(2 * k + 1)]
+        den = lcm(*(d for _, d in h))
+        hankel = [x * (den // d) for x, d in h]  # P = Hankel(hankel) / den
+        v = [rng.randint(-(10**6), 10**6) for _ in range(k + 1)]
+        pv = [sum(map(mul, hankel[i : i + k + 1], v)) for i in range(k + 1)]
+        q = kinematic_matrix(n, k)
+        assert [sum(map(mul, row, pv)) for row in q._ints] == [x * q._den * den for x in v], (n, k)
+
+
+def test_reduced_storage_matches_lowest_on_the_kernel_rows(monkeypatch, fresh_matrix_caches):
+    real = ExactMatrix._reduced
+    seen = []
+
+    def recording(cls, rows, den):
+        seen.append(([list(row) for row in rows], den))
+        return real(rows, den)
+
+    monkeypatch.setattr(ExactMatrix, "_reduced", classmethod(recording))
+    cases = [(n, k) for n in range(25) for k in range(n // 2 + 1)] + [(100, 30), (200, 80)]
+    for n, k in cases:
+        kinematic_matrix(n, k)
+    assert len(seen) == len(cases)
+    for rows, den in seen:
+        reduced, lowest = real(rows, den), ExactMatrix._lowest(rows, den)
+        assert reduced._ints == lowest._ints and reduced._den == lowest._den
+        assert den > 0 and gcd(den, *(x for row in rows for x in row)) == 1
+        assert (reduced.rows, reduced.cols) == (lowest.rows, lowest.cols)
+
+
+def test_companion_coefficients_are_the_reversed_jacobi_row():
+    # the term-ratio reading and the kernel's integer row, against the suite's product formula
+    for n in range(1, 41):
+        for k in range((n - 1) // 2 + 1):
+            expected = [suite._companion_product_formula(n, k, i) for i in range(k + 2)]
+            e = duality._jacobi_row(n - 2 * k - 1, k + 1)
+            assert [Fraction(e[k + 1 - i], e[0]) for i in range(k + 2)] == expected, (n, k)
+            assert [companion_coefficient(n, k, i) for i in range(k + 2)] == expected, (n, k)

@@ -257,6 +257,50 @@ def test_suite_catches_corrupted_row_ratio(monkeypatch, fresh_matrix_caches):
     assert failing["pairing-structure"] == "n=2, k=1: kinematic * pairing != identity"
 
 
+def test_suite_catches_a_dropped_carry_in_the_kernel_step(monkeypatch, fresh_matrix_caches):
+    real_step = duality._kernel_step
+
+    def corrupted(r, carry):
+        """K[1][1] = R[2][1] without its carry K[2][0]: the first entry that has one, at k = 2."""
+        row = real_step(r, carry)
+        if len(row) == 2:
+            row[1] -= carry[0]
+        return row
+
+    monkeypatch.setattr(duality, "_kernel_step", corrupted)
+    failing = _failing_entries(run_suite(4))
+    assert set(failing) == {
+        "pairing-structure",
+        "kinematic-positive-definite",
+        "kinematic-step-up",
+        "kinematic-cocommutativity",
+        "annihilator-congruence",
+    }
+    assert failing["pairing-structure"] == "n=4, k=2: kinematic * pairing != identity"
+
+
+def test_suite_catches_an_off_by_one_kernel_scale(monkeypatch, fresh_matrix_caches):
+    real_scale = duality._kernel_scale
+
+    def corrupted(g, n, k, low, high):
+        """s_(k+1) read one too high."""
+        return real_scale(g, n, k, low, high + 1)
+
+    monkeypatch.setattr(duality, "_kernel_scale", corrupted)
+    failing = _failing_entries(run_suite(3))
+    assert set(failing) == {
+        "pairing-structure",
+        "pairing-reference-values",
+        "annihilator-block",
+        "companion-closed-form",
+        "step-down-identity",
+        "kinematic-step-up",
+        "kinematic-cocommutativity",
+        "annihilator-congruence",
+    }
+    assert failing["pairing-structure"] == "n=1, k=0: kinematic * pairing != identity"
+
+
 def test_annihilator_entry_reports_internal_faults(monkeypatch):
     def broken(generators, targets):
         raise TypeError("broken span test")
