@@ -18,7 +18,7 @@ from .algebra import (
 )
 from .duality import (
     annihilator_change_of_basis,
-    companion_coefficient,
+    companion_coefficients,
     companion_matrix,
     kinematic_matrix,
     pairing_matrix,
@@ -73,7 +73,7 @@ __all__ = [
     "annihilator_change_of_basis",
     "basis_monomials",
     "build_algebra",
-    "companion_coefficient",
+    "companion_coefficients",
     "companion_matrix",
     "kinematic_matrix",
     "kinematic_of",

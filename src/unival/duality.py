@@ -26,13 +26,13 @@ the reduction engine (entry "pairing-structure").
                                     tensor
   * annihilator_change_of_basis     rewrites monomial coordinates in the
                                     basis (t^j, annihilator elements)
-  * companion_matrix(n, k)          the scaled product of a kinematic matrix
-                                    with the next-lower pairing matrix, which
-                                    must be a companion matrix; its last
-                                    column encodes one relation of the
-                                    quotient
-  * companion_coefficient(n, k, i)  that relation's coefficients, read off
-                                    one shifted Jacobi polynomial
+  * companion_coefficients(n, k)    the coefficients a_0 .. a_(k+1) of one
+                                    relation of the quotient, read off one
+                                    shifted Jacobi polynomial
+  * companion_matrix(n, k)          the companion matrix of that relation,
+                                    which equals the scaled product of a
+                                    kinematic matrix with the next-lower
+                                    pairing matrix (checked in the suite)
   * step_down_matrix(n, k)          reduces the (n, k) kinematic matrix to
                                     the (n-1, k-1) one by a block identity
 
@@ -47,10 +47,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 from operator import add, index
 
-from .errors import IndexOutOfRange, StructureViolation
+from .errors import IndexOutOfRange
 from .exact import ExactMatrix
 
 
@@ -216,47 +216,31 @@ def annihilator_change_of_basis(n: int, k: int) -> ExactMatrix:
     return ExactMatrix._lowest([[1] + [0] * k, *_annihilator_rows(n, 2 * k)], 1)
 
 
-def companion_matrix(n: int, k: int) -> ExactMatrix:
-    """The companion matrix (n / (2(2n-1))) * kinematic(n,k) @ pairing(n-1,k), verified.
+def companion_coefficients(n: int, k: int) -> tuple[Fraction, ...]:
+    """The companion coefficients a_0 .. a_(k+1), with a_(k+1) = 1: a_i = e[k+1-i] / e[0].
 
-    The product must have ones on the subdiagonal and zeros elsewhere
-    outside the last column; its last column holds the negated relation
-    coefficients -a_0 .. -a_k (the implied a_{k+1} is 1).
+    e is the integer row of p_(k+1) for the weight of P(n-1, k),
+    N = n - 2k - 1 (``_jacobi_row``), built once for all i.  The identity
+    suite checks the a_i against the product formula (entry
+    "companion-closed-form").
     """
     n, k = index(n), index(k)
     if not 0 <= 2 * k <= n - 1:
         raise IndexOutOfRange(f"requires 0 <= 2k <= n-1, got n={n}, k={k}")
-    product = kinematic_matrix(n, k) @ pairing_matrix(n - 1, k)
-    matrix = ExactMatrix._lowest(([n * x for x in row] for row in product._ints), 2 * (2 * n - 1) * product._den)
-    ints, den = matrix._ints, matrix._den
-    for i in range(k + 1):
-        for j in range(k):
-            if ints[i][j] != den * (i == j + 1):
-                raise StructureViolation(
-                    f"kinematic/pairing product n={n}, k={k} is not a companion matrix at ({i},{j})"
-                )
-    return matrix
+    e = _jacobi_row(n - 2 * k - 1, k + 1)
+    return tuple(Fraction(x, e[0]) for x in reversed(e))
 
 
-def companion_coefficient(n: int, k: int, i: int) -> Fraction:
-    """The i-th companion coefficient a_i = e[k+1-i] / e[0], with a_(k+1) = 1.
+def companion_matrix(n: int, k: int) -> ExactMatrix:
+    """The companion matrix of the (n, k) relation: ones on the subdiagonal, -a_0 .. -a_k in the last column.
 
-    e is the coefficient row of p_(k+1) for the weight of P(n-1, k),
-    N = n - 2k - 1 (as in ``_jacobi_row``), read through its term ratios
-    e[j] / e[j-1] = 1 / ``_row_ratio``(N, k+1, j) without building the row.
-    The identity suite checks a_i against the product formula and the
-    companion matrix (entry "companion-closed-form").
+    It equals (n / (2(2n-1))) * kinematic(n,k) @ pairing(n-1,k); the
+    identity suite checks that product (entry "companion-closed-form").
     """
-    n, k, i = index(n), index(k), index(i)
-    if not 0 <= 2 * k <= n - 1:
-        raise IndexOutOfRange(f"requires 0 <= 2k <= n-1, got n={n}, k={k}")
-    if not 0 <= i <= k + 1:
-        raise IndexOutOfRange(f"coefficient index must lie in 0..{k + 1}, got {i}")
-    big_n, num, den = n - 2 * k - 1, 1, 1
-    for j in range(1, k + 2 - i):
-        up, down = _row_ratio(big_n, k + 1, j)
-        num, den = num * down, den * up
-    return Fraction(num, den)
+    *a, _ = companion_coefficients(n, k)
+    den = lcm(*(x.denominator for x in a))
+    rows = [[den * (i == j + 1) for j in range(k)] + [-x.numerator * (den // x.denominator)] for i, x in enumerate(a)]
+    return ExactMatrix._lowest(rows, den)
 
 
 def step_down_matrix(n: int, k: int) -> ExactMatrix:
@@ -274,9 +258,10 @@ def step_down_matrix(n: int, k: int) -> ExactMatrix:
     lead = Fraction(n, 2 * (2 * n - 1))
     rows = [[Fraction(0)] * size for _ in range(size)]
     rows[0] = [pairing_value(n, j) for j in range(size)]
+    a = companion_coefficients(n - 1, k - 1)
     for i in range(1, size):
         rows[i][i - 1] = lead
-        rows[i][k] -= lead * companion_coefficient(n - 1, k - 1, i - 1)
+        rows[i][k] -= lead * a[i - 1]
     return ExactMatrix(rows)
 
 

@@ -23,7 +23,7 @@ from .algebra import AlgebraElement, SOAlgebra, basis_monomials, build_algebra
 from .duality import (
     _annihilator_rows,
     annihilator_change_of_basis,
-    companion_coefficient,
+    companion_coefficients,
     companion_matrix,
     kinematic_matrix,
     pairing_matrix,
@@ -332,19 +332,24 @@ def _check_pairing_structure(n_max: int) -> Optional[str]:
 def _check_companion_closed_form(n_max: int) -> Optional[str]:
     for n in range(2, n_max + 1):
         for k in range((n - 1) // 2 + 1):
-            matrix = companion_matrix(n, k)
+            product = (kinematic_matrix(n, k) @ pairing_matrix(n - 1, k)).scale(Fraction(n, 2 * (2 * n - 1)))
+            ints, den = product._ints, product._den
+            for i in range(k + 1):
+                for j in range(k):
+                    if ints[i][j] != den * (i == j + 1):
+                        return f"n={n}, k={k}: (n/(2(2n-1))) Q P is not a companion matrix at ({i},{j})"
+            coefficients = companion_coefficients(n, k)
             for i in range(k + 2):
                 expected = _companion_product_formula(n, k, i)
-                if i <= k and -matrix[i, k] != expected:
-                    return f"n={n}, k={k}, i={i}: extracted {-matrix[i, k]} != closed form {expected}"
-                if companion_coefficient(n, k, i) != expected:
-                    return (
-                        f"n={n}, k={k}, i={i}: Jacobi-row coefficient {companion_coefficient(n, k, i)} "
-                        f"!= closed form {expected}"
-                    )
-        anchor = companion_coefficient(n, 0, 0)
-        if anchor != Fraction(-n, 2 * (2 * n - 1)):
-            return f"n={n}: a_0 = {anchor} != -n/(2(2n-1))"
+                if i <= k and -product[i, k] != expected:
+                    return f"n={n}, k={k}, i={i}: extracted {-product[i, k]} != closed form {expected}"
+                if coefficients[i] != expected:
+                    return f"n={n}, k={k}, i={i}: Jacobi-row coefficient {coefficients[i]} != closed form {expected}"
+            if k == 0 and coefficients[0] != Fraction(-n, 2 * (2 * n - 1)):
+                return f"n={n}: a_0 = {coefficients[0]} != -n/(2(2n-1))"
+            matrix = companion_matrix(n, k)
+            if matrix != product:
+                return f"n={n}, k={k}: companion_matrix {matrix!r} != (n/(2(2n-1))) Q P {product!r}"
     return None
 
 
@@ -826,11 +831,14 @@ def kinematic_annihilator_block(n: int, k: int) -> ExactMatrix:
 
 
 def _companion_product_formula(n: int, k: int, i: int) -> Fraction:
-    """The companion coefficient a_i by the product formula, the reference for ``companion_coefficient``.
+    """The companion coefficient a_i by the product formula, independent of the Jacobi row.
 
     a_i = (-2)^(i-k-1) C(k+1, i) (n-i)(n-i-1)...(n-k) /
           ((2n-2k-2i-1)(2n-2k-2i-3)...(2n-4k-1)), with a_(k+1) = 1 and empty
-    products equal to 1.
+    products equal to 1.  Entry "companion-closed-form" compares it with
+    ``companion_coefficients`` and with the negated last column of the
+    scaled product (n/(2(2n-1))) Q(n,k) P(n-1,k), which it checks to equal
+    ``companion_matrix``.
     """
     if i == k + 1:
         return Fraction(1)
@@ -850,11 +858,8 @@ def companion_relation_times_t(n: int, k: int) -> GradedPoly:
     Always a polynomial; for odd n at k = (n-1)/2 the bare relation would
     carry t^(-1), so only this product is ever materialized.
     """
-    if not 0 <= 2 * k <= n - 1:
-        raise IndexOutOfRange(f"requires 0 <= 2k <= n-1, got n={n}, k={k}")
-    return GradedPoly(
-        {(i, 2 * n - 2 * k - 2 * i): companion_coefficient(n, k, i) for i in range(k + 2)}
-    )
+    a = companion_coefficients(n, k)
+    return GradedPoly({(i, 2 * n - 2 * k - 2 * i): a_i for i, a_i in enumerate(a)})
 
 
 def companion_relation(n: int, k: int) -> GradedPoly:
@@ -922,14 +927,13 @@ def coefficient_recurrences_hold(n: int, k: int) -> bool:
     """
     if k < 1 or 2 * k > n - 1:
         raise IndexOutOfRange(f"requires k >= 1 and 2k <= n-1, got n={n}, k={k}")
-    a = [companion_coefficient(n, k, i) for i in range(k + 2)]
+    a, lower, previous = (companion_coefficients(m, j) for m, j in ((n, k), (n - 1, k - 1), (n - 2, k - 1)))
     if sum(comb(2 * n - 2 * i - 1, n - i) * a[i] for i in range(k + 2)) != 0:
         return False
-    gap = a[k] - companion_coefficient(n - 2, k - 1, k - 1)
+    gap = a[k] - previous[k - 1]
     if gap != Fraction(-n, 2 * (2 * n - 4 * k - 1)):
         return False
     for i in range(k):
-        previous = companion_coefficient(n - 2, k - 1, i - 1) if i >= 1 else Fraction(0)
-        if previous + companion_coefficient(n - 1, k - 1, i) * gap != a[i]:
+        if (previous[i - 1] if i >= 1 else 0) + lower[i] * gap != a[i]:
             return False
     return True

@@ -17,7 +17,7 @@ from unival import (
     GradedPoly,
     NotInSpan,
     build_algebra,
-    companion_coefficient,
+    companion_coefficients,
     companion_matrix,
     kinematic_matrix,
     log_component,
@@ -145,10 +145,10 @@ def test_c04_oracle_matrices():
 def test_c05_companion_closed_form():
     for n in range(2, 13):
         for k in range((n - 1) // 2 + 1):
-            matrix = companion_matrix(n, k)
-            for i in range(k + 1):
-                assert -matrix[i, k] == companion_coefficient(n, k, i), (n, k, i)
-        assert companion_coefficient(n, 0, 0) == F(-n, 2 * (2 * n - 1)), n
+            product = (kinematic_matrix(n, k) @ pairing_matrix(n - 1, k)).scale(F(n, 2 * (2 * n - 1)))
+            assert companion_matrix(n, k) == product, (n, k)
+            assert companion_coefficients(n, k) == (*(-product[i, k] for i in range(k + 1)), 1), (n, k)
+        assert companion_coefficients(n, 0)[0] == F(-n, 2 * (2 * n - 1)), n
     print("PASS 05 companion shape and closed-form coefficients")
 
 

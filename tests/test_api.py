@@ -31,7 +31,7 @@ PUBLIC_NAMES = [
     "annihilator_change_of_basis",
     "basis_monomials",
     "build_algebra",
-    "companion_coefficient",
+    "companion_coefficients",
     "companion_matrix",
     "kinematic_matrix",
     "kinematic_of",

@@ -15,10 +15,9 @@ from unival import (
     ExactMatrix,
     GradedPoly,
     IndexOutOfRange,
-    StructureViolation,
     annihilator_change_of_basis,
     build_algebra,
-    companion_coefficient,
+    companion_coefficients,
     companion_matrix,
     kinematic_matrix,
     kinematic_unit,
@@ -168,13 +167,9 @@ def test_companion_reference_values():
 
 
 def test_companion_coefficient_closed_form():
-    assert companion_coefficient(3, 1, 0) == F(1, 2)
-    assert companion_coefficient(3, 1, 1) == F(-2)
-    assert companion_coefficient(3, 1, 2) == 1
+    assert companion_coefficients(3, 1) == (F(1, 2), F(-2), 1)
     for n in range(2, 13):
-        assert companion_coefficient(n, 0, 0) == F(-n, 2 * (2 * n - 1))
-    with pytest.raises(IndexOutOfRange):
-        companion_coefficient(3, 1, 3)
+        assert companion_coefficients(n, 0) == (F(-n, 2 * (2 * n - 1)), 1)
 
 
 # The start of each function's own range message: a guard that lets a bad
@@ -186,7 +181,7 @@ GUARDS = {
     kinematic_matrix: "kinematic matrix requires",
     annihilator_change_of_basis: "requires k >= 0 and 2k[+]1 <= n",
     companion_matrix: "requires 0 <= 2k <= n-1",
-    companion_coefficient: "requires 0 <= 2k <= n-1|coefficient index must lie",
+    companion_coefficients: "requires 0 <= 2k <= n-1",
     step_down_matrix: "requires k >= 1 and 2k[+]1 <= n",
     positivity_scan: "n_max must be >= 1",
 }
@@ -211,25 +206,19 @@ def test_every_duality_range_guard_at_its_boundary():
             assert _accepts(f, n, 0) and _accepts(f, n, n // 2), (f, n)
             assert not _accepts(f, n, -1) and not _accepts(f, n, n // 2 + 1), (f, n)
         top = (n - 1) // 2  # the largest k with 2k <= n - 1, that is 2k + 1 <= n
-        for f in (annihilator_change_of_basis, companion_matrix):
+        for f in (annihilator_change_of_basis, companion_matrix, companion_coefficients):
             assert _accepts(f, n, 0) and _accepts(f, n, top), (f, n)
             assert not _accepts(f, n, -1) and not _accepts(f, n, top + 1), (f, n)
-        for k in range(-1, top + 2):
-            assert _accepts(companion_coefficient, n, k, 0) == (0 <= k <= top), (n, k)
-        for k in range(top + 1):
-            assert _accepts(companion_coefficient, n, k, 0) and _accepts(companion_coefficient, n, k, k + 1)
-            assert not _accepts(companion_coefficient, n, k, -1)
-            assert not _accepts(companion_coefficient, n, k, k + 2)
         for k in range(-1, top + 2):  # 1 <= k and 2k + 1 <= n
             assert _accepts(step_down_matrix, n, k) == (1 <= k <= top), (n, k)
     assert _accepts(positivity_scan, 1) and not _accepts(positivity_scan, 0)
     with pytest.raises(IndexOutOfRange, match=r"^requires 0 <= 2k <= n-1, got n=4, k=2$"):
-        companion_coefficient(4, 2, 0)  # a guard widened to 2k <= n + 1 would answer
+        companion_coefficients(4, 2)  # a guard widened to 2k <= n + 1 would answer
 
 
 def test_companion_and_step_down_reject_float_arguments():
     # step_down_matrix(5.0, 1) once failed inside Fraction with an unrelated message
-    cases = [(companion_matrix, (5, 1)), (companion_coefficient, (5, 1, 1)), (step_down_matrix, (5, 1))]
+    cases = [(companion_matrix, (5, 1)), (companion_coefficients, (5, 1)), (step_down_matrix, (5, 1))]
     for f, args in cases:
         for i in range(len(args)):
             floated = [*args[:i], float(args[i]), *args[i + 1:]]
@@ -263,7 +252,7 @@ def test_companion_matrix_refuses_negative_k():
 def test_companion_coefficient_refuses_negative_k():
     # k = -1 once passed the range check and returned a_0 = 1
     with pytest.raises(IndexOutOfRange, match=r"^requires 0 <= 2k <= n-1, got n=5, k=-1$"):
-        companion_coefficient(5, -1, 0)
+        companion_coefficients(5, -1)
 
 
 def test_companion_relation_times_t_refuses_negative_k():
@@ -277,10 +266,10 @@ def test_companion_relation_times_t_refuses_negative_k():
 def test_companion_matches_closed_form_everywhere():
     for n in range(2, 13):
         for k in range((n - 1) // 2 + 1):
-            matrix = companion_matrix(n, k)
-            assert [-matrix[i, k] for i in range(k + 1)] == [
-                companion_coefficient(n, k, i) for i in range(k + 1)
-            ], (n, k)
+            a = companion_coefficients(n, k)
+            assert a[k + 1] == 1, (n, k)
+            expected = [[F(i == j + 1) for j in range(k)] + [-a[i]] for i in range(k + 1)]
+            assert companion_matrix(n, k).to_rows() == expected, (n, k)
 
 
 def test_companion_relation_polynomials():
@@ -338,9 +327,9 @@ def test_integer_checks_keep_their_counterexamples(monkeypatch, fresh_matrix_cac
 
     monkeypatch.setattr(duality, "kinematic_matrix", corrupted)
     monkeypatch.setattr(suite, "kinematic_matrix", corrupted)
-    # Only row 2 of the product moves, and its first entry should be 0.
-    with pytest.raises(StructureViolation, match=r"n=6, k=2 is not a companion matrix at \(2,0\)$"):
-        companion_matrix(6, 2)
+    # Only row 2 of the suite's product moves, and its first entry should be 0.
+    failed = {entry.name: entry.counterexample for entry in suite.run_suite(6).entries if not entry.passed}
+    assert failed["companion-closed-form"] == "n=6, k=2: (n/(2(2n-1))) Q P is not a companion matrix at (2,0)"
     # Q(6, 2) on either side of the step-down identity: a mismatch is False, never an exception.
     assert step_down_identity_holds(6, 2) is False
     assert step_down_identity_holds(7, 3) is False
@@ -359,7 +348,7 @@ def test_coefficient_recurrences_by_hand():
     assert total == 0
     assert coefficient_recurrences_hold(3, 1)
     # gap at n=4, k=1: a_1^{4,1} - a_0^{2,0} = -n/(2(2n-4k-1)) = -2/3
-    gap = companion_coefficient(4, 1, 1) - companion_coefficient(2, 0, 0)
+    gap = companion_coefficients(4, 1)[1] - companion_coefficients(2, 0)[0]
     assert gap == F(-4, 2 * 3)
     for n in range(3, 13):
         for k in range(1, (n - 1) // 2 + 1):
@@ -521,10 +510,19 @@ def test_reduced_storage_matches_lowest_on_the_kernel_rows(monkeypatch, fresh_ma
 
 
 def test_companion_coefficients_are_the_reversed_jacobi_row():
-    # the term-ratio reading and the kernel's integer row, against the suite's product formula
+    # the kernel's integer row, read directly and through companion_coefficients, against the product formula
     for n in range(1, 41):
         for k in range((n - 1) // 2 + 1):
             expected = [suite._companion_product_formula(n, k, i) for i in range(k + 2)]
             e = duality._jacobi_row(n - 2 * k - 1, k + 1)
             assert [Fraction(e[k + 1 - i], e[0]) for i in range(k + 2)] == expected, (n, k)
-            assert [companion_coefficient(n, k, i) for i in range(k + 2)] == expected, (n, k)
+            assert list(companion_coefficients(n, k)) == expected, (n, k)
+
+
+def test_companion_matrix_is_the_scaled_product_past_the_suite(fresh_matrix_caches):
+    # The engine builds the companion from the Jacobi row alone; the product Q P is the oracle.
+    cases = [(n, k) for n in range(1, 41) for k in range((n - 1) // 2 + 1)]
+    cases += [(100, 0), (100, 1), (100, 24), (100, 49), (200, 7), (200, 60), (200, 99)]
+    for n, k in cases:
+        product = (kinematic_matrix(n, k) @ pairing_matrix(n - 1, k)).scale(F(n, 2 * (2 * n - 1)))
+        assert _same_storage(companion_matrix(n, k), product), (n, k)

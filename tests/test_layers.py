@@ -7,7 +7,8 @@ that only the suite reads are defined in ``suite`` alone: every function of
 an engine module has a reader outside ``suite`` and ``__init__``, and so does
 every method of an engine class, unless a named entry says why it stays.
 A function is read by its name, bare or as an attribute; a method only as
-an attribute, so a local variable of the same name does not count.
+an attribute, so a local variable of the same name does not count.  Only
+the suite raises ``StructureViolation``: the engine holds no cross-check.
 """
 
 from __future__ import annotations
@@ -66,6 +67,32 @@ def test_the_reader_sees_every_import_form(tmp_path):
         "from unival.poly import S\nfrom unival import algebra\nimport json\nfrom math import comb\n"
     )
     assert _imported_modules(probe) == {"suite", "exact", "kinematics", "poly", "algebra"}
+
+
+def _raised_names(path: Path) -> set[str]:
+    """The exception names the file at ``path`` raises, bare or as an attribute, called or not."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", ""))
+    return names - {""}
+
+
+def test_the_raise_reader_sees_every_raise_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def f(x):\n    if x:\n        raise StructureViolation(f'at {x}')\n    try:\n        g()\n"
+        "    except KeyError as exc:\n        raise errors.NotInSpan('no') from exc\n"
+        "    except OSError:\n        raise\n    raise ValueError\n"
+    )
+    assert _raised_names(probe) == {"StructureViolation", "NotInSpan", "ValueError"}
+
+
+def test_only_the_suite_raises_structure_violation():
+    # A failed structural cross-check is the suite's verdict, never an engine call's.
+    raisers = {path.name for path in SRC.glob("*.py") if "StructureViolation" in _raised_names(path)}
+    assert raisers == {"suite.py"}
 
 
 SUITE_ONLY = {

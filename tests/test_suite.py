@@ -454,13 +454,14 @@ def test_suite_catches_corrupted_kinematic_matrix(monkeypatch, fresh_matrix_cach
 
 
 def test_suite_catches_corrupted_companion_coefficient(monkeypatch, fresh_matrix_caches):
-    real_coefficient = duality.companion_coefficient
+    real_coefficients = duality.companion_coefficients
 
-    def corrupted(n, k, i):
-        value = real_coefficient(n, k, i)
-        return value + 1 if (n, k, i) == (3, 1, 1) else value
+    def corrupted(n, k):
+        """a_1 of the (3, 1) relation off by one."""
+        a = real_coefficients(n, k)
+        return (a[0], a[1] + 1, *a[2:]) if (n, k) == (3, 1) else a
 
-    _patch_every_binding(monkeypatch, "companion_coefficient", corrupted)
+    _patch_every_binding(monkeypatch, "companion_coefficients", corrupted)
     failing = _failing_entries(run_suite(3))
     assert {"companion-closed-form", "companion-relation-vanishes"} <= set(failing)
 
