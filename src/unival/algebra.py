@@ -18,7 +18,8 @@ non-basis monomial, integer coefficients on the degree-d basis.  Normal forms
 and products run through one integer kernel (``_Model._reduce``): the
 integer numerators of a ``GradedPoly`` go in, basis terms pass straight
 through, and only the degrees that a non-basis term reaches get an integer
-row from the tables (``_accumulate``).  All of it is put over one
+row from the tables (``_accumulate``).  A single term, the identity suite's
+usual input, is read straight off its one row.  All of it is put over one
 denominator, which is ``GradedPoly``'s own storage, so no ``Fraction`` is
 built.  Kinematic tensors read ``_accumulate``'s integer rows directly.
 
@@ -41,7 +42,7 @@ from __future__ import annotations
 from itertools import chain
 from math import gcd, lcm
 from operator import index
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .errors import AlgebraMismatch, DegreeOutOfRange, InternalInconsistency
 from .poly import GradedPoly, Monomial, log_component, poly_parse
@@ -239,15 +240,30 @@ class _Model:
                 acc[d] = [x + c * y for x, y in zip(row, table[d][1][k])]
         return acc
 
-    def _reduce(self, terms: Iterable[tuple[Monomial, int]], den: int) -> AlgebraElement:
+    def _reduce(self, terms: Collection[tuple[Monomial, int]], den: int) -> AlgebraElement:
         """The integer reduction kernel: normal form of sum(c * s^p t^q) / den.
 
-        Basis terms go straight into the result's numerators (``_accumulate``'s
-        ``loose``); only the degrees that a non-basis term reaches get a row
-        over den * D_d, take in the basis terms of their degree, and enter the
-        common denominator den * lcm(D_d).  The result is read in degree and
-        basis order.
+        One term is answered directly: zero above the top degree, a basis
+        monomial itself over den, any other c times its table row over
+        den * D_d, cut once.  Of several terms, the basis ones go straight into
+        the result's numerators (``_accumulate``'s ``loose``); only the degrees
+        that a non-basis term reaches get a row over den * D_d, take in the
+        basis terms of their degree, and enter the common denominator
+        den * lcm(D_d).  The result is read in degree and basis order.
         """
+        if len(terms) == 1:
+            (mono, c), = terms
+            p, q = mono
+            d = 2 * p + q
+            if d > self.top_degree or not c:
+                return AlgebraElement(self, GradedPoly._lowest({}, 1))
+            basis = self._basis[d]
+            k = p - len(basis)
+            if k < 0:
+                return AlgebraElement(self, GradedPoly._lowest({mono: c}, den))
+            table_den, rows = self._table[d]
+            num = {b: c * x for b, x in zip(basis, rows[k]) if x}
+            return AlgebraElement(self, GradedPoly._lowest(num, den * table_den))
         loose: dict[int, dict[int, int]] = {}
         rows = self._accumulate(terms, loose)
         table, basis = self._table, self._basis
@@ -269,10 +285,10 @@ class _Model:
         return AlgebraElement(self, GradedPoly._lowest(num, den * common))
 
     def _multiply(self, a: GradedPoly, b: GradedPoly) -> AlgebraElement:
-        """Normal form of a*b: the integer numerators are convolved straight into the kernel."""
+        """Normal form of a*b: the integer numerators are convolved straight into the kernel, as a list it can count."""
         right = b._num.items()
         return self._reduce(
-            (((p1 + p2, q1 + q2), c1 * c2) for (p1, q1), c1 in a._num.items() for (p2, q2), c2 in right),
+            [((p1 + p2, q1 + q2), c1 * c2) for (p1, q1), c1 in a._num.items() for (p2, q2), c2 in right],
             a._den * b._den,
         )
 

@@ -107,7 +107,7 @@ def build_parser() -> _Parser:
 
 
 def _unitary_dimension(n: int) -> int:
-    """``n``, refused below 1 as ``build_algebra`` refuses it, for commands that build no algebra."""
+    """``n``, refused below 1 as ``build_algebra`` refuses it, before any algebra is built."""
     if n < 1:
         raise DegreeOutOfRange("complex dimension n must be >= 1")
     return n
@@ -122,9 +122,14 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_normal_form(args) -> int:
-    """``reduce`` prints the normal form of one polynomial, ``mul`` that of the product of two."""
+    """``reduce`` prints the normal form of one polynomial, ``mul`` that of the product of two.
+
+    The dimension is checked and every text parsed before the algebra is built.
+    """
+    _unitary_dimension(args.n)
+    polys = [poly_parse(text) for text in args.factors]
     alg = build_algebra(args.n)
-    element = reduce(mul, [alg.normal_form(poly_parse(text)) for text in args.factors])
+    element = reduce(mul, map(alg.normal_form, polys))
     print(format_normal_form(args.n, element.poly, args.format))
     return 0
 
@@ -145,17 +150,23 @@ def _cmd_matrix(args) -> int:
 
 
 def _so_dimension(n: int) -> int:
-    """``n``, refused past ``SO_CEILING`` before any orthogonal model is built."""
+    """``n``, refused below 1 as ``SOAlgebra`` refuses it and past ``SO_CEILING``, before any model is built."""
+    if n < 1:
+        raise DegreeOutOfRange("real dimension n must be >= 1")
     if n > SO_CEILING:
         raise UnivalError(f"real dimension must be <= {SO_CEILING} (the orthogonal ceiling), got {n}")
     return n
 
 
 def _cmd_kinematic(args) -> int:
+    """The dimension is checked and the text parsed before the model is built."""
     if (args.n is None) == (args.so is None):
         raise UnivalError("exactly one of --n (unitary) or --so (orthogonal) is required")
-    model = build_algebra(args.n) if args.so is None else SOAlgebra(_so_dimension(args.so))
-    print(format_tensor(kinematic_of(model.n, model.normal_form(poly_parse(args.phi))), args.format))
+    unitary = args.so is None
+    n = _unitary_dimension(args.n) if unitary else _so_dimension(args.so)
+    phi = poly_parse(args.phi)
+    model = build_algebra(n) if unitary else SOAlgebra(n)
+    print(format_tensor(kinematic_of(model.n, model.normal_form(phi)), args.format))
     return 0
 
 

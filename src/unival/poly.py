@@ -145,10 +145,19 @@ class GradedPoly:
         """self times the single term c * s^a * t^b of ``term``.
 
         Every monomial moves by the same (2a+b, a) in the plain key, so the
-        support keeps its order and no numerator becomes zero.
+        support keeps its order and no numerator becomes zero.  When self is
+        one term too, the one product is cut by one gcd into one object.
         """
         ((a, b), c), = term._num.items()
-        return GradedPoly._lowest({(p + a, q + b): x * c for (p, q), x in self._num.items()}, self._den * term._den)
+        den = self._den * term._den
+        if len(self._num) == 1:
+            ((p, q), x), = self._num.items()
+            x *= c
+            g = gcd(x, den)
+            poly = GradedPoly.__new__(GradedPoly)
+            poly._num, poly._den = {(p + a, q + b): x // g}, den // g
+            return poly
+        return GradedPoly._lowest({(p + a, q + b): x * c for (p, q), x in self._num.items()}, den)
 
     def __mul__(self, other) -> "GradedPoly":
         """Only a product of two sums of several terms can reorder its support, so only it sorts."""

@@ -495,6 +495,26 @@ def test_reduction_kernel_matches_the_dense_oracle_at_dimension_32(seed):
         _assert_same_storage((x * y).poly, _dense_reduce(alg, _convolved(x.poly, y.poly), x.poly._den * y.poly._den))
 
 
+def _reduced_monomials(model) -> list[Monomial]:
+    """Every monomial the model's ``normal_form`` takes, of degree 0..top+3: past the top as well."""
+    degrees = range(model.top_degree + 4)
+    if isinstance(model, SOAlgebra):
+        return [(0, d) for d in degrees]
+    return [(p, d - 2 * p) for d in degrees for p in range(d // 2 + 1)]
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 32])
+@pytest.mark.parametrize("build", [build_algebra, SOAlgebra], ids=["unitary", "orthogonal"])
+def test_one_term_reduction_matches_the_multi_term_path(build, n):
+    # The same term split in two, c = (c + 1) - 1, takes the kernel's multi-term path.
+    model = build(n)
+    for c, den in ((1, 1), (6, 35), (-10, 3), (2**70 + 1, 6), (0, 4)):
+        for mono in _reduced_monomials(model):
+            one = model._reduce([(mono, c)], den).poly
+            _assert_same_storage(one, model._reduce([(mono, c + 1), (mono, -1)], den).poly)
+            _assert_same_storage(one, _dense_reduce(model, [(mono, c)], den))
+
+
 def test_reduction_of_reads_the_tables():
     alg = build_algebra(2)
     assert alg.reduction_of((2, 0)) == poly_parse("1/6*t^4")

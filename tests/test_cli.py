@@ -56,6 +56,31 @@ def test_basis_builds_no_algebra(capsys, monkeypatch):
         assert _capture(capsys, ["basis", "--n", n, "--degree", degree]) == expected, (n, degree)
 
 
+def test_text_is_parsed_before_any_model_is_built(capsys, monkeypatch):
+    """A dimension error comes first, then a malformed text; neither builds a model, however large n is."""
+
+    def forbidden(n):
+        raise AssertionError(f"a model was built for n={n} before the text was parsed")
+
+    for module, names in ((cli, ("build_algebra", "SOAlgebra")), (algebra, ("build_algebra", "UnitaryAlgebra"))):
+        for name in names:
+            monkeypatch.setattr(module, name, forbidden)
+    caret = "error: position 2: expected an exponent after '^', found end of input\n"
+    cases = {
+        ("reduce", "--n", "0", "t"): "error: complex dimension n must be >= 1\n",
+        ("reduce", "--n", "0", "s^"): "error: complex dimension n must be >= 1\n",
+        ("reduce", "--n", "100000", "s^"): caret,
+        ("mul", "--n", "100000", "s", "s^"): caret,
+        ("mul", "--n", "100000", "s^", "1/0"): caret,
+        ("kinematic", "--n", "100000", "--phi", "s^"): caret,
+        ("kinematic", "--n", "-1", "--phi", "s^"): "error: complex dimension n must be >= 1\n",
+        ("kinematic", "--so", "100000", "--phi", "s^"): caret,
+        ("kinematic", "--so", "0", "--phi", "s^"): "error: real dimension n must be >= 1\n",
+    }
+    for argv, err in cases.items():
+        assert _capture(capsys, list(argv)) == (1, "", err), argv
+
+
 def test_basis_below_first_relation(capsys):
     code, out, _ = _capture(capsys, ["basis", "--n", "4", "--degree", "2"])
     assert code == 0

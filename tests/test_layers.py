@@ -9,14 +9,21 @@ every method of an engine class, unless a named entry says why it stays.
 A function is read by its name, bare or as an attribute; a method only as
 an attribute, so a local variable of the same name does not count.  Only
 the suite raises ``StructureViolation``: the engine holds no cross-check.
+One-term work goes through the two kernels that the mutation tests
+corrupt, ``_Model._reduce`` and ``GradedPoly._times_term``, with no
+shortcut around them.
 """
 
 from __future__ import annotations
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from unival.algebra import SOAlgebra, _Model, build_algebra
+from unival.poly import GradedPoly
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "unival"
 
@@ -236,3 +243,35 @@ def test_the_cache_reader_sees_both_spellings(tmp_path):
 def test_suite_caches_nothing_across_calls():
     # Memos live inside one check call, so a kernel patched by one test is never masked by another's values.
     assert _cache_names(SRC / "suite.py") == set()
+
+
+def test_one_term_work_enters_the_kernels_the_mutation_tests_corrupt(monkeypatch):
+    # tests/test_suite.py corrupts _reduce and _times_term; a shortcut around either would hide its mutants.
+    reduced, multiplied = [], []
+    real_reduce, real_times_term = _Model._reduce, GradedPoly._times_term
+
+    def spy_reduce(self, terms, den):
+        reduced.append((list(terms), den))
+        return real_reduce(self, terms, den)
+
+    def spy_times_term(self, term):
+        multiplied.append((self, term))
+        return real_times_term(self, term)
+
+    monkeypatch.setattr(_Model, "_reduce", spy_reduce)
+    monkeypatch.setattr(GradedPoly, "_times_term", spy_times_term)
+    alg, so = build_algebra(3), SOAlgebra(3)
+    s, half_t = GradedPoly.monomial(1, 0), GradedPoly.monomial(0, 1, Fraction(1, 2))
+    entries = {
+        "normal_form": (lambda: alg.normal_form(s), [([((1, 0), 1)], 1)]),
+        "orthogonal normal_form": (lambda: so.normal_form(half_t), [([((0, 1), 1)], 2)]),
+        "_multiply": (lambda: alg._multiply(s, half_t), [([((1, 1), 1)], 2)]),
+        "reduction_of": (lambda: alg.reduction_of((2, 1)), [([((2, 1), 1)], 1)]),
+    }
+    for name, (call, expected) in entries.items():
+        reduced.clear()
+        call()
+        assert reduced == expected, name
+    assert not multiplied
+    product = s * half_t
+    assert multiplied == [(s, half_t)] and product == GradedPoly.monomial(1, 1, Fraction(1, 2))

@@ -251,6 +251,31 @@ def test_products_that_keep_plain_order_do_not_sort(monkeypatch):
         p * several
 
 
+def _stored_term(mono: tuple[int, int], x: int, den: int) -> GradedPoly:
+    """The one term x/den * mono stored as given, whether or not x/den is in lowest terms."""
+    poly = GradedPoly.__new__(GradedPoly)
+    poly._num, poly._den = {mono: x}, den
+    return poly
+
+
+nonzero_numerators = st.integers(-(10**12), 10**12).filter(bool)
+
+
+@given(monomials, nonzero_numerators, st.integers(1, 10**12), monomials, nonzero_numerators, st.integers(1, 10**12))
+@settings(max_examples=300)
+@example((1, 0), 6, 35, (0, 2), 14, 15)  # 84/525 = 4/25: cut by the gcd 21
+@example((0, 0), -1, 1, (3, 1), 5, 7)  # already in lowest terms
+def test_one_term_product_matches_the_general_comprehension(mono, x, den, other, c, other_den):
+    stored = (_stored_term(mono, x, den), _stored_term(other, c, other_den))
+    canonical = (GradedPoly.monomial(*mono, F(x, den)), GradedPoly.monomial(*other, F(c, other_den)))
+    for left, right in (stored, canonical):
+        ((a, b), y), = right._num.items()
+        general = GradedPoly._lowest({(p + a, q + b): z * y for (p, q), z in left._num.items()}, left._den * right._den)
+        product = left._times_term(right)
+        _assert_canonical(product)
+        assert _same_storage(product, general)
+
+
 @given(polys, polys)
 @settings(max_examples=50)
 def test_multiplication_commutes(p, q):

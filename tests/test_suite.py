@@ -556,6 +556,47 @@ def test_suite_catches_a_corrupted_single_term_product(monkeypatch, fresh_matrix
     }
 
 
+def test_suite_catches_a_one_term_reduction_without_its_table_denominator(monkeypatch, fresh_matrix_caches):
+    real_reduce = UnitaryAlgebra._reduce
+
+    def dropped(self, terms, den):
+        """A lone non-basis term's table row read over den alone, D_d left out."""
+        out = real_reduce(self, terms, den)
+        if len(terms) == 1:
+            ((p, q), _), = terms
+            d = 2 * p + q
+            if d <= self.top_degree and p >= self.dim(d):
+                return AlgebraElement(self, out.poly * self._table[d][0])
+        return out
+
+    monkeypatch.setattr(UnitaryAlgebra, "_reduce", dropped)
+    failing = _failing_entries(run_suite(3))
+    assert failing == {
+        "dimension-one-collapse": "s reduces to t^2, expected 1/2*t^2",
+        "pairing-structure": "n=1, m=1: s^1 t^0 reduces to top coefficient 1, closed form h(n, m) = 1/2",
+    }
+
+
+def test_suite_catches_a_one_term_product_with_its_exponent_sums_swapped(monkeypatch, fresh_matrix_caches):
+    real_times_term = GradedPoly._times_term
+
+    def swapped(self, term):
+        """A product of two single terms lands on s^(q+b) t^(p+a) in place of s^(p+a) t^(q+b)."""
+        out = real_times_term(self, term)
+        if len(self._num) != 1:
+            return out
+        ((p, q), x), = out._num.items()
+        return GradedPoly._lowest({(q, p): x}, out._den)
+
+    monkeypatch.setattr(GradedPoly, "_times_term", swapped)
+    failing = _failing_entries(run_suite(3))
+    assert failing == {
+        "difference-operator": "ValueError: only polynomials in t alone can be shifted",
+        "ring-axioms": "n=1: grading broken at (0, 0) * (0, 1)",
+        "dimension-one-collapse": "ValueError: the orthogonal model is generated by t alone",
+    }
+
+
 def test_suite_catches_a_corrupted_log_component(monkeypatch, fresh_matrix_caches):
     real_log_component = poly.log_component
 
