@@ -22,7 +22,6 @@ from .duality import (
     companion_matrix,
     kinematic_matrix,
     pairing_matrix,
-    pairing_pivots,
     pairing_value,
     positivity_scan,
     step_down_matrix,
@@ -47,7 +46,7 @@ from .poly import (
     poly_format,
     poly_parse,
 )
-from .suite import SuiteEntry, SuiteReport, run_suite
+from .suite import SuiteEntry, SuiteReport, pairing_pivots, run_suite
 
 __version__ = "0.1.0"
 

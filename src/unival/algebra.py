@@ -307,15 +307,27 @@ class _Model:
         return f"{type(self).__name__}(n={self.n})"
 
 
+def _unitary_dimension(n: int) -> int:
+    """The unitary model's dimension rule, read before any build: ``n`` as an int, at least 1."""
+    if (n := index(n)) < 1:
+        raise DegreeOutOfRange("complex dimension n must be >= 1")
+    return n
+
+
+def _orthogonal_dimension(n: int) -> int:
+    """The orthogonal model's dimension rule, read before any build: ``n`` as an int, at least 1."""
+    if (n := index(n)) < 1:
+        raise DegreeOutOfRange("real dimension n must be >= 1")
+    return n
+
+
 class UnitaryAlgebra(_Model):
     """Unitary quotient model for a fixed complex dimension n."""
 
     __slots__ = ()
 
     def __init__(self, n: int):
-        n = index(n)
-        if n < 1:
-            raise DegreeOutOfRange("complex dimension n must be >= 1")
+        n = _unitary_dimension(n)
         super().__init__(n, 2 * n, {d: basis_monomials(n, d) for d in range(2 * n + 1)})
         # _table[d] = (D_d, rows): s^p t^(d-2p) with p >= dim(d) reduces to
         # rows[p - dim(d)] / D_d on the degree-d basis; degrees <= n are all basis.
@@ -339,9 +351,7 @@ class SOAlgebra(_Model):
     __slots__ = ()
 
     def __init__(self, n: int):
-        n = index(n)
-        if n < 1:
-            raise DegreeOutOfRange("real dimension n must be >= 1")
+        n = _orthogonal_dimension(n)
         super().__init__(n, n, {d: ((0, d),) for d in range(n + 1)})  # every t^d is basis, over D_d = 1
 
     def normal_form(self, poly: GradedPoly | str) -> AlgebraElement:

@@ -13,7 +13,7 @@ import sys
 from functools import reduce
 from operator import mul
 
-from .algebra import SOAlgebra, build_algebra
+from .algebra import SOAlgebra, _orthogonal_dimension, _unitary_dimension, build_algebra
 from .duality import (
     annihilator_change_of_basis,
     companion_matrix,
@@ -106,13 +106,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _unitary_dimension(n: int) -> int:
-    """``n``, refused below 1 as ``build_algebra`` refuses it, before any algebra is built."""
-    if n < 1:
-        raise DegreeOutOfRange("complex dimension n must be >= 1")
-    return n
-
-
 def _cmd_basis(args) -> int:
     """Reads the closed-form basis rule; the algebra is never built."""
     if not 0 <= args.degree <= 2 * _unitary_dimension(args.n):
@@ -150,10 +143,8 @@ def _cmd_matrix(args) -> int:
 
 
 def _so_dimension(n: int) -> int:
-    """``n``, refused below 1 as ``SOAlgebra`` refuses it and past ``SO_CEILING``, before any model is built."""
-    if n < 1:
-        raise DegreeOutOfRange("real dimension n must be >= 1")
-    if n > SO_CEILING:
+    """``n`` past the orthogonal dimension rule and refused past ``SO_CEILING``, before any model is built."""
+    if (n := _orthogonal_dimension(n)) > SO_CEILING:
         raise UnivalError(f"real dimension must be <= {SO_CEILING} (the orthogonal ceiling), got {n}")
     return n
 

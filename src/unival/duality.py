@@ -15,8 +15,8 @@ the reduction engine (entry "pairing-structure").
 
   * pairing_value(n, m)             the closed form h(n, m)
   * pairing_matrix(n, k)            the (k+1)x(k+1) Hankel matrix of h
-  * pairing_pivots(n, k)            the LDL^T pivots of that matrix in
-                                    reversed order, in closed form
+  * _pivot_chain(n, k)              the LDL^T pivots of that matrix in
+                                    reversed order, as integer pairs
   * kinematic_matrix(n, k)          the inverse of the pairing matrix, in
                                     closed form: the Christoffel-Darboux
                                     kernel of the rows of L^-1 (shifted
@@ -38,8 +38,8 @@ the reduction engine (entry "pairing-structure").
 
 The module imports only ``errors`` and ``exact``: it builds no algebra and
 no polynomial, and reads no element.  The identities these matrices
-satisfy, the Gram matrix of a model's own product and the top coefficient
-of a reduced element are read in ``suite``.
+satisfy, the Gram matrix of a model's own product, the top coefficient of
+a reduced element and the pivots as Fractions are read in ``suite``.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from functools import lru_cache
 from itertools import chain
 from math import comb, gcd, lcm, prod
 from operator import add, index
+from typing import Iterator
 
 from .errors import IndexOutOfRange
 from .exact import ExactMatrix
@@ -87,8 +88,8 @@ def _pivot_ratio(big_n: int, i: int) -> tuple[int, int]:
     return up, ((c - 2) or 1) * (c - 1) ** 2 * c
 
 
-def pairing_pivots(n: int, k: int) -> tuple[Fraction, ...]:
-    """Exact LDL^T pivots d_0..d_k of J P(n, k) J, where J reverses the order.
+def _pivot_chain(n: int, k: int) -> Iterator[tuple[int, int]]:
+    """The LDL^T pivots d_0..d_k of J P(n, k) J, where J reverses the order, as unreduced integer pairs.
 
     P is the Hankel matrix of a moment sequence of the beta weight
     u^(N-1/2) (1-u)^(-1/2) on [0, 1], N = n - 2k, so its pivots are the
@@ -100,16 +101,13 @@ def pairing_pivots(n: int, k: int) -> tuple[Fraction, ...]:
     2k <= n is positive definite.  The identity suite checks the pivots
     against elimination (entry "kinematic-positive-definite").
     """
-    if not 0 <= 2 * k <= n:
-        raise IndexOutOfRange(f"pairing pivots require 0 <= 2k <= n, got n={n}, k={k}")
     big_n = n - 2 * k
-    pivots = [pairing_value(n, 2 * k)]
-    num, den = pivots[0].as_integer_ratio()
+    num, den = pairing_value(n, 2 * k).as_integer_ratio()
+    yield num, den
     for i in range(1, k + 1):
         up, down = _pivot_ratio(big_n, i)
         num, den = num * up, den * down
-        pivots.append(Fraction(num, den))
-    return tuple(pivots)
+        yield num, den
 
 
 def _row_ratio(big_n: int, i: int, j: int) -> tuple[int, int]:
@@ -146,16 +144,8 @@ def _kernel_step(r: list[int], carry: list[int]) -> list[int]:
 
 
 def _kernel_scale(g: int, n: int, k: int, low: int, high: int) -> tuple[int, int]:
-    """g / (d_k s_k s_(k+1)) in lowest terms with a positive denominator, for the scales low and high.
-
-    d_k is the last pivot of ``pairing_pivots(n, k)``, read in integers: h(n, 2k)
-    times one ``_pivot_ratio`` per step, with no ``Fraction`` per pivot.
-    """
-    big_n = n - 2 * k
-    top, bottom = pairing_value(n, 2 * k).as_integer_ratio()  # d_0, then d_i = top / bottom
-    for i in range(1, k + 1):
-        up, down = _pivot_ratio(big_n, i)
-        top, bottom = top * up, bottom * down
+    """g / (d_k low high) in lowest terms with a positive denominator, d_k the last pair of ``_pivot_chain(n, k)``."""
+    *_, (top, bottom) = _pivot_chain(n, k)
     num, den = g * bottom, top * low * high
     c = gcd(num, den) if den > 0 else -gcd(num, den)
     return num // c, den // c
@@ -175,7 +165,7 @@ def kinematic_matrix(n: int, k: int) -> ExactMatrix:
 
     In integers: p_k and p_(k+1) as primitive rows with scales s_k and
     s_(k+1) (``_jacobi_row``), K over the triangle a >= b, and one scalar
-    F = 1 / (d_k s_k s_(k+1)) with d_k from the integer pivot ratios.  With g
+    F = 1 / (d_k s_k s_(k+1)) with d_k the last pair of ``_pivot_chain``.  With g
     the gcd of K and gF = num / den reduced (``_kernel_scale``), Q is
     (K / g) num over den, mirrored, which is in lowest terms as it stands
     (``ExactMatrix._reduced``).  The tests check Q against the rank-one sum
@@ -254,14 +244,10 @@ def step_down_matrix(n: int, k: int) -> ExactMatrix:
     n, k = index(n), index(k)
     if k < 1 or 2 * k + 1 > n:
         raise IndexOutOfRange(f"requires k >= 1 and 2k+1 <= n, got n={n}, k={k}")
-    size = k + 1
     lead = Fraction(n, 2 * (2 * n - 1))
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    rows[0] = [pairing_value(n, j) for j in range(size)]
     a = companion_coefficients(n - 1, k - 1)
-    for i in range(1, size):
-        rows[i][i - 1] = lead
-        rows[i][k] -= lead * a[i - 1]
+    rows = [[pairing_value(n, j) for j in range(k + 1)]]
+    rows += [[0] * (i - 1) + [lead] + [0] * (k - i) + [-lead * a[i - 1]] for i in range(1, k + 1)]
     return ExactMatrix(rows)
 
 
@@ -270,14 +256,14 @@ def positivity_scan(n_max: int) -> list[tuple[int, int, bool]]:
 
     Every Q(n, k) with 2k <= n is positive definite: Q is the inverse of the
     pairing matrix P(n, k), which is positive definite exactly when it is,
-    and the closed-form pivots of P (``pairing_pivots``) are products of
-    positive factors.  The scan reports the sign of those exact pivots; it
-    builds no matrix and inverts nothing.
+    and the closed-form pivots of P (``_pivot_chain``) are products of
+    positive factors.  The scan reads the sign of each pivot's integer pair;
+    it builds no matrix, inverts nothing and builds no Fraction per pivot.
     """
     if n_max < 1:
         raise IndexOutOfRange("n_max must be >= 1")
     return [
-        (n, k, all(d > 0 for d in pairing_pivots(n, k)))
+        (n, k, all(num > 0 if den > 0 else num < 0 for num, den in _pivot_chain(n, k)))
         for n in range(1, n_max + 1)
         for k in range(n // 2 + 1)
     ]

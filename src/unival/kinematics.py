@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from operator import index
 
-from .algebra import AlgebraElement, SOAlgebra, UnitaryAlgebra, build_algebra
+from .algebra import AlgebraElement, SOAlgebra, UnitaryAlgebra, _orthogonal_dimension, _unitary_dimension, build_algebra
 from .duality import _annihilator_rows, kinematic_matrix
 from .errors import AlgebraMismatch, DegreeOutOfRange
 from .exact import ExactMatrix, _apply, _first_outside_span
@@ -186,6 +186,8 @@ def kinematic_of(n: int, phi: AlgebraElement) -> TensorElement:
     tensor is symmetric: only the blocks (a, b) with a <= b are mapped, and
     each (b, a) is the transpose of (a, b).
     """
+    if not isinstance(phi, AlgebraElement):
+        raise TypeError(f"kinematic tensors are taken of an AlgebraElement, not {type(phi).__name__}")
     n, model = index(n), phi.algebra
     if model.n != n:
         raise AlgebraMismatch(f"factor lives in {model!r}, not in dimension {n}")
@@ -196,11 +198,11 @@ def kinematic_of(n: int, phi: AlgebraElement) -> TensorElement:
 
 
 def so_kinematic(n_real: int, k: int) -> TensorElement:
-    """Kinematic tensor of t^k in the orthogonal model, through ``kinematic_of``."""
-    alg = SOAlgebra(n_real)
+    """Kinematic tensor of t^k in the orthogonal model, through ``kinematic_of``, with n_real and k checked first."""
+    n_real, k = _orthogonal_dimension(n_real), index(k)
     if not 0 <= k <= n_real:
         raise DegreeOutOfRange(f"power must satisfy 0 <= k <= {n_real}, got {k}")
-    return kinematic_of(n_real, alg.normal_form(GradedPoly.monomial(0, k)))
+    return kinematic_of(n_real, SOAlgebra(n_real).normal_form(GradedPoly.monomial(0, k)))
 
 
 def annihilator_congruence_holds(n: int, k: int) -> bool:
@@ -212,11 +214,12 @@ def annihilator_congruence_holds(n: int, k: int) -> bool:
     the annihilator generators on both sides (``_first_outside_span``), read
     as the integer rows of ``_annihilator_rows``, and the block as its stored
     integer numerators: scaling a generator or the target does not change
-    span membership.
+    span membership.  n and k are checked before the algebra is built.
     """
-    alg = build_algebra(n)
+    n, k = _unitary_dimension(n), index(k)
     if not 0 <= k <= 2 * n:
         raise DegreeOutOfRange(f"power must satisfy 0 <= k <= {2 * n}, got {k}")
+    alg = build_algebra(n)
     corners = {}
     for i in range(k, 2 * n + 1):  # t^i x t^j with i + j = 2n + k: entry (0, 0) of block (i, j)
         rows = [[0] * alg.dim(2 * n + k - i) for _ in range(alg.dim(i))]

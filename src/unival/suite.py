@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
+from itertools import starmap
 from math import comb, factorial, gcd, lcm
 from operator import index
 from typing import Callable, Optional
@@ -22,12 +23,12 @@ from typing import Callable, Optional
 from .algebra import AlgebraElement, SOAlgebra, basis_monomials, build_algebra
 from .duality import (
     _annihilator_rows,
+    _pivot_chain,
     annihilator_change_of_basis,
     companion_coefficients,
     companion_matrix,
     kinematic_matrix,
     pairing_matrix,
-    pairing_pivots,
     pairing_value,
     step_down_matrix,
 )
@@ -786,6 +787,13 @@ def annihilator_basis(alg, j: int) -> list[AlgebraElement]:
         AlgebraElement(alg, GradedPoly._lowest({m: x for m, x in zip(basis, row) if x}, 1))
         for row in _annihilator_rows(n, j)
     ]
+
+
+def pairing_pivots(n: int, k: int) -> tuple[Fraction, ...]:
+    """The LDL^T pivots d_0..d_k of J P(n, k) J, J the order reversal: ``_pivot_chain`` as Fractions."""
+    if not 0 <= 2 * k <= n:
+        raise IndexOutOfRange(f"pairing pivots require 0 <= 2k <= n, got n={n}, k={k}")
+    return tuple(starmap(Fraction, _pivot_chain(n, k)))
 
 
 def top_coefficient(element) -> Fraction:

@@ -10,6 +10,7 @@ from operator import mul
 
 import pytest
 
+import unival
 from unival import algebra, duality, exact, suite
 from unival import (
     ExactMatrix,
@@ -433,6 +434,48 @@ def test_pairing_pivots_reference_values_and_range():
     for n, k in ((3, 2), (4, -1), (-1, 0)):
         with pytest.raises(IndexOutOfRange):
             pairing_pivots(n, k)
+
+
+def _fraction_pivot_loop(n, k):
+    """Oracle: the pivots as one ``Fraction`` per step of the integer ratios, with no integer chain."""
+    big_n = n - 2 * k
+    pivots = [pairing_value(n, 2 * k)]
+    num, den = pivots[0].as_integer_ratio()
+    for i in range(1, k + 1):
+        up, down = duality._pivot_ratio(big_n, i)
+        num, den = num * up, den * down
+        pivots.append(Fraction(num, den))
+    return tuple(pivots)
+
+
+def test_pairing_pivots_are_the_fraction_loop():
+    cases = [(n, k) for n in range(61) for k in range(n // 2 + 1)]
+    cases += [(n, k) for n in (200, 400) for k in (0, 1, 7, n // 4, n // 2 - 1, n // 2)]
+    for n, k in cases:
+        assert pairing_pivots(n, k) == _fraction_pivot_loop(n, k), (n, k)
+    assert unival.pairing_pivots is suite.pairing_pivots and not hasattr(duality, "pairing_pivots")
+
+
+def test_positivity_scan_is_the_fraction_sign_scan():
+    expected = [
+        (n, k, all(d > 0 for d in _fraction_pivot_loop(n, k))) for n in range(1, 61) for k in range(n // 2 + 1)
+    ]
+    assert positivity_scan(60) == expected
+
+
+def test_positivity_scan_reads_the_sign_a_fraction_would(monkeypatch):
+    # Every sign pattern of an unreduced pair, a negative denominator included; the chain never yields den = 0.
+    pairs = [(num, den) for num in (-6, -1, 0, 1, 6) for den in (-4, -1, 1, 4)]
+    monkeypatch.setattr(duality, "_pivot_chain", lambda n, k: [pairs[n - 1]])
+    rows = positivity_scan(len(pairs))
+    assert [flag for n, k, flag in rows if k == 0] == [Fraction(num, den) > 0 for num, den in pairs]
+
+
+def test_positivity_scan_builds_one_fraction_per_block(fraction_constructions):
+    # h(n, 2k) from pairing_value, and no Fraction per pivot.
+    rows = positivity_scan(20)
+    assert len(fraction_constructions) <= len(rows)
+    assert set(fraction_constructions) <= {(comb(2 * n - 4 * k, n - 2 * k), comb(2 * n, n)) for n, k, _ in rows}
 
 
 def _rank_one_kinematic_matrix(n, k):

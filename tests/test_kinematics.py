@@ -168,6 +168,40 @@ def test_kinematic_of_rejects_foreign_element():
         kinematic_of(2, build_algebra(3).one())
 
 
+def test_kinematic_of_refuses_a_non_element_by_its_type():
+    for phi, name in (("t", "str"), (GradedPoly.monomial(0, 1), "GradedPoly"), (None, "NoneType")):
+        with pytest.raises(TypeError, match=f"^kinematic tensors are taken of an AlgebraElement, not {name}$"):
+            kinematic_of(3, phi)
+
+
+def test_entry_points_check_the_dimension_and_the_power_before_building(monkeypatch):
+    """The model's dimension rule comes first, then the range of k, and only then a build; n may be huge."""
+
+    def forbidden(n):
+        raise AssertionError(f"built a model for n={n}")
+
+    for name in ("SOAlgebra", "build_algebra"):
+        monkeypatch.setattr(kinematics, name, forbidden)
+    refusals = [
+        (so_kinematic, 10**6, -1, DegreeOutOfRange, "^power must satisfy 0 <= k <= 1000000, got -1$"),
+        (so_kinematic, 3, 4, DegreeOutOfRange, "^power must satisfy 0 <= k <= 3, got 4$"),
+        (so_kinematic, 0, 5, DegreeOutOfRange, "^real dimension n must be >= 1$"),
+        (so_kinematic, 3.0, 1, TypeError, None),
+        (so_kinematic, 10**6, 1.0, TypeError, None),
+        (annihilator_congruence_holds, 120, -1, DegreeOutOfRange, "^power must satisfy 0 <= k <= 240, got -1$"),
+        (annihilator_congruence_holds, 10**6, 2 * 10**6 + 1, DegreeOutOfRange, "^power must satisfy 0 <= k <= 2000000"),
+        (annihilator_congruence_holds, 0, 5, DegreeOutOfRange, "^complex dimension n must be >= 1$"),
+        (annihilator_congruence_holds, 3.0, 1, TypeError, None),
+        (annihilator_congruence_holds, 120, 1.0, TypeError, None),
+    ]
+    for entry, n, k, error, message in refusals:
+        with pytest.raises(error, match=message):
+            entry(n, k)
+    for entry in (so_kinematic, annihilator_congruence_holds):
+        with pytest.raises(AssertionError, match="^built a model for n=3$"):
+            entry(3, 1)
+
+
 def test_so_kinematic_examples():
     so2 = SOAlgebra(2)
     expected = TensorElement(so2, so2, {(0, 2): ONE, (1, 1): ONE, (2, 0): ONE})

@@ -11,7 +11,9 @@ an attribute, so a local variable of the same name does not count.  Only
 the suite raises ``StructureViolation``: the engine holds no cross-check.
 One-term work goes through the two kernels that the mutation tests
 corrupt, ``_Model._reduce`` and ``GradedPoly._times_term``, with no
-shortcut around them.
+shortcut around them.  The pivot ratios are multiplied out in one place,
+``duality._pivot_chain``, and each model's dimension rule is stated once,
+in ``algebra``, never in the CLI.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from pathlib import Path
 
 import pytest
 
+import unival
+from unival import suite
 from unival.algebra import SOAlgebra, _Model, build_algebra
 from unival.poly import GradedPoly
 
@@ -119,6 +123,7 @@ SUITE_ONLY = {
     "log_component_alt",
     "log_components",
     "log_recursion_holds",
+    "pairing_pivots",
     "series_dimension",
     "step_down_identity_holds",
     "top_coefficient",
@@ -130,6 +135,46 @@ def test_suite_only_checks_are_defined_in_the_suite_alone():
     for path in SRC.glob("*.py"):
         if path.name != "suite.py":
             assert not SUITE_ONLY & _defined_functions(path), path.name
+
+
+def _readers_of(name: str, paths=tuple(SRC.glob("*.py"))) -> set[tuple[str, str]]:
+    """``(file, function)`` for every function or method whose body loads ``name``, bare or as an attribute."""
+    readers = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+            if isinstance(node, ast.FunctionDef) and any(
+                (isinstance(inner, ast.Name) and inner.id == name and isinstance(inner.ctx, ast.Load))
+                or (isinstance(inner, ast.Attribute) and inner.attr == name)
+                for inner in ast.walk(node)
+            ):
+                readers.add((path.name, node.name))
+    return readers
+
+
+def test_the_function_reader_sees_bare_and_attribute_loads(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def f():\n    return g(1)\n\nclass A:\n    def h(self):\n        return m.g\n\n"
+        "def k():\n    g = 2\n\nx = g\n"
+    )
+    assert _readers_of("g", [probe]) == {("probe.py", "f"), ("probe.py", "h")}
+
+
+def test_the_pivot_chain_is_walked_in_one_place():
+    # _kernel_scale, positivity_scan and the suite's pairing_pivots all read the chain, never the ratio.
+    assert _readers_of("_pivot_ratio") == {("duality.py", "_pivot_chain")}
+    assert _readers_of("_pivot_chain") == {
+        ("duality.py", "_kernel_scale"),
+        ("duality.py", "positivity_scan"),
+        ("suite.py", "pairing_pivots"),
+    }
+    assert unival.pairing_pivots is suite.pairing_pivots
+
+
+def test_the_cli_states_no_dimension_rule():
+    # Each model's rule lives in one gate in algebra (_unitary_dimension, _orthogonal_dimension).
+    assert "dimension n must be" not in (SRC / "cli.py").read_text()
+    assert {"_unitary_dimension", "_orthogonal_dimension"} <= _defined_functions(SRC / "algebra.py")
 
 
 def _read_names(path: Path) -> set[str]:

@@ -243,6 +243,25 @@ def test_suite_catches_corrupted_pivot_ratio(monkeypatch, fresh_matrix_caches):
     assert failing["pairing-structure"] == "n=3, k=1: kinematic * pairing != identity"
 
 
+def test_suite_catches_a_negative_pivot_in_the_chain(monkeypatch, fresh_matrix_caches):
+    real_chain = duality._pivot_chain
+
+    def corrupted(n, k):
+        """Negates d_0 at (4, 1); the last pair, which the kinematic matrix reads, stays as it is."""
+        for i, (num, den) in enumerate(real_chain(n, k)):
+            yield (-num if (n, k, i) == (4, 1, 0) else num), den
+
+    for module in (duality, suite):  # each reader finds the chain under its own name
+        monkeypatch.setattr(module, "_pivot_chain", corrupted)
+    assert [row for row in duality.positivity_scan(5) if not row[2]] == [(4, 1, False)]
+    failing = _failing_entries(run_suite(4))
+    assert set(failing) == {"kinematic-positive-definite"}
+    assert failing["kinematic-positive-definite"] == (
+        "n=4, k=1: closed-form pairing pivots ['-3/35', '1/21'] differ from "
+        "elimination of the reversed pairing matrix ['3/35', '1/21']"
+    )
+
+
 def test_suite_catches_corrupted_row_ratio(monkeypatch, fresh_matrix_caches):
     real_ratio = duality._row_ratio
 
